@@ -15,7 +15,7 @@ from .errors import FenSyntaxError, FenstringError, MoveError
 from .fen_codec import CastlingRights, Square, parse_fen, serialize_fen
 from .fuzzing import differential_fuzz, fuzz_pairs
 from .legacy import parse_legacy_forsyth
-from .move_apply import ApplyOptions, apply_move
+from .move_apply import ApplyOptions, _iter_sequence, apply_move
 from .oracle import oracle_apply
 
 EXIT_OK = 0
@@ -118,15 +118,12 @@ def cmd_play(args) -> int:
             line = line.split("#", 1)[0].strip()
             if line:
                 moves.append(line)
-    options = _options_from(args)
-    fen = args.fen
-    for ply, move in enumerate(moves, start=1):
-        try:
-            fen = apply_move(fen, move, options).fen_after
-        except FenstringError as exc:
-            print(f"ply {ply}: {exc.code}: {exc}", file=sys.stderr)
-            return EXIT_MOVE if isinstance(exc, MoveError) else EXIT_INPUT
-        print(fen)
+    try:
+        for fen in _iter_sequence(args.fen, moves, _options_from(args)):
+            print(fen)
+    except FenstringError as exc:
+        print(f"ply {exc.ply}: {exc.code}: {exc}", file=sys.stderr)
+        return EXIT_MOVE if isinstance(exc, MoveError) else EXIT_INPUT
     return EXIT_OK
 
 

@@ -35,6 +35,10 @@ PIECE_LETTERS = "KQRBNPkqrbnp"
 PIECE_KINDS = "KQRBNP"
 RUN_DIGITS = "12345678"
 
+# a clock field is 1 to MAX_CLOCK_DIGITS ASCII digits: int() of longer text
+# is slow, and past the interpreter's digit limit it raises ValueError
+MAX_CLOCK_DIGITS = 9
+
 START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
 
@@ -58,6 +62,10 @@ class Square:
     @property
     def name(self) -> str:
         return "abcdefgh"[self.file] + str(self.rank)
+
+
+# every square by name, so hot paths look squares up instead of building them
+SQUARES = {sq.name: sq for sq in (Square(f, r) for r in range(1, 9) for f in range(8))}
 
 
 @dataclass(frozen=True)
@@ -166,6 +174,14 @@ def _strict_checks(record: FenRecord) -> None:
             )
 
 
+def _parse_clock(field: str, minimum: int, what: str) -> int:
+    if field.isascii() and field.isdigit() and len(field) <= MAX_CLOCK_DIGITS:
+        value = int(field)
+        if value >= minimum:
+            return value
+    raise BadClockError(f"bad {what}: {field!r}")
+
+
 def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     """Parse FEN text into a FenRecord, or raise a typed syntax error.
 
@@ -191,25 +207,19 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     if ep_field == "-":
         en_passant = None
     else:
-        try:
-            en_passant = Square.from_name(ep_field)
-        except BadSquareError:
-            raise BadEnPassantFieldError(f"bad en-passant field: {ep_field!r}") from None
+        en_passant = SQUARES.get(ep_field)
+        if en_passant is None:
+            raise BadEnPassantFieldError(f"bad en-passant field: {ep_field!r}")
         if en_passant.rank not in (3, 6):
             raise BadEnPassantFieldError(f"en-passant square {ep_field!r} not on rank 3 or 6")
-
-    if not halfmove_field.isdigit():
-        raise BadClockError(f"bad halfmove clock: {halfmove_field!r}")
-    if not fullmove_field.isdigit() or int(fullmove_field) < 1:
-        raise BadClockError(f"bad fullmove number: {fullmove_field!r}")
 
     record = FenRecord(
         ranks=tuple(segments),
         side=side,
         castling=castling,
         en_passant=en_passant,
-        halfmove=int(halfmove_field),
-        fullmove=int(fullmove_field),
+        halfmove=_parse_clock(halfmove_field, 0, "halfmove clock"),
+        fullmove=_parse_clock(fullmove_field, 1, "fullmove number"),
     )
     if validation == "strict":
         _strict_checks(record)

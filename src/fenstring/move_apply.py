@@ -15,6 +15,7 @@ from typing import Optional
 
 from .errors import (
     BadCastleError,
+    BadClockError,
     BadMoveSyntaxError,
     BadPromotionPieceError,
     EmptyOriginError,
@@ -22,10 +23,23 @@ from .errors import (
     MissingPromotionError,
     WrongColorError,
 )
-from .fen_codec import BLACK, WHITE, CastlingRights, Piece, Square, parse_fen
+from .fen_codec import (
+    BLACK,
+    MAX_CLOCK_DIGITS,
+    SQUARES,
+    WHITE,
+    CastlingRights,
+    FenRecord,
+    Piece,
+    Square,
+    _strict_checks,
+    parse_fen,
+    serialize_fen,
+)
 from .segment_ops import contract_rank, expand_rank, segment_index
 
-_MOVE_RE = re.compile(r"^([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?$")
+_MOVE_RE = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?")
+_CLOCK_LIMIT = 10**MAX_CLOCK_DIGITS
 
 # corner square -> the castling right it hosts
 _CORNER_RIGHTS = {
@@ -62,15 +76,13 @@ class ApplyOutcome:
 
 def parse_move(text: str) -> Move:
     """Parse "e2e4", "e2-e4" or "e7e8q" (promotion suffix, any case)."""
-    m = _MOVE_RE.match(text)
+    m = _MOVE_RE.fullmatch(text)
     if not m:
         raise BadMoveSyntaxError(f"bad move syntax: {text!r}")
-    from_square = Square.from_name(m.group(1))
-    to_square = Square.from_name(m.group(2))
-    if from_square == to_square:
+    from_name, to_name, promotion = m.groups()
+    if from_name == to_name:
         raise BadMoveSyntaxError(f"origin equals destination in {text!r}")
-    promotion = m.group(3).upper() if m.group(3) else None
-    return Move(from_square, to_square, promotion)
+    return Move(SQUARES[from_name], SQUARES[to_name], promotion.upper() if promotion else None)
 
 
 def update_castling_rights(
@@ -157,14 +169,20 @@ def update_clocks(
     return halfmove, fullmove
 
 
-def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyOutcome:
-    """Apply a move to a FEN string by localized segment rewriting.
+def _check_clocks(halfmove: int, fullmove: int) -> None:
+    if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
+        raise BadClockError(f"clock longer than {MAX_CLOCK_DIGITS} digits: {halfmove} {fullmove}")
 
-    ``move`` may be a move string or a parsed Move. Raises a MoveError
-    subclass when the move cannot be transcribed (empty origin, wrong
-    color, missing promotion, bad castle).
+
+def _apply(record: FenRecord, move, options: ApplyOptions):
+    """The rewrite shared by every entry point: (next record, outcome).
+
+    ``record`` comes from parse_fen or from an earlier call, so a game or
+    fuzz chain is parsed once and carried from ply to ply.
     """
-    record = parse_fen(fen, options.validation)
+    # a carried clock can outgrow what parse_fen accepts; the FEN text of
+    # that ply would then fail to parse here, so the record fails instead
+    _check_clocks(record.halfmove, record.fullmove)
     mv = parse_move(move) if isinstance(move, str) else move
     from_sq, to_sq = mv.from_square, mv.to_square
 
@@ -237,33 +255,58 @@ def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyO
     if to_i != from_i:
         ranks[to_i] = contract_rank("".join(dest_row))
 
-    new_rights = update_castling_rights(record.castling, mover, from_sq, to_sq, captured)
-    new_ep = derive_en_passant(ranks, mover, from_sq, to_sq, options.ep_mode)
     halfmove, fullmove = update_clocks(
         record.halfmove, record.fullmove, mover, was_capture, options.clock_mode
     )
-
-    fen_after = " ".join(
-        (
-            "/".join(ranks),
-            BLACK if record.side == WHITE else WHITE,
-            new_rights.to_text(),
-            new_ep.name if new_ep else "-",
-            str(halfmove),
-            str(fullmove),
-        )
+    after = FenRecord(
+        ranks=tuple(ranks),
+        side=BLACK if record.side == WHITE else WHITE,
+        castling=update_castling_rights(record.castling, mover, from_sq, to_sq, captured),
+        en_passant=derive_en_passant(ranks, mover, from_sq, to_sq, options.ep_mode),
+        halfmove=halfmove,
+        fullmove=fullmove,
     )
     if options.validation == "strict":
-        # closure: the result must itself pass strict validation
-        parse_fen(fen_after, "strict")
+        # closure: the result must itself pass strict validation. Its
+        # grammar holds by construction (contracted rows, canonical rights,
+        # en passant on rank 3/6), except for a clock grown one digit too long
+        _check_clocks(halfmove, fullmove)
+        _strict_checks(after)
 
-    return ApplyOutcome(
-        fen_after=fen_after,
+    return after, ApplyOutcome(
+        fen_after=serialize_fen(after),
         segments_touched=frozenset((from_i, to_i)),
         was_capture=was_capture,
         was_pawn_move=is_pawn,
         special=special,
     )
+
+
+def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyOutcome:
+    """Apply a move to a FEN string by localized segment rewriting.
+
+    ``move`` may be a move string or a parsed Move. Raises a MoveError
+    subclass when the move cannot be transcribed (empty origin, wrong
+    color, missing promotion, bad castle).
+    """
+    return _apply(parse_fen(fen, options.validation), move, options)[1]
+
+
+def _iter_sequence(fen: str, moves, options: ApplyOptions):
+    """Yield the FEN after each move; ``fen`` is parsed at the first move.
+
+    The failing ply's error is re-raised with a ``ply`` attribute (1-based).
+    """
+    record = None
+    for ply, move in enumerate(moves, start=1):
+        try:
+            if record is None:
+                record = parse_fen(fen, options.validation)
+            record, outcome = _apply(record, move, options)
+        except Exception as exc:
+            exc.ply = ply
+            raise
+        yield outcome.fen_after
 
 
 def play_sequence(fen: str, moves, options: ApplyOptions = ApplyOptions()):
@@ -272,13 +315,4 @@ def play_sequence(fen: str, moves, options: ApplyOptions = ApplyOptions()):
     On failure the first failing ply's error is re-raised with a ``ply``
     attribute (1-based) attached.
     """
-    out = []
-    current = fen
-    for i, move in enumerate(moves, start=1):
-        try:
-            current = apply_move(current, move, options).fen_after
-        except Exception as exc:
-            exc.ply = i
-            raise
-        out.append(current)
-    return out
+    return list(_iter_sequence(fen, moves, options))

@@ -10,19 +10,17 @@ from .errors import BadExpandedRankError, BadSegmentError, OutOfRangeError
 from .fen_codec import PIECE_LETTERS, RUN_DIGITS
 
 _SLOT_CHARS = frozenset(PIECE_LETTERS + "1")
+_EXPAND = str.maketrans({digit: "1" * int(digit) for digit in RUN_DIGITS})
+# longest first, so that each run is replaced whole
+_RUNS = tuple(("1" * n, str(n)) for n in range(8, 1, -1))
 
 
 def expand_rank(segment: str) -> str:
     """Expand a compact rank segment to its 8-slot form ("1b3RN1" -> "1b111RN1")."""
-    out = []
-    for ch in segment:
-        if ch in RUN_DIGITS:
-            out.append("1" * int(ch))
-        elif ch in PIECE_LETTERS:
-            out.append(ch)
-        else:
-            raise BadSegmentError(f"bad character {ch!r} in segment {segment!r}")
-    expanded = "".join(out)
+    expanded = segment.translate(_EXPAND)
+    if not _SLOT_CHARS.issuperset(expanded):
+        ch = next(ch for ch in expanded if ch not in _SLOT_CHARS)
+        raise BadSegmentError(f"bad character {ch!r} in segment {segment!r}")
     if len(expanded) != 8:
         raise BadSegmentError(f"segment {segment!r} spans {len(expanded)} squares, expected 8")
     return expanded
@@ -30,21 +28,12 @@ def expand_rank(segment: str) -> str:
 
 def contract_rank(expanded: str) -> str:
     """Contract an 8-slot rank back to compact form ("11111R1k" -> "5R1k")."""
-    if len(expanded) != 8 or any(ch not in _SLOT_CHARS for ch in expanded):
+    if len(expanded) != 8 or not _SLOT_CHARS.issuperset(expanded):
         raise BadExpandedRankError(f"bad expanded rank: {expanded!r}")
-    out = []
-    run = 0
-    for ch in expanded:
-        if ch == "1":
-            run += 1
-        else:
-            if run:
-                out.append(str(run))
-                run = 0
-            out.append(ch)
-    if run:
-        out.append(str(run))
-    return "".join(out)
+    compact = expanded
+    for run, count in _RUNS:
+        compact = compact.replace(run, count)
+    return compact
 
 
 def segment_index(rank: int) -> int:

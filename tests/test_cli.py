@@ -34,6 +34,12 @@ class TestValidate:
         assert code == 2
         assert "Validation" in err
 
+    @pytest.mark.parametrize("clock", ["²", "9" * 5000], ids=["superscript", "5000-digits"])
+    def test_bad_clock(self, capsys, clock):
+        code, _, err = run(capsys, "validate", f"8/8/8/8/8/8/8/8 w - - {clock} 1")
+        assert code == 2
+        assert err.startswith("BadClock:")
+
 
 class TestApply:
     def test_table_i(self, capsys):

@@ -81,6 +81,19 @@ class TestParse:
         with pytest.raises(error):
             parse_fen(fen)
 
+    @pytest.mark.parametrize(
+        "halfmove,fullmove",
+        [("²", "1"), ("0", "٣"), ("9" * 5000, "1"), ("0", "1" * 5000), ("1000000000", "1")],
+        ids=["superscript", "arabic-indic", "5000-digits", "5000-digits-fullmove", "10-digits"],
+    )
+    def test_clock_not_short_ascii_digits(self, halfmove, fullmove):
+        with pytest.raises(BadClockError):
+            parse_fen(f"8/8/8/8/8/8/8/8 w - - {halfmove} {fullmove}")
+
+    def test_nine_digit_clocks(self):
+        fen = "8/8/8/8/8/8/8/8 w - - 999999999 999999999"
+        assert serialize_fen(parse_fen(fen)) == fen
+
 
 class TestSerialize:
     def test_fig1_round(self):

@@ -18,18 +18,40 @@ from fenstring import (
 )
 from fenstring.errors import (
     BadCastleError,
+    BadClockError,
     BadMoveSyntaxError,
     BadPromotionPieceError,
     BadSquareError,
     EmptyOriginError,
     FriendlyCaptureError,
     MissingPromotionError,
+    SegmentCountError,
     WrongColorError,
 )
 
 from conftest import FIG1_FEN
 
 FROZEN = ApplyOptions(clock_mode="frozen")
+ALL_OPTIONS = [
+    ApplyOptions(ep, clock, validation)
+    for ep in ("always", "adjacent-only")
+    for clock in ("standard", "frozen")
+    for validation in ("lenient", "strict")
+]
+# a legal opening, so strict validation holds at every ply
+RUY_LOPEZ = (
+    "e2e4 e7e5 g1f3 b8c6 f1b5 a7a6 b5a4 g8f6 e1g1 f8e7 "
+    "f1e1 b7b5 a4b3 d7d6 c2c3 e8g8 h2h3 c6a5 b3c2 c7c5"
+).split()
+
+
+def iterate(fen, moves, options):
+    """The FEN after each move by one apply_move call per ply."""
+    out = []
+    for move in moves:
+        fen = apply_move(fen, move, options).fen_after
+        out.append(fen)
+    return out
 
 
 class TestParseMove:
@@ -43,7 +65,9 @@ class TestParseMove:
     def test_promotion_suffix(self, text):
         assert parse_move(text) == Move(Square.from_name("e7"), Square.from_name("e8"), "Q")
 
-    @pytest.mark.parametrize("text", ["", "e2", "e2e", "e2e9", "i2e4", "e2e4x", "e2--e4"])
+    @pytest.mark.parametrize(
+        "text", ["", "e2", "e2e", "e2e9", "i2e4", "e2e4x", "e2--e4", "e2e4\n", "e7e8q\n"]
+    )
     def test_bad_syntax(self, text):
         with pytest.raises(BadMoveSyntaxError):
             parse_move(text)
@@ -280,6 +304,70 @@ class TestPlaySequence:
         fens = play_sequence(FIG1_FEN, ["f7f6", "h6g7"])
         step1 = oracle_apply(FIG1_FEN, "f7f6")
         assert fens == [step1, oracle_apply(step1, "h6g7")]
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_equals_iterated_apply_move(self, options):
+        assert play_sequence(START_FEN, RUY_LOPEZ, options) == iterate(START_FEN, RUY_LOPEZ, options)
+
+    @pytest.mark.parametrize(
+        "moves,options,ply",
+        [
+            (["e2e4", "e2e4"], ApplyOptions(), 2),
+            (["e2e4", "e7e5", "e4e5x"], ApplyOptions(), 3),
+            (["e2e4", "e7e5", "e4e5\n"], ApplyOptions(), 3),
+            (["e2e4", "e7e5", "d1h5", "h7h6", "h5f7", "e8f7", "f1b5", "f7e8", "b5e8"],
+             ApplyOptions(), None),  # lenient: the bishop takes the king
+            (["e2e4", "e7e5", "d1h5", "h7h6", "h5f7", "e8f7", "f1b5", "f7e8", "b5e8"],
+             ApplyOptions(validation="strict"), 9),
+            (["e2e4", "d2d4"], ApplyOptions(), 2),
+            (["g1f3", "g8f6", "f3h2"], ApplyOptions(), None),
+            (["g1f3", "g8f6", "f3h2"], ApplyOptions(validation="strict"), 3),
+            (["g1f3", "g7g5", "f3g5", "f7f5", "g5f7"], ApplyOptions(validation="strict"), None),
+        ],
+    )
+    def test_failing_ply_matches_apply_move(self, moves, options, ply):
+        try:
+            expected = iterate(START_FEN, moves, options)
+        except Exception as exc:  # the reference run's error is the expectation
+            with pytest.raises(type(exc)) as info:
+                play_sequence(START_FEN, moves, options)
+            assert (info.value.ply, str(info.value)) == (ply, str(exc))
+        else:
+            assert ply is None
+            assert play_sequence(START_FEN, moves, options) == expected
+
+    def test_irregular_whitespace_start(self):
+        fen = "  " + START_FEN.replace(" ", " \t  ") + " \n"
+        assert play_sequence(fen, RUY_LOPEZ) == play_sequence(START_FEN, RUY_LOPEZ)
+
+    def test_bad_fen_without_moves(self):
+        assert play_sequence("garbage", []) == []
+
+    def test_bad_fen_fails_at_first_ply(self):
+        with pytest.raises(SegmentCountError) as info:
+            play_sequence("garbage", ["e2e4"])
+        assert info.value.ply == 1
+
+    @pytest.mark.parametrize("validation", ["lenient", "strict"])
+    def test_clock_grown_past_its_digits(self, validation):
+        # the first ply's fullmove number has one digit more than a FEN may
+        # carry: strict rejects that ply, lenient returns it and the next
+        # ply fails to read it, exactly as the oracle and apply_move do
+        fen = "4k3/8/8/8/8/8/8/4K3 b - - 0 999999999"
+        moves = ["e8d8", "e1d1"]
+        options = ApplyOptions(validation=validation)
+        with pytest.raises(BadClockError) as info:
+            play_sequence(fen, moves, options)
+        assert info.value.ply == (1 if validation == "strict" else 2)
+        if validation == "lenient":
+            after = apply_move(fen, moves[0], options).fen_after
+            assert after == oracle_apply(fen, moves[0], options)
+            assert after.endswith(" 1000000000")
+            with pytest.raises(BadClockError):
+                apply_move(after, moves[1], options)
+        else:
+            with pytest.raises(BadClockError):
+                oracle_apply(fen, moves[0], options)
 
 
 class TestInvariants:
