@@ -18,7 +18,7 @@ from .fen_codec import (
     piece_at,
     serialize_fen,
 )
-from .fuzzing import FuzzReport, differential_fuzz, fuzz_pairs
+from .fuzzing import FuzzReport, differential_fuzz, fuzz_pairs, random_pseudo_move
 from .legacy import emit_legacy_forsyth, parse_legacy_forsyth
 from .move_apply import (
     ApplyOptions,
@@ -37,7 +37,6 @@ from .oracle import (
     cell_index,
     fen_from_board,
     oracle_apply,
-    random_pseudo_move,
 )
 from .segment_ops import contract_rank, expand_rank, file_index, segment_index
 

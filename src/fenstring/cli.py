@@ -15,7 +15,7 @@ from .errors import FenSyntaxError, FenstringError, MoveError
 from .fen_codec import CastlingRights, Square, parse_fen, serialize_fen
 from .fuzzing import differential_fuzz, fuzz_pairs
 from .legacy import parse_legacy_forsyth
-from .move_apply import ApplyOptions, _iter_sequence, apply_move
+from .move_apply import _OPTION_VALUES, ApplyOptions, _iter_sequence, apply_move
 from .oracle import oracle_apply
 
 EXIT_OK = 0
@@ -32,9 +32,9 @@ def _positive_int(text: str) -> int:
 
 
 def _add_apply_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ep-mode", choices=("always", "adjacent-only"), default="always")
-    parser.add_argument("--clock-mode", choices=("standard", "frozen"), default="standard")
-    parser.add_argument("--validation", choices=("lenient", "strict"), default="lenient")
+    for name, values in _OPTION_VALUES.items():
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, choices=values, default=getattr(ApplyOptions, name))
 
 
 def _options_from(args) -> ApplyOptions:
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a FEN and echo its canonical form")
     p.add_argument("fen")
-    p.add_argument("--validation", choices=("lenient", "strict"), default="lenient")
+    p.add_argument("--validation", choices=_OPTION_VALUES["validation"], default="lenient")
 
     p = sub.add_parser("apply", help="apply one move to a FEN")
     p.add_argument("fen")

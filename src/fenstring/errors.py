@@ -11,6 +11,12 @@ class FenstringError(Exception):
     code = "Error"
 
 
+class BadOptionError(FenstringError, ValueError):
+    """An ApplyOptions field holds a value outside its documented set."""
+
+    code = "BadOption"
+
+
 class FenSyntaxError(FenstringError, ValueError):
     """Malformed input text: FEN, move, segment or legacy notation."""
 

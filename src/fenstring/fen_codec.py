@@ -77,13 +77,18 @@ class Piece:
 
     @classmethod
     def from_letter(cls, letter: str) -> "Piece":
-        if letter not in PIECE_LETTERS:
+        piece = _PIECES.get(letter)
+        if piece is None:
             raise BadPieceLetterError(f"bad piece letter: {letter!r}")
-        return cls(letter.upper(), WHITE if letter.isupper() else BLACK)
+        return piece
 
     @property
     def letter(self) -> str:
         return self.kind if self.color == WHITE else self.kind.lower()
+
+
+# the twelve pieces by FEN letter; Piece is frozen, so one instance each is shared
+_PIECES = {ch: Piece(ch.upper(), WHITE if ch.isupper() else BLACK) for ch in PIECE_LETTERS}
 
 
 @dataclass(frozen=True)

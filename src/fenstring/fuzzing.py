@@ -7,9 +7,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import FenstringError, NoPiecesError
-from .fen_codec import START_FEN, parse_fen
+from .fen_codec import BLACK, START_FEN, WHITE, FenRecord, parse_fen
 from .move_apply import ApplyOptions, _apply
-from .oracle import oracle_apply, random_pseudo_move
+from .oracle import oracle_apply
+from .segment_ops import _EXPAND
+
+# slot i of the 64-slot placement (a8 first, h1 last) -> its square name
+_SLOT_NAMES = tuple(f + r for r in "87654321" for f in "abcdefgh")
+_OWN_LETTERS = {WHITE: frozenset("KQRBNP"), BLACK: frozenset("kqrbnp")}
 
 
 @dataclass
@@ -39,22 +44,71 @@ class FuzzReport:
         return "\n".join(lines)
 
 
+def _pseudo_move(record: FenRecord, seed: int) -> str:
+    """Draw a seeded pseudo-move for the side to move, from the parsed ranks."""
+    slots = "".join(record.ranks).translate(_EXPAND)
+    rng = random.Random(seed)
+    own = _OWN_LETTERS[record.side]
+    origins = [i for i, letter in enumerate(slots) if letter in own]
+    if not origins:
+        raise NoPiecesError(f"side {record.side!r} has no pieces")
+
+    while True:
+        from_i = rng.choice(origins)
+        to_i = rng.randrange(64)
+        if to_i == from_i:
+            continue
+        mover = slots[from_i]
+        row, to_file = divmod(to_i, 8)
+        edge = row in (0, 7)
+
+        # a castle-shaped king move needs its own rook on the corner
+        if (
+            mover in "Kk"
+            and edge
+            and from_i // 8 == row
+            and abs(from_i - to_i) == 2
+            and to_file in (2, 6)
+        ):
+            corner = row * 8 + (7 if to_file == 6 else 0)
+            if slots[corner] != ("R" if mover == "K" else "r"):
+                continue
+
+        text = _SLOT_NAMES[from_i] + _SLOT_NAMES[to_i]
+        if mover in "Pp" and edge:
+            text += rng.choice("qrbn")
+        return text
+
+
+def random_pseudo_move(fen: str, seed: int) -> str:
+    """Deterministic pseudo-move generator for fuzzing.
+
+    Picks an occupied origin of the side to move and any other square as
+    destination, adds a promotion suffix when a pawn lands on rank 1/8,
+    and avoids castle-shaped king moves whose corner rook is missing.
+    The move satisfies apply_move's structural preconditions but is not
+    necessarily legal chess.
+    """
+    return _pseudo_move(parse_fen(fen), seed)
+
+
 def _chain(iterations: int, seed: int, options: ApplyOptions, start_fen: str):
     """Yield (fen, move, outcome) along a deterministic pseudo-move chain.
 
-    Each move is applied once, to the record carried from the previous
-    pair; a position is parsed only when the chain starts or restarts.
+    Each move is drawn from and applied to the record carried from the
+    previous pair; the start position is parsed once, at the first pair.
     """
     rng = random.Random(seed)
-    fen, record = start_fen, None
+    start = None
     for _ in range(iterations):
+        if start is None:
+            fen, start = start_fen, parse_fen(start_fen, options.validation)
+            record = start
         try:
-            move = random_pseudo_move(fen, rng.randrange(2**32))
+            move = _pseudo_move(record, rng.randrange(2**32))
         except NoPiecesError:
-            fen, record = start_fen, None
-            move = random_pseudo_move(fen, rng.randrange(2**32))
-        if record is None:
-            record = parse_fen(fen, options.validation)
+            fen, record = start_fen, start
+            move = _pseudo_move(record, rng.randrange(2**32))
         record, outcome = _apply(record, move, options)
         yield fen, move, outcome
         fen = outcome.fen_after

@@ -15,6 +15,9 @@ _PIECE_TOKENS = {
     "k": "k", "q": "q", "r": "r", "b": "b", "kt": "n", "p": "p",
 }
 _LETTER_TOKENS = {v: k for k, v in _PIECE_TOKENS.items()}
+# an empty-run token is 1 to _MAX_RUN_DIGITS ASCII digits: str.isdigit() also
+# accepts digits int() refuses, and int() of very long text is slow or raises
+_MAX_RUN_DIGITS = 9
 
 
 def parse_legacy_forsyth(text: str):
@@ -36,7 +39,7 @@ def parse_legacy_forsyth(text: str):
         width = 0
         run = 0
         for token in group.split():
-            if token.isdigit():
+            if token.isascii() and token.isdigit() and len(token) <= _MAX_RUN_DIGITS:
                 run += int(token)
             elif token in _PIECE_TOKENS:
                 if run:

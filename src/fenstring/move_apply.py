@@ -17,6 +17,7 @@ from .errors import (
     BadCastleError,
     BadClockError,
     BadMoveSyntaxError,
+    BadOptionError,
     BadPromotionPieceError,
     EmptyOriginError,
     FriendlyCaptureError,
@@ -40,14 +41,18 @@ from .segment_ops import contract_rank, expand_rank, segment_index
 
 _MOVE_RE = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?")
 _CLOCK_LIMIT = 10**MAX_CLOCK_DIGITS
-
-# corner square -> the castling right it hosts
-_CORNER_RIGHTS = {
-    (7, 1): "white_kingside",
-    (0, 1): "white_queenside",
-    (7, 8): "black_kingside",
-    (0, 8): "black_queenside",
+# every value each ApplyOptions field may take
+_OPTION_VALUES = {
+    "ep_mode": ("always", "adjacent-only"),
+    "clock_mode": ("standard", "frozen"),
+    "validation": ("lenient", "strict"),
 }
+
+# castling rights by their position in CastlingRights: K, Q, k, q
+# king color -> the two rights it holds
+_KING_RIGHTS = {WHITE: (0, 1), BLACK: (2, 3)}
+# corner square -> the right it hosts
+_CORNER_RIGHTS = {(7, 1): (0,), (0, 1): (1,), (7, 8): (2,), (0, 8): (3,)}
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,14 @@ class ApplyOptions:
     ep_mode: str = "always"  # or "adjacent-only"
     clock_mode: str = "standard"  # or "frozen"
     validation: str = "lenient"  # or "strict"
+
+    def __post_init__(self):
+        # checked once, when built: the rewrite tests each field against one
+        # of its values and would take any unknown value for the other one
+        for name, allowed in _OPTION_VALUES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise BadOptionError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,25 +111,20 @@ def update_castling_rights(
     clears that corner's right; a capture landing on a corner clears the
     right hosted there.
     """
-    flags = {
-        "white_kingside": rights.white_kingside,
-        "white_queenside": rights.white_queenside,
-        "black_kingside": rights.black_kingside,
-        "black_queenside": rights.black_queenside,
-    }
-    if mover.kind == "K":
-        side = "white" if mover.color == WHITE else "black"
-        flags[side + "_kingside"] = False
-        flags[side + "_queenside"] = False
+    lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ()
     if mover.kind == "R":
-        hit = _CORNER_RIGHTS.get((from_square.file, from_square.rank))
-        if hit:
-            flags[hit] = False
+        lost += _CORNER_RIGHTS.get((from_square.file, from_square.rank), ())
     if captured is not None:
-        hit = _CORNER_RIGHTS.get((to_square.file, to_square.rank))
-        if hit:
-            flags[hit] = False
-    return CastlingRights(**flags)
+        lost += _CORNER_RIGHTS.get((to_square.file, to_square.rank), ())
+    if not lost:
+        return rights
+    flags = [rights.white_kingside, rights.white_queenside,
+             rights.black_kingside, rights.black_queenside]
+    if not any(flags):
+        return rights
+    for i in lost:
+        flags[i] = False
+    return CastlingRights(*flags)
 
 
 def derive_en_passant(

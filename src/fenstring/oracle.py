@@ -11,7 +11,6 @@ other.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -21,7 +20,6 @@ from .errors import (
     EmptyOriginError,
     FriendlyCaptureError,
     MissingPromotionError,
-    NoPiecesError,
     WrongColorError,
 )
 from .fen_codec import (
@@ -218,47 +216,3 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     if options.validation == "strict":
         parse_fen(fen_after, "strict")
     return fen_after
-
-
-def random_pseudo_move(fen: str, seed: int) -> str:
-    """Deterministic pseudo-move generator for fuzzing.
-
-    Picks an occupied origin of the side to move and any other square as
-    destination, adds a promotion suffix when a pawn lands on rank 1/8,
-    and avoids castle-shaped king moves whose corner rook is missing.
-    The move satisfies apply_move's structural preconditions but is not
-    necessarily legal chess.
-    """
-    board = board_from_fen(fen)
-    rng = random.Random(seed)
-    origins = [
-        i for i, piece in enumerate(board.cells) if piece is not None and piece.color == board.side
-    ]
-    if not origins:
-        raise NoPiecesError(f"side {board.side!r} has no pieces")
-
-    while True:
-        from_i = rng.choice(origins)
-        to_i = rng.randrange(64)
-        if to_i == from_i:
-            continue
-        from_sq = Square(from_i % 8, 8 - from_i // 8)
-        to_sq = Square(to_i % 8, 8 - to_i // 8)
-        mover = board.cells[from_i]
-
-        if (
-            mover.kind == "K"
-            and from_sq.rank == to_sq.rank
-            and to_sq.rank in (1, 8)
-            and abs(from_sq.file - to_sq.file) == 2
-            and to_sq.file in (2, 6)
-        ):
-            corner = Square(7 if to_sq.file == 6 else 0, to_sq.rank)
-            rook = board.cells[cell_index(corner)]
-            if rook is None or rook.kind != "R" or rook.color != mover.color:
-                continue
-
-        text = from_sq.name + to_sq.name
-        if mover.kind == "P" and to_sq.rank in (1, 8):
-            text += rng.choice("qrbn")
-        return text

@@ -3,7 +3,16 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from fenstring import START_FEN, contract_rank
+from fenstring import (
+    START_FEN,
+    ApplyOptions,
+    Square,
+    apply_move,
+    board_from_fen,
+    cell_index,
+    contract_rank,
+)
+from fenstring.errors import NoPiecesError
 
 FIG1_FEN = "7N/1b3RN1/7k/6b1/KBp4p/5q2/6Q1/7n w - - 0 1"
 EMPTY_FEN = "8/8/8/8/8/8/8/8 w - - 0 1"
@@ -40,21 +49,57 @@ def fens(draw):
     return f"{placement} {side} {castling} {ep} {halfmove} {fullmove}"
 
 
-def pseudo_game(iterations, seed, options=None, start_fen=START_FEN):
-    """(fen_before, move, outcome) triples along a seeded pseudo-move chain."""
-    from fenstring import ApplyOptions, apply_move, random_pseudo_move
-    from fenstring.errors import NoPiecesError
+def reference_pseudo_move(fen, seed):
+    """The pseudo-move generator written on the mailbox board: the reference
+    that random_pseudo_move must draw the same moves as."""
+    rng = random.Random(seed)
+    board = board_from_fen(fen)
+    origins = [
+        i for i, piece in enumerate(board.cells) if piece is not None and piece.color == board.side
+    ]
+    if not origins:
+        raise NoPiecesError(f"side {board.side!r} has no pieces")
 
+    while True:
+        from_i = rng.choice(origins)
+        to_i = rng.randrange(64)
+        if to_i == from_i:
+            continue
+        from_sq = Square(from_i % 8, 8 - from_i // 8)
+        to_sq = Square(to_i % 8, 8 - to_i // 8)
+        mover = board.cells[from_i]
+
+        if (
+            mover.kind == "K"
+            and from_sq.rank == to_sq.rank
+            and to_sq.rank in (1, 8)
+            and abs(from_sq.file - to_sq.file) == 2
+            and to_sq.file in (2, 6)
+        ):
+            corner = Square(7 if to_sq.file == 6 else 0, to_sq.rank)
+            rook = board.cells[cell_index(corner)]
+            if rook is None or rook.kind != "R" or rook.color != mover.color:
+                continue
+
+        text = from_sq.name + to_sq.name
+        if mover.kind == "P" and to_sq.rank in (1, 8):
+            text += rng.choice("qrbn")
+        return text
+
+
+def pseudo_game(iterations, seed, options=None, start_fen=START_FEN):
+    """(fen_before, move, outcome) triples along a seeded pseudo-move chain,
+    drawn by the reference generator and applied with apply_move."""
     options = options or ApplyOptions()
     rng = random.Random(seed)
     fen = start_fen
     out = []
     for _ in range(iterations):
         try:
-            move = random_pseudo_move(fen, rng.randrange(2**32))
+            move = reference_pseudo_move(fen, rng.randrange(2**32))
         except NoPiecesError:
             fen = start_fen
-            move = random_pseudo_move(fen, rng.randrange(2**32))
+            move = reference_pseudo_move(fen, rng.randrange(2**32))
         outcome = apply_move(fen, move, options)
         out.append((fen, move, outcome))
         fen = outcome.fen_after

@@ -148,3 +148,9 @@ class TestConvertForsyth:
         code, _, err = run(capsys, "convert-forsyth", "1 X 6, 8, 8, 8, 8, 8, 8, 8")
         assert code == 2
         assert "BadToken" in err
+
+    @pytest.mark.parametrize("token", ["²", "9" * 5000], ids=["superscript", "5000-digits"])
+    def test_run_token_not_short_ascii_digits(self, capsys, token):
+        code, _, err = run(capsys, "convert-forsyth", f"{token}, 8, 8, 8, 8, 8, 8, 8")
+        assert code == 2
+        assert err.startswith("BadToken:")

@@ -151,6 +151,19 @@ class TestStrict:
             parse_fen(fen, "strict")
 
 
+class TestPiece:
+    def test_from_letter_shares_one_piece_per_letter(self):
+        for letter in "KQRBNPkqrbnp":
+            piece = Piece.from_letter(letter)
+            assert piece.letter == letter
+            assert Piece.from_letter(letter) is piece
+
+    @pytest.mark.parametrize("letter", ["", "KQ", "x", "1", "0"])
+    def test_bad_letters(self, letter):
+        with pytest.raises(BadPieceLetterError):
+            Piece.from_letter(letter)
+
+
 class TestSquare:
     def test_names(self):
         assert Square.from_name("e4") == Square(4, 4)

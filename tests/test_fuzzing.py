@@ -1,7 +1,14 @@
-from fenstring import ApplyOptions, differential_fuzz, fuzz_pairs
-from fenstring import fuzzing
+import hashlib
 
-from conftest import pseudo_game
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from fenstring import ApplyOptions, differential_fuzz, fuzz_pairs, random_pseudo_move
+from fenstring import fuzzing
+from fenstring.errors import NoPiecesError
+
+from conftest import fens, pseudo_game, reference_pseudo_move
 
 
 def test_fuzz_pairs_walk_the_pseudo_game():
@@ -26,3 +33,45 @@ def test_every_pair_reaches_the_oracle(monkeypatch):
     assert (report.positions, report.mismatches) == (300, 300)
     fen, move, outcome = game[0]
     assert report.first_counterexample == (fen, move, outcome.fen_after, "not a fen")
+
+
+@pytest.mark.parametrize(
+    "i, ep_mode, clock_mode, digest",
+    [
+        (0, "always", "standard",
+         "d0914805f0c45c05a556c42aeeb0b515ac504cd3d480b5cf56fb9cf3a059c7f6"),
+        (1, "always", "frozen",
+         "4a25eaafae2f500eddacd1c85cdb153d2561bfb7329972e5c280de8d9ec4a169"),
+        (2, "adjacent-only", "standard",
+         "d7f19e7d8c187a7728ed4e43c6b5cf5bba15b6dba43075247fe2f49afc608b7b"),
+        (3, "adjacent-only", "frozen",
+         "57811297ab2d80a1a5d51c1b5dc2bf97a7efb0096b64d8a757406d836c530e7d"),
+    ],
+)
+def test_acceptance_chains_are_pinned(i, ep_mode, clock_mode, digest):
+    # the exact pairs test_06 fuzzes, so a drift in the generator's draws shows
+    options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode)
+    h = hashlib.sha256()
+    for fen, move in fuzz_pairs(25000, 1000 + i, options):
+        h.update(f"{fen} {move}\n".encode())
+    assert h.hexdigest() == digest
+
+
+def _draw(generator, fen, seed):
+    try:
+        return generator(fen, seed)
+    except NoPiecesError:
+        return NoPiecesError
+
+
+@given(fens(), st.integers(0, 2**32 - 1))
+@example("4k3/8/8/8/8/8/8/4K3 w - - 0 1", 0)  # every castle shape lacks its rook
+@example("r3k2r/8/8/8/8/8/8/R3K2R b KQkq - 0 1", 40)  # draws e8g8
+@example("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1", 80)  # draws e1c1
+@example("8/PPPPPPPP/8/8/8/8/pppppppp/8 w - - 0 1", 0)  # promotions
+@example("8/8/8/8/8/8/8/K7 b - - 0 1", 0)  # no black pieces
+def test_generator_matches_the_board_reference(fen, seed):
+    # forty draws per position, so that a generated position shows the rarer
+    # cases (castle shapes, promotions) more often than one draw would
+    for s in range(seed, seed + 40):
+        assert _draw(random_pseudo_move, fen, s) == _draw(reference_pseudo_move, fen, s)

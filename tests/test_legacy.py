@@ -30,6 +30,15 @@ class TestParse:
         with pytest.raises(BadTokenError):
             parse_legacy_forsyth("1 N 6, 8, 8, 8, 8, 8, 8, 8")  # knight must be Kt
 
+    @pytest.mark.parametrize("token", ["²", "٨", "9" * 5000, "0" * 9 + "8"],
+                             ids=["superscript", "arabic-indic", "5000-digits", "10-digits"])
+    def test_run_token_not_short_ascii_digits(self, token):
+        with pytest.raises(BadTokenError):
+            parse_legacy_forsyth(f"{token}, 8, 8, 8, 8, 8, 8, 8")
+
+    def test_nine_digit_run_token(self):
+        assert parse_legacy_forsyth("0" * 8 + "8, 8, 8, 8, 8, 8, 8, 8") == ("8",) * 8
+
 
 class TestEmit:
     def test_fig1(self):

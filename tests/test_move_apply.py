@@ -18,6 +18,7 @@ from fenstring import (
 )
 from fenstring.errors import (
     BadCastleError,
+    BadOptionError,
     BadClockError,
     BadMoveSyntaxError,
     BadPromotionPieceError,
@@ -226,6 +227,37 @@ class TestCastlingRights:
             captured=None,
         )
         assert rights.to_text() == "k"
+
+
+    @pytest.mark.parametrize(
+        "rights, mover, src, dst, captured",
+        [
+            (KQKQ, "N", "g1", "f3", None),  # touches no right
+            (KQKQ, "R", "h2", "h1", None),  # a rook arriving on a corner
+            (CastlingRights(), "K", "e1", "g1", None),  # no right to lose
+            (CastlingRights(), "N", "g3", "h1", "R"),
+        ],
+    )
+    def test_unaffected_rights_returned_as_is(self, rights, mover, src, dst, captured):
+        captured = Piece.from_letter(captured) if captured else None
+        after = update_castling_rights(
+            rights, Piece.from_letter(mover), Square.from_name(src), Square.from_name(dst),
+            captured,
+        )
+        assert after is rights
+
+
+class TestApplyOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ep_mode", "bogus"), ("clock_mode", "Frozen"), ("validation", "Strict"),
+         ("validation", None)],
+    )
+    def test_unknown_value_rejected(self, field, value):
+        with pytest.raises(BadOptionError) as exc:
+            ApplyOptions(**{field: value})
+        assert exc.value.code == "BadOption"
+        assert isinstance(exc.value, ValueError)
 
 
 class TestDeriveEnPassant:
