@@ -92,32 +92,41 @@ def cmd_validate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    outcome = apply_move(args.fen, args.move, _options_from(args))
-    if args.output == "record":
-        print(
-            json.dumps(
-                {
-                    "fen_after": outcome.fen_after,
-                    "segments_touched": sorted(outcome.segments_touched),
-                    "was_capture": outcome.was_capture,
-                    "was_pawn_move": outcome.was_pawn_move,
-                    "special": outcome.special,
-                    "error": None,
-                }
-            )
-        )
-    else:
-        print(outcome.fen_after)
+    if args.output == "plain":
+        print(apply_move(args.fen, args.move, _options_from(args)).fen_after)
+        return EXIT_OK
+    record = dict.fromkeys(
+        ("fen_after", "segments_touched", "was_capture", "was_pawn_move", "special", "error")
+    )
+    try:
+        outcome = apply_move(args.fen, args.move, _options_from(args))
+    except FenstringError as exc:
+        # the outcome keys stay null; main reports the error and its exit status
+        record["error"] = {"code": exc.code, "message": str(exc)}
+        print(json.dumps(record))
+        raise
+    record.update(
+        fen_after=outcome.fen_after,
+        segments_touched=sorted(outcome.segments_touched),
+        was_capture=outcome.was_capture,
+        was_pawn_move=outcome.was_pawn_move,
+        special=outcome.special,
+    )
+    print(json.dumps(record))
     return EXIT_OK
 
 
 def cmd_play(args) -> int:
-    with open(args.moves_file) as handle:
-        moves = []
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                moves.append(line)
+    try:
+        with open(args.moves_file, encoding="utf-8") as handle:
+            moves = []
+            for line in handle:
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    moves.append(line)
+    except UnicodeDecodeError as exc:
+        print(f"{args.moves_file}: not UTF-8 text: {exc.reason}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         for fen in _iter_sequence(args.fen, moves, _options_from(args)):
             print(fen)

@@ -8,11 +8,20 @@ The placement field is eight slash-separated rank segments, rank 8 first.
 Parsing is grammar-only by default ("lenient"); "strict" additionally
 requires exactly one king per side, no pawns on ranks 1/8 and an
 en-passant square consistent with the side to move.
+
+The placement is validated in one pass over the whole field: its runs are
+expanded to one '1' per empty square, one regex checks the 8x8 slot
+layout and another looks for adjacent digits. Only when that bulk check
+fails does the per-segment checker run, segment by segment, to name the
+first error, so the error class, message and precedence are those of the
+per-segment grammar.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Optional
 
 from .errors import (
@@ -40,6 +49,13 @@ RUN_DIGITS = "12345678"
 MAX_CLOCK_DIGITS = 9
 
 START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
+
+# each run digit 2..8 and its expansion; '1' is its own expansion
+_RUN_EXPANSIONS = tuple((str(n), "1" * n) for n in range(2, 9))
+# a valid placement, expanded: eight 8-slot segments of pieces and '1's;
+# with no two digits adjacent in the compact text, this is the whole grammar
+_SLOT_PLACEMENT = re.compile(r"[KQRBNPkqrbnp1]{8}(?:/[KQRBNPkqrbnp1]{8}){7}")
+_DIGIT_PAIR = re.compile(r"[0-9][0-9]")
 
 
 @dataclass(frozen=True)
@@ -101,11 +117,10 @@ class CastlingRights:
     @classmethod
     def from_text(cls, field: str) -> "CastlingRights":
         """Accept any letter order on input; duplicates are rejected."""
-        if field == "-":
-            return cls()
-        if not field or len(set(field)) != len(field) or any(c not in "KQkq" for c in field):
+        rights = _CASTLING_FIELDS.get(field)
+        if rights is None:
             raise BadCastlingFieldError(f"bad castling field: {field!r}")
-        return cls("K" in field, "Q" in field, "k" in field, "q" in field)
+        return rights
 
     def to_text(self) -> str:
         """Canonical "KQkq" order, or "-" when no right is set."""
@@ -127,6 +142,15 @@ class CastlingRights:
         yield self.black_queenside
 
 
+# every valid castling field, each letter order of each set of rights, mapped
+# to one shared instance per set: "-" and 64 orderings of non-empty subsets
+_CASTLING_FIELDS = {
+    "".join(order): rights
+    for rights in (CastlingRights(*flags) for flags in product((False, True), repeat=4))
+    for order in permutations(rights.to_text())
+}
+
+
 @dataclass(frozen=True)
 class FenRecord:
     """Fully parsed FEN; ranks[0] is rank 8, ranks[7] is rank 1."""
@@ -137,6 +161,17 @@ class FenRecord:
     en_passant: Optional[Square]
     halfmove: int
     fullmove: int
+
+
+def expand_runs(text: str) -> str:
+    """Replace each run digit 2..8 with that many '1's; other text is left as is.
+
+    The same expansion that segment_ops.expand_rank makes with str.translate;
+    on a whole placement, chained str.replace is several times faster.
+    """
+    for digit, run in _RUN_EXPANSIONS:
+        text = text.replace(digit, run)
+    return text
 
 
 def _check_segment(segment: str) -> None:
@@ -201,8 +236,10 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     segments = placement.split("/")
     if len(segments) != 8:
         raise SegmentCountError(f"expected 8 rank segments, got {len(segments)}")
-    for segment in segments:
-        _check_segment(segment)
+    if _SLOT_PLACEMENT.fullmatch(expand_runs(placement)) is None or _DIGIT_PAIR.search(placement):
+        # the bulk check only tells that the placement is bad; this names why
+        for segment in segments:
+            _check_segment(segment)
 
     if side not in (WHITE, BLACK):
         raise BadSideCharError(f"side field must be 'w' or 'b', got {side!r}")

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import FenstringError, NoPiecesError
-from .fen_codec import BLACK, START_FEN, WHITE, FenRecord, parse_fen
+from .fen_codec import BLACK, START_FEN, WHITE, FenRecord, expand_runs, parse_fen
 from .move_apply import ApplyOptions, _apply
 from .oracle import oracle_apply
-from .segment_ops import _EXPAND
 
 # slot i of the 64-slot placement (a8 first, h1 last) -> its square name
 _SLOT_NAMES = tuple(f + r for r in "87654321" for f in "abcdefgh")
@@ -46,7 +45,7 @@ class FuzzReport:
 
 def _pseudo_move(record: FenRecord, seed: int) -> str:
     """Draw a seeded pseudo-move for the side to move, from the parsed ranks."""
-    slots = "".join(record.ranks).translate(_EXPAND)
+    slots = expand_runs("".join(record.ranks))
     rng = random.Random(seed)
     own = _OWN_LETTERS[record.side]
     origins = [i for i, letter in enumerate(slots) if letter in own]

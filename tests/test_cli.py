@@ -65,6 +65,19 @@ class TestApply:
         assert record["error"] is None
         assert record["fen_after"].startswith("7N/1b4N1/5R1k/")
 
+    @pytest.mark.parametrize(
+        "fen,move,status,code",
+        [("8/8/8/8/8/8/8/9 w - - 0 1", "e2e4", 2, "RankWidth"), (FIG1_FEN, "a3b4", 3, "EmptyOrigin")],
+        ids=["syntax", "move"],
+    )
+    def test_record_output_error(self, capsys, fen, move, status, code):
+        exit_status, out, err = run(capsys, "apply", fen, move, "--output", "record")
+        assert exit_status == status
+        record = json.loads(out)
+        assert record["fen_after"] is None
+        assert record["error"]["code"] == code
+        assert err == f"{code}: {record['error']['message']}\n"
+
     def test_output_revalidates(self, capsys):
         _, out, _ = run(capsys, "apply", START_FEN, "e2e4")
         code, echoed, _ = run(capsys, "validate", out.strip())
@@ -100,6 +113,14 @@ class TestPlay:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "play", START_FEN, str(tmp_path / "nope.txt"))
         assert code == 2
+
+    def test_not_utf8_file(self, capsys, tmp_path):
+        moves = tmp_path / "moves.txt"
+        moves.write_bytes(b"\xff\xfe\n")
+        code, out, err = run(capsys, "play", START_FEN, str(moves))
+        assert code == 2
+        assert out == ""
+        assert err == f"{moves}: not UTF-8 text: invalid start byte\n"
 
 
 class TestFuzz:

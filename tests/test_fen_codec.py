@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fenstring import (
     CastlingRights,
@@ -19,12 +22,15 @@ from fenstring.errors import (
     BadPieceLetterError,
     BadSideCharError,
     BadSquareError,
+    FenSyntaxError,
     RankWidthError,
     SegmentCountError,
     ValidationError,
 )
+from fenstring.fen_codec import _check_segment, expand_runs
+from fenstring.segment_ops import _EXPAND
 
-from conftest import EMPTY_FEN, FIG1_FEN, fens
+from conftest import EMPTY_FEN, FIG1_FEN, fens, segments
 
 
 class TestParse:
@@ -61,6 +67,7 @@ class TestParse:
     @pytest.mark.parametrize(
         "fen,error",
         [
+            ("8/8/8/8/8/8/8/8/ w - - 0 1", SegmentCountError),
             ("8/8/8/8/8/8/8/9 w - - 0 1", RankWidthError),
             ("8/8/8/8/8/8/8/7 w - - 0 1", RankWidthError),
             ("8/8/8/8/8/8/8/PPPPPPPPP w - - 0 1", RankWidthError),
@@ -164,6 +171,28 @@ class TestPiece:
             Piece.from_letter(letter)
 
 
+class TestCastlingRights:
+    @pytest.mark.parametrize(
+        "letters",
+        ["", "K", "Q", "k", "q", "KQ", "Kk", "Kq", "Qk", "Qq", "kq", "KQk", "KQq", "Kkq", "Qkq", "KQkq"],
+    )
+    def test_every_order_parses(self, letters):
+        expected = CastlingRights(*(c in letters for c in "KQkq"))
+        for order in permutations(letters or "-"):
+            assert CastlingRights.from_text("".join(order)) == expected
+
+    def test_equal_rights_share_one_instance(self):
+        for field in ("-", "K", "qK", "KQkq", "qkQK"):
+            rights = CastlingRights.from_text(field)
+            assert CastlingRights.from_text(rights.to_text()) is rights
+            assert CastlingRights.from_text("".join(reversed(field))) is rights
+
+    @pytest.mark.parametrize("field", ["KK", "", "KQkqK", "Kx", "k ", "--", "-K", "kqQKk"])
+    def test_bad_fields(self, field):
+        with pytest.raises(BadCastlingFieldError):
+            CastlingRights.from_text(field)
+
+
 class TestSquare:
     def test_names(self):
         assert Square.from_name("e4") == Square(4, 4)
@@ -195,3 +224,56 @@ def test_piece_at_matches_full_expansion(fen):
         for file in range(8):
             expected = None if expanded[file] == "1" else Piece.from_letter(expanded[file])
             assert piece_at(record, Square(file, rank)) == expected
+
+
+# placement text the bulk check must judge exactly as the per-segment checker
+_PLACEMENT_CHARS = "KQRBNPkqrbnp0123456789x²"
+
+
+@st.composite
+def _near_valid_rows(draw):
+    """A valid compact row with one character inserted."""
+    row = draw(segments)
+    at = draw(st.integers(0, len(row)))
+    return row[:at] + draw(st.sampled_from(_PLACEMENT_CHARS)) + row[at:]
+
+
+_rows = st.one_of(segments, _near_valid_rows(), st.text(alphabet=_PLACEMENT_CHARS, max_size=10))
+
+
+def _segment_loop_verdict(placement):
+    """(class, message) of the first error the per-segment checker names, or None."""
+    try:
+        for segment in placement.split("/"):
+            _check_segment(segment)
+    except FenSyntaxError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=500)
+@given(st.lists(_rows, min_size=8, max_size=8).map("/".join))
+@example("/".join(["8"] * 7 + [""]))  # a trailing '/'
+@example("/".join(["8"] * 7 + ["9"]))
+@example("/".join(["8"] * 7 + ["0P7"]))
+@example("/".join(["8"] * 7 + ["44"]))
+@example("/".join(["8"] * 7 + ["²7"]))
+@example("/".join(["8"] * 7 + ["7"]))
+@example("/".join(["8"] * 7 + ["PPPPPPPPP"]))
+@example("/".join(["8"] * 7 + ["1b3RN2"]))
+@example("/".join(["44"] + ["8"] * 6 + ["9"]))
+@example("/".join(["8"] * 8))
+def test_bulk_placement_check_matches_segment_loop(placement):
+    expected = _segment_loop_verdict(placement)
+    try:
+        parse_fen(placement + " w - - 0 1")
+    except FenSyntaxError as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+
+
+@given(st.text())
+@example("0123456789/x²")
+def test_expand_runs_matches_translate(text):
+    assert expand_runs(text) == text.translate(_EXPAND)
