@@ -14,8 +14,12 @@ from .fen_codec import (
     FenRecord,
     Piece,
     Square,
+    contract_rank,
+    expand_rank,
+    file_index,
     parse_fen,
     piece_at,
+    segment_index,
     serialize_fen,
 )
 from .fuzzing import FuzzReport, differential_fuzz, fuzz_pairs, random_pseudo_move
@@ -38,7 +42,6 @@ from .oracle import (
     fen_from_board,
     oracle_apply,
 )
-from .segment_ops import contract_rank, expand_rank, file_index, segment_index
 
 __version__ = "0.1.0"
 

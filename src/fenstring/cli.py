@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit statuses: 0 success, 1 internal failure (or fuzz mismatch), 2
-input-format error, 3 move-application error.
+input-format error (any typed error that is not a move error), 3
+move-application error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 import time
 
-from .errors import FenSyntaxError, FenstringError, MoveError
+from .errors import FenstringError, MoveError
 from .fen_codec import CastlingRights, Square, parse_fen, serialize_fen
 from .fuzzing import differential_fuzz, fuzz_pairs
 from .legacy import parse_legacy_forsyth
@@ -127,12 +128,8 @@ def cmd_play(args) -> int:
     except UnicodeDecodeError as exc:
         print(f"{args.moves_file}: not UTF-8 text: {exc.reason}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        for fen in _iter_sequence(args.fen, moves, _options_from(args)):
-            print(fen)
-    except FenstringError as exc:
-        print(f"ply {exc.ply}: {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_MOVE if isinstance(exc, MoveError) else EXIT_INPUT
+    for fen in _iter_sequence(args.fen, moves, _options_from(args)):
+        print(fen)
     return EXIT_OK
 
 
@@ -192,12 +189,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except MoveError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return EXIT_MOVE
-    except FenSyntaxError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except FenstringError as exc:
+        # a sequence's error names its failing ply
+        where = f"ply {exc.ply}: " if hasattr(exc, "ply") else ""
+        print(f"{where}{exc.code}: {exc}", file=sys.stderr)
+        return EXIT_MOVE if isinstance(exc, MoveError) else EXIT_INPUT
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT

@@ -1,7 +1,7 @@
 """Exception taxonomy.
 
 Every error carries a stable ``code`` string (the CLI prints it and maps
-syntax errors to exit status 2, move-application errors to 3).
+move-application errors to exit status 3, every other error to 2).
 """
 
 

@@ -1,10 +1,14 @@
-"""FEN parsing and serialization.
+"""The FEN text format: fields, rank segments, squares; parsing and serialization.
 
 A FEN record has six space-separated fields:
 
     <placement> <side> <castling> <en-passant> <halfmove> <fullmove>
 
 The placement field is eight slash-separated rank segments, rank 8 first.
+A compact segment like "1b3RN1" expands to exactly 8 slots ("1b111RN1",
+each empty square a single '1') so that a square's file index equals its
+slot index; runs of '1' contract back to their decimal count.
+
 Parsing is grammar-only by default ("lenient"); "strict" additionally
 requires exactly one king per side, no pawns on ranks 1/8 and an
 en-passant square consistent with the side to move.
@@ -29,9 +33,12 @@ from .errors import (
     BadCastlingFieldError,
     BadClockError,
     BadEnPassantFieldError,
+    BadExpandedRankError,
     BadPieceLetterError,
+    BadSegmentError,
     BadSideCharError,
     BadSquareError,
+    OutOfRangeError,
     RankWidthError,
     SegmentCountError,
     ValidationError,
@@ -41,8 +48,6 @@ WHITE = "w"
 BLACK = "b"
 
 PIECE_LETTERS = "KQRBNPkqrbnp"
-PIECE_KINDS = "KQRBNP"
-RUN_DIGITS = "12345678"
 
 # a clock field is 1 to MAX_CLOCK_DIGITS ASCII digits: int() of longer text
 # is slow, and past the interpreter's digit limit it raises ValueError
@@ -52,9 +57,16 @@ START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
 # each run digit 2..8 and its expansion; '1' is its own expansion
 _RUN_EXPANSIONS = tuple((str(n), "1" * n) for n in range(2, 9))
-# a valid placement, expanded: eight 8-slot segments of pieces and '1's;
-# with no two digits adjacent in the compact text, this is the whole grammar
-_SLOT_PLACEMENT = re.compile(r"[KQRBNPkqrbnp1]{8}(?:/[KQRBNPkqrbnp1]{8}){7}")
+# the inverse, longest run first, so that each run is contracted whole
+_RUN_CONTRACTIONS = tuple((run, digit) for digit, run in reversed(_RUN_EXPANSIONS))
+# one slot of an expanded rank: a piece letter, or '1' for an empty square
+_SLOT = f"[{PIECE_LETTERS}1]"
+_SLOT_RANK = re.compile(_SLOT + "{8}")
+# the slots that text starts with; they end at its first bad character
+_SLOT_PREFIX = re.compile(_SLOT + "*")
+# a valid placement, expanded: eight slot ranks; with no two digits adjacent
+# in the compact text, this is the whole grammar
+_SLOT_PLACEMENT = re.compile(f"{_SLOT}{{8}}(?:/{_SLOT}{{8}}){{7}}")
 _DIGIT_PAIR = re.compile(r"[0-9][0-9]")
 
 
@@ -71,9 +83,10 @@ class Square:
 
     @classmethod
     def from_name(cls, name: str) -> "Square":
-        if len(name) != 2 or name[0] not in "abcdefgh" or name[1] not in RUN_DIGITS:
+        square = SQUARES.get(name)
+        if square is None:
             raise BadSquareError(f"bad square name: {name!r}")
-        return cls(ord(name[0]) - ord("a"), int(name[1]))
+        return square
 
     @property
     def name(self) -> str:
@@ -164,14 +177,44 @@ class FenRecord:
 
 
 def expand_runs(text: str) -> str:
-    """Replace each run digit 2..8 with that many '1's; other text is left as is.
-
-    The same expansion that segment_ops.expand_rank makes with str.translate;
-    on a whole placement, chained str.replace is several times faster.
-    """
+    """Replace each run digit 2..8 with that many '1's; other text is left as is."""
     for digit, run in _RUN_EXPANSIONS:
         text = text.replace(digit, run)
     return text
+
+
+def expand_rank(segment: str) -> str:
+    """Expand a compact rank segment to its 8-slot form ("1b3RN1" -> "1b111RN1")."""
+    expanded = expand_runs(segment)
+    if _SLOT_RANK.fullmatch(expanded) is None:
+        valid = _SLOT_PREFIX.match(expanded).end()
+        if valid < len(expanded):
+            raise BadSegmentError(f"bad character {expanded[valid]!r} in segment {segment!r}")
+        raise BadSegmentError(f"segment {segment!r} spans {len(expanded)} squares, expected 8")
+    return expanded
+
+
+def contract_rank(expanded: str) -> str:
+    """Contract an 8-slot rank back to compact form ("11111R1k" -> "5R1k")."""
+    if _SLOT_RANK.fullmatch(expanded) is None:
+        raise BadExpandedRankError(f"bad expanded rank: {expanded!r}")
+    for run, digit in _RUN_CONTRACTIONS:
+        expanded = expanded.replace(run, digit)
+    return expanded
+
+
+def segment_index(rank: int) -> int:
+    """Placement-segment index of a rank: the first segment is rank 8."""
+    if not 1 <= rank <= 8:
+        raise OutOfRangeError(f"rank out of range: {rank}")
+    return 8 - rank
+
+
+def file_index(letter: str) -> int:
+    """'a' -> 0 ... 'h' -> 7; equals the slot index within an expanded rank."""
+    if len(letter) != 1 or not "a" <= letter <= "h":
+        raise OutOfRangeError(f"file out of range: {letter!r}")
+    return ord(letter) - ord("a")
 
 
 def _check_segment(segment: str) -> None:
@@ -284,15 +327,5 @@ def serialize_fen(record: FenRecord) -> str:
 
 def piece_at(record: FenRecord, square: Square) -> Optional[Piece]:
     """Return the piece on a square, or None if it is empty."""
-    segment = record.ranks[8 - square.rank]
-    col = 0
-    for ch in segment:
-        if ch in RUN_DIGITS:
-            col += int(ch)
-            if col > square.file:
-                return None
-        else:
-            if col == square.file:
-                return Piece.from_letter(ch)
-            col += 1
-    return None
+    letter = expand_rank(record.ranks[segment_index(square.rank)])[square.file]
+    return None if letter == "1" else Piece.from_letter(letter)

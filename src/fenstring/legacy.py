@@ -8,7 +8,7 @@ modern trailer fields did not exist yet.
 """
 
 from .errors import BadTokenError, GroupCountError, RankWidthError
-from .segment_ops import expand_rank
+from .fen_codec import expand_rank
 
 _PIECE_TOKENS = {
     "K": "K", "Q": "Q", "R": "R", "B": "B", "Kt": "N", "P": "P",

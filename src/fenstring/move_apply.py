@@ -34,12 +34,15 @@ from .fen_codec import (
     Piece,
     Square,
     _strict_checks,
+    contract_rank,
+    expand_rank,
     parse_fen,
+    segment_index,
     serialize_fen,
 )
-from .segment_ops import contract_rank, expand_rank, segment_index
 
 _MOVE_RE = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?")
+_PROMOTION_KINDS = ("Q", "R", "B", "N")
 _CLOCK_LIMIT = 10**MAX_CLOCK_DIGITS
 # every value each ApplyOptions field may take
 _OPTION_VALUES = {
@@ -60,6 +63,17 @@ class Move:
     from_square: Square
     to_square: Square
     promotion: Optional[str] = None  # kind letter 'Q','R','B','N'
+
+    def __post_init__(self):
+        # the rewrite writes the promotion letter as given, in the mover's case
+        if self.promotion is not None and self.promotion not in _PROMOTION_KINDS:
+            raise BadPromotionPieceError(
+                f"promotion piece must be Q, R, B or N, got {self.promotion!r}"
+            )
+        src, dst = self.from_square, self.to_square
+        # field by field: Square's dataclass __eq__ costs four times as much, on every move
+        if src.file == dst.file and src.rank == dst.rank:
+            raise BadMoveSyntaxError(f"origin equals destination: {src.name}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +107,6 @@ def parse_move(text: str) -> Move:
     if not m:
         raise BadMoveSyntaxError(f"bad move syntax: {text!r}")
     from_name, to_name, promotion = m.groups()
-    if from_name == to_name:
-        raise BadMoveSyntaxError(f"origin equals destination in {text!r}")
     return Move(SQUARES[from_name], SQUARES[to_name], promotion.upper() if promotion else None)
 
 

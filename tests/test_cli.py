@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fenstring import ApplyOptions, cli
 from fenstring.cli import main
 
 from conftest import BAIRD_LEGACY, BAIRD_PLACEMENT, FIG1_FEN, START_FEN
@@ -39,6 +40,13 @@ class TestValidate:
         code, _, err = run(capsys, "validate", f"8/8/8/8/8/8/8/8 w - - {clock} 1")
         assert code == 2
         assert err.startswith("BadClock:")
+
+    def test_typed_error_that_is_no_syntax_or_move_error(self, capsys, monkeypatch):
+        # BadOptionError is neither: it still exits 2 with its code, not 1
+        monkeypatch.setitem(cli._HANDLERS, "validate", lambda args: ApplyOptions(ep_mode="bogus"))
+        code, _, err = run(capsys, "validate", FIG1_FEN)
+        assert code == 2
+        assert err.startswith("BadOption:")
 
 
 class TestApply:

@@ -192,6 +192,23 @@ class TestApplyErrors:
         with pytest.raises(BadSquareError):
             Move(Square(8, 1), Square(0, 1))
 
+    @pytest.mark.parametrize(
+        "to_square,promotion,error",
+        [
+            (Square(4, 8), "q", BadPromotionPieceError),
+            (Square(4, 8), "K", BadPromotionPieceError),
+            (Square(4, 8), "P", BadPromotionPieceError),
+            (Square(4, 8), "x", BadPromotionPieceError),
+            (Square(4, 8), "", BadPromotionPieceError),
+            (Square(4, 8), "QR", BadPromotionPieceError),
+            (Square(4, 7), None, BadMoveSyntaxError),
+        ],
+        ids=["lowercase", "king", "pawn", "unknown", "empty", "two-letters", "null-move"],
+    )
+    def test_bad_move_object(self, to_square, promotion, error):
+        with pytest.raises(error):
+            Move(Square(4, 7), to_square, promotion)
+
 
 class TestCastlingRights:
     KQKQ = CastlingRights(True, True, True, True)

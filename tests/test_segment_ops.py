@@ -28,6 +28,22 @@ class TestExpand:
         with pytest.raises(BadSegmentError):
             expand_rank(segment)
 
+    @pytest.mark.parametrize(
+        "segment,message",
+        [
+            ("1b3RNx", "bad character 'x' in segment '1b3RNx'"),
+            ("9", "bad character '9' in segment '9'"),
+            ("8x", "bad character 'x' in segment '8x'"),
+            ("4R4", "segment '4R4' spans 9 squares, expected 8"),
+            ("", "segment '' spans 0 squares, expected 8"),
+        ],
+    )
+    def test_rejection_messages(self, segment, message):
+        # a bad character is named before a wrong width
+        with pytest.raises(BadSegmentError) as info:
+            expand_rank(segment)
+        assert str(info.value) == message
+
 
 class TestContract:
     @pytest.mark.parametrize(
