@@ -10,13 +10,13 @@ from .fen_codec import (
     BLACK,
     START_FEN,
     WHITE,
-    CastlingRights,
     FenRecord,
     Piece,
     Square,
     contract_rank,
     expand_rank,
     file_index,
+    parse_castling,
     parse_fen,
     piece_at,
     segment_index,
@@ -50,7 +50,6 @@ __all__ = [
     "ApplyOutcome",
     "BLACK",
     "BoardArray",
-    "CastlingRights",
     "FenRecord",
     "FenSyntaxError",
     "FenstringError",
@@ -73,6 +72,7 @@ __all__ = [
     "file_index",
     "fuzz_pairs",
     "oracle_apply",
+    "parse_castling",
     "parse_fen",
     "parse_legacy_forsyth",
     "parse_move",

@@ -13,7 +13,7 @@ import sys
 import time
 
 from .errors import FenstringError, MoveError
-from .fen_codec import CastlingRights, Square, parse_fen, serialize_fen
+from .fen_codec import Square, parse_castling, parse_fen, serialize_fen
 from .fuzzing import differential_fuzz, fuzz_pairs
 from .legacy import parse_legacy_forsyth
 from .move_apply import _OPTION_VALUES, ApplyOptions, _iter_sequence, apply_move
@@ -163,11 +163,13 @@ def cmd_bench(args) -> int:
 
 def cmd_convert_forsyth(args) -> int:
     placement = "/".join(parse_legacy_forsyth(args.text))
-    CastlingRights.from_text(args.castling)
+    # checked before the FEN is joined, so a field with a space in it, or an
+    # empty one, is named as a castling error and not a field-count error
+    castling = parse_castling(args.castling)
     if args.ep != "-":
         Square.from_name(args.ep)
     fen = (
-        f"{placement} {args.side} {args.castling} {args.ep} "
+        f"{placement} {args.side} {castling} {args.ep} "
         f"{args.halfmove} {args.fullmove}"
     )
     print(serialize_fen(parse_fen(fen)))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations
 from typing import Optional
 
 from .errors import (
@@ -120,47 +120,13 @@ class Piece:
 _PIECES = {ch: Piece(ch.upper(), WHITE if ch.isupper() else BLACK) for ch in PIECE_LETTERS}
 
 
-@dataclass(frozen=True)
-class CastlingRights:
-    white_kingside: bool = False
-    white_queenside: bool = False
-    black_kingside: bool = False
-    black_queenside: bool = False
-
-    @classmethod
-    def from_text(cls, field: str) -> "CastlingRights":
-        """Accept any letter order on input; duplicates are rejected."""
-        rights = _CASTLING_FIELDS.get(field)
-        if rights is None:
-            raise BadCastlingFieldError(f"bad castling field: {field!r}")
-        return rights
-
-    def to_text(self) -> str:
-        """Canonical "KQkq" order, or "-" when no right is set."""
-        out = ""
-        if self.white_kingside:
-            out += "K"
-        if self.white_queenside:
-            out += "Q"
-        if self.black_kingside:
-            out += "k"
-        if self.black_queenside:
-            out += "q"
-        return out or "-"
-
-    def __iter__(self):
-        yield self.white_kingside
-        yield self.white_queenside
-        yield self.black_kingside
-        yield self.black_queenside
-
-
-# every valid castling field, each letter order of each set of rights, mapped
-# to one shared instance per set: "-" and 64 orderings of non-empty subsets
+# every valid castling field mapped to its canonical text ("KQkq" order, or
+# "-"): each letter order of each of the 16 sets of rights, 65 fields in all
 _CASTLING_FIELDS = {
-    "".join(order): rights
-    for rights in (CastlingRights(*flags) for flags in product((False, True), repeat=4))
-    for order in permutations(rights.to_text())
+    "".join(order): "".join(rights) or "-"
+    for n in range(5)
+    for rights in combinations("KQkq", n)
+    for order in permutations(rights or "-")
 }
 
 
@@ -170,7 +136,7 @@ class FenRecord:
 
     ranks: tuple
     side: str
-    castling: CastlingRights
+    castling: str  # canonical "KQkq" order, or "-"
     en_passant: Optional[Square]
     halfmove: int
     fullmove: int
@@ -257,6 +223,15 @@ def _strict_checks(record: FenRecord) -> None:
             )
 
 
+def parse_castling(field: str) -> str:
+    """Canonical text of a castling field; any letter order is accepted,
+    duplicates are rejected."""
+    rights = _CASTLING_FIELDS.get(field)
+    if rights is None:
+        raise BadCastlingFieldError(f"bad castling field: {field!r}")
+    return rights
+
+
 def _parse_clock(field: str, minimum: int, what: str) -> int:
     if field.isascii() and field.isdigit() and len(field) <= MAX_CLOCK_DIGITS:
         value = int(field)
@@ -287,7 +262,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     if side not in (WHITE, BLACK):
         raise BadSideCharError(f"side field must be 'w' or 'b', got {side!r}")
 
-    castling = CastlingRights.from_text(castling_field)
+    castling = parse_castling(castling_field)
 
     if ep_field == "-":
         en_passant = None
@@ -317,7 +292,7 @@ def serialize_fen(record: FenRecord) -> str:
         (
             "/".join(record.ranks),
             record.side,
-            record.castling.to_text(),
+            record.castling,
             record.en_passant.name if record.en_passant else "-",
             str(record.halfmove),
             str(record.fullmove),

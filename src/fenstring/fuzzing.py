@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import FenstringError, NoPiecesError
+from .errors import FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
 from .fen_codec import BLACK, START_FEN, WHITE, FenRecord, expand_runs, parse_fen
 from .move_apply import ApplyOptions, _apply
 from .oracle import oracle_apply
@@ -91,36 +91,38 @@ def random_pseudo_move(fen: str, seed: int) -> str:
     return _pseudo_move(parse_fen(fen), seed)
 
 
-def _chain(iterations: int, seed: int, options: ApplyOptions, start_fen: str):
+def _chain(iterations: int, seed: int, options: ApplyOptions):
     """Yield (fen, move, outcome) along a deterministic pseudo-move chain.
 
     Each move is drawn from and applied to the record carried from the
-    previous pair; the start position is parsed once, at the first pair.
+    previous pair. The chain restarts from the start position, and draws
+    again for the same pair, when the side to move has no pieces left or,
+    under strict validation, when the drawn move captures an own piece or
+    leaves a position that fails strict validation.
     """
     rng = random.Random(seed)
-    start = None
+    start = parse_fen(START_FEN, options.validation)
+    fen, record = START_FEN, start
     for _ in range(iterations):
-        if start is None:
-            fen, start = start_fen, parse_fen(start_fen, options.validation)
-            record = start
-        try:
-            move = _pseudo_move(record, rng.randrange(2**32))
-        except NoPiecesError:
-            fen, record = start_fen, start
-            move = _pseudo_move(record, rng.randrange(2**32))
-        record, outcome = _apply(record, move, options)
+        while True:
+            try:
+                move = _pseudo_move(record, rng.randrange(2**32))
+                record, outcome = _apply(record, move, options)
+                break
+            except (NoPiecesError, FriendlyCaptureError, ValidationError):
+                fen, record = START_FEN, start
         yield fen, move, outcome
         fen = outcome.fen_after
 
 
-def fuzz_pairs(iterations: int, seed: int, options: ApplyOptions = ApplyOptions(),
-               start_fen: str = START_FEN):
+def fuzz_pairs(iterations: int, seed: int, options: ApplyOptions = ApplyOptions()):
     """Yield (fen, move) pairs along a deterministic pseudo-move chain.
 
-    The chain restarts from the seed position when the side to move has
-    no pieces left.
+    The chain restarts from the start position when the side to move has
+    no pieces left, and under strict validation also when a drawn move
+    fails it.
     """
-    for fen, move, _ in _chain(iterations, seed, options, start_fen):
+    for fen, move, _ in _chain(iterations, seed, options):
         yield fen, move
 
 
@@ -130,12 +132,13 @@ def differential_fuzz(iterations: int, seed: int,
 
     A pair mismatches when the two paths return different FENs or the
     oracle raises an error. The string path's result is the one that
-    advanced the chain; an error there ends the chain and is raised.
+    advanced the chain; an error there that does not restart the chain
+    ends it and is raised.
     """
     mismatches = 0
     positions = 0
     first = None
-    for fen, move, outcome in _chain(iterations, seed, options, START_FEN):
+    for fen, move, outcome in _chain(iterations, seed, options):
         string_fen = outcome.fen_after
         try:
             array_fen = oracle_apply(fen, move, options)

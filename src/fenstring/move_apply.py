@@ -29,7 +29,6 @@ from .fen_codec import (
     MAX_CLOCK_DIGITS,
     SQUARES,
     WHITE,
-    CastlingRights,
     FenRecord,
     Piece,
     Square,
@@ -51,11 +50,10 @@ _OPTION_VALUES = {
     "validation": ("lenient", "strict"),
 }
 
-# castling rights by their position in CastlingRights: K, Q, k, q
 # king color -> the two rights it holds
-_KING_RIGHTS = {WHITE: (0, 1), BLACK: (2, 3)}
+_KING_RIGHTS = {WHITE: "KQ", BLACK: "kq"}
 # corner square -> the right it hosts
-_CORNER_RIGHTS = {(7, 1): (0,), (0, 1): (1,), (7, 8): (2,), (0, 8): (3,)}
+_CORNER_RIGHTS = {(7, 1): "K", (0, 1): "Q", (7, 8): "k", (0, 8): "q"}
 
 
 @dataclass(frozen=True)
@@ -111,32 +109,29 @@ def parse_move(text: str) -> Move:
 
 
 def update_castling_rights(
-    rights: CastlingRights,
+    rights: str,
     mover: Piece,
     from_square: Square,
     to_square: Square,
     captured: Optional[Piece] = None,
-) -> CastlingRights:
+) -> str:
     """Drop rights invalidated by the move; rights are never regained.
 
-    A king move clears both rights of its color; a rook leaving a corner
+    ``rights`` is a canonical castling field ("KQkq" order, or "-"). A
+    king move clears both rights of its color; a rook leaving a corner
     clears that corner's right; a capture landing on a corner clears the
     right hosted there.
     """
-    lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ()
+    lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ""
     if mover.kind == "R":
-        lost += _CORNER_RIGHTS.get((from_square.file, from_square.rank), ())
+        lost += _CORNER_RIGHTS.get((from_square.file, from_square.rank), "")
     if captured is not None:
-        lost += _CORNER_RIGHTS.get((to_square.file, to_square.rank), ())
-    if not lost:
+        lost += _CORNER_RIGHTS.get((to_square.file, to_square.rank), "")
+    if not lost or rights == "-":
         return rights
-    flags = [rights.white_kingside, rights.white_queenside,
-             rights.black_kingside, rights.black_queenside]
-    if not any(flags):
-        return rights
-    for i in lost:
-        flags[i] = False
-    return CastlingRights(*flags)
+    for letter in lost:
+        rights = rights.replace(letter, "")
+    return rights or "-"
 
 
 def derive_en_passant(

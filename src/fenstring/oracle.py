@@ -25,7 +25,6 @@ from .errors import (
 from .fen_codec import (
     BLACK,
     WHITE,
-    CastlingRights,
     Piece,
     Square,
     parse_fen,
@@ -37,7 +36,7 @@ from .move_apply import ApplyOptions, parse_move
 class BoardArray:
     cells: List[Optional[Piece]]  # 64 entries, 0 = a8 ... 63 = h1
     side: str
-    castling: CastlingRights
+    castling: str  # canonical "KQkq" order, or "-"
     en_passant: Optional[Square]
     halfmove: int
     fullmove: int
@@ -86,7 +85,7 @@ def fen_from_board(board: BoardArray) -> str:
         (
             "/".join(segments),
             board.side,
-            board.castling.to_text(),
+            board.castling,
             board.en_passant.name if board.en_passant else "-",
             str(board.halfmove),
             str(board.fullmove),
@@ -155,7 +154,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         was_capture = True
 
     # castling rights, recomputed independently of the string path
-    wk, wq, bk, bq = tuple(board.castling)
+    wk, wq, bk, bq = (letter in board.castling for letter in "KQkq")
     if mover.kind == "K":
         if mover.color == WHITE:
             wk = wq = False
@@ -179,6 +178,10 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
             bk = False
         elif (to_sq.file, to_sq.rank) == (0, 8):
             bq = False
+
+    castling = (
+        ("K" if wk else "") + ("Q" if wq else "") + ("k" if bk else "") + ("q" if bq else "")
+    ) or "-"
 
     # en-passant target
     new_ep = None
@@ -207,7 +210,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     after = BoardArray(
         cells=cells,
         side=BLACK if board.side == WHITE else WHITE,
-        castling=CastlingRights(wk, wq, bk, bq),
+        castling=castling,
         en_passant=new_ep,
         halfmove=halfmove,
         fullmove=fullmove,

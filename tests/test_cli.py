@@ -137,6 +137,11 @@ class TestFuzz:
         assert code == 0
         assert "mismatches: 0" in out
 
+    def test_strict(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--validation", "strict", "--iterations", "500")
+        assert code == 0
+        assert "mismatches: 0" in out
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "fuzz", "--seed", "9", "--iterations", "300")
         _, second, _ = run(capsys, "fuzz", "--seed", "9", "--iterations", "300")
@@ -172,6 +177,19 @@ class TestConvertForsyth:
         code, out, _ = run(capsys, "convert-forsyth", BAIRD_LEGACY, "--side", "b")
         assert code == 0
         assert out.strip() == f"{BAIRD_PLACEMENT} b - - 0 1"
+
+    def test_castling_canonical_order(self, capsys):
+        code, out, _ = run(capsys, "convert-forsyth", BAIRD_LEGACY, "--castling", "qK")
+        assert code == 0
+        assert out.strip() == f"{BAIRD_PLACEMENT} w Kq - 0 1"
+
+    @pytest.mark.parametrize("field", ["", "K Q", "KK"])
+    def test_bad_castling(self, capsys, field):
+        # checked before the FEN is joined: "" and "K Q" would otherwise
+        # change the field count
+        code, _, err = run(capsys, "convert-forsyth", BAIRD_LEGACY, "--castling", field)
+        assert code == 2
+        assert err.startswith("BadCastlingField:")
 
     def test_bad_token(self, capsys):
         code, _, err = run(capsys, "convert-forsyth", "1 X 6, 8, 8, 8, 8, 8, 8, 8")

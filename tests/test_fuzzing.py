@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fenstring import ApplyOptions, differential_fuzz, fuzz_pairs, random_pseudo_move
+from fenstring import (
+    START_FEN,
+    ApplyOptions,
+    differential_fuzz,
+    fuzz_pairs,
+    parse_fen,
+    random_pseudo_move,
+)
 from fenstring import fuzzing
 from fenstring.errors import NoPiecesError
 
@@ -55,6 +62,22 @@ def test_acceptance_chains_are_pinned(i, ep_mode, clock_mode, digest):
     for fen, move in fuzz_pairs(25000, 1000 + i, options):
         h.update(f"{fen} {move}\n".encode())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
+@pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
+def test_strict_chains_restart_and_agree(ep_mode, clock_mode):
+    # a strict chain restarts on a friendly capture or a position that fails
+    # strict validation, so it yields every pair and each starts from a
+    # position that passes strict validation
+    options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
+    report = differential_fuzz(3000, 0, options)
+    assert (report.positions, report.mismatches) == (3000, 0)
+    pairs = list(fuzz_pairs(3000, 0, options))
+    assert len(pairs) == 3000
+    for fen, _ in pairs:
+        parse_fen(fen, "strict")
+    assert sum(fen == START_FEN for fen, _ in pairs) > 1
 
 
 def _draw(generator, fen, seed):

@@ -2,7 +2,6 @@ import pytest
 
 from fenstring import (
     ApplyOptions,
-    CastlingRights,
     Move,
     Piece,
     Square,
@@ -211,39 +210,39 @@ class TestApplyErrors:
 
 
 class TestCastlingRights:
-    KQKQ = CastlingRights(True, True, True, True)
+    KQKQ = "KQkq"
 
     def test_king_move_clears_both(self):
         rights = update_castling_rights(
             self.KQKQ, Piece("K", "w"), Square.from_name("e1"), Square.from_name("e2")
         )
-        assert rights.to_text() == "kq"
+        assert rights == "kq"
 
     def test_rook_from_h1(self):
         rights = update_castling_rights(
             self.KQKQ, Piece("R", "w"), Square.from_name("h1"), Square.from_name("h5")
         )
-        assert rights.to_text() == "Qkq"
+        assert rights == "Qkq"
 
     def test_capture_on_corner(self):
         rights = update_castling_rights(
-            CastlingRights(white_kingside=True),
+            "K",
             Piece("N", "b"),
             Square.from_name("g3"),
             Square.from_name("h1"),
             captured=Piece("R", "w"),
         )
-        assert rights.to_text() == "-"
+        assert rights == "-"
 
     def test_quiet_landing_on_corner_keeps_right(self):
         rights = update_castling_rights(
-            CastlingRights(black_kingside=True),
+            "k",
             Piece("N", "w"),
             Square.from_name("g6"),
             Square.from_name("h8"),
             captured=None,
         )
-        assert rights.to_text() == "k"
+        assert rights == "k"
 
 
     @pytest.mark.parametrize(
@@ -251,8 +250,8 @@ class TestCastlingRights:
         [
             (KQKQ, "N", "g1", "f3", None),  # touches no right
             (KQKQ, "R", "h2", "h1", None),  # a rook arriving on a corner
-            (CastlingRights(), "K", "e1", "g1", None),  # no right to lose
-            (CastlingRights(), "N", "g3", "h1", "R"),
+            ("-", "K", "e1", "g1", None),  # no right to lose
+            ("-", "N", "g3", "h1", "R"),
         ],
     )
     def test_unaffected_rights_returned_as_is(self, rights, mover, src, dst, captured):
