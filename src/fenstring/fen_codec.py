@@ -19,6 +19,9 @@ layout and another looks for adjacent digits. Only when that bulk check
 fails does the per-segment checker run, segment by segment, to name the
 first error, so the error class, message and precedence are those of the
 per-segment grammar.
+
+A FenRecord is an immutable named tuple, built positionally once per parse
+and once per applied move.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     AdjacentDigitsError,
@@ -130,8 +133,7 @@ _CASTLING_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class FenRecord:
+class FenRecord(NamedTuple):
     """Fully parsed FEN; ranks[0] is rank 8, ranks[7] is rank 1."""
 
     ranks: tuple
@@ -274,12 +276,12 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
             raise BadEnPassantFieldError(f"en-passant square {ep_field!r} not on rank 3 or 6")
 
     record = FenRecord(
-        ranks=tuple(segments),
-        side=side,
-        castling=castling,
-        en_passant=en_passant,
-        halfmove=_parse_clock(halfmove_field, 0, "halfmove clock"),
-        fullmove=_parse_clock(fullmove_field, 1, "fullmove number"),
+        tuple(segments),
+        side,
+        castling,
+        en_passant,
+        _parse_clock(halfmove_field, 0, "halfmove clock"),
+        _parse_clock(fullmove_field, 1, "fullmove number"),
     )
     if validation == "strict":
         _strict_checks(record)

@@ -5,13 +5,17 @@ contracted; every other segment is carried over character-for-character.
 No board array is built at any point. Moves are applied as written:
 chess legality (checks, pins, blocked paths) is deliberately not
 enforced, so the result is a faithful transcription of the move.
+
+Each ply builds two immutable named tuples, positionally: the next
+FenRecord and an ApplyOutcome. A move given as text is read straight into
+its squares and promotion kind; only parse_move builds a Move from them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadCastleError,
@@ -69,9 +73,9 @@ class Move:
                 f"promotion piece must be Q, R, B or N, got {self.promotion!r}"
             )
         src, dst = self.from_square, self.to_square
-        # field by field: Square's dataclass __eq__ costs four times as much, on every move
+        # field by field: Square's dataclass __eq__ costs four times as much
         if src.file == dst.file and src.rank == dst.rank:
-            raise BadMoveSyntaxError(f"origin equals destination: {src.name}")
+            raise _null_move_error(src.name)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,7 @@ class ApplyOptions:
                 raise BadOptionError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ApplyOutcome:
+class ApplyOutcome(NamedTuple):
     fen_after: str
     segments_touched: frozenset
     was_capture: bool
@@ -99,13 +102,25 @@ class ApplyOutcome:
     # en-passant-capture / promotion
 
 
-def parse_move(text: str) -> Move:
-    """Parse "e2e4", "e2-e4" or "e7e8q" (promotion suffix, any case)."""
+def _null_move_error(name: str) -> BadMoveSyntaxError:
+    return BadMoveSyntaxError(f"origin equals destination: {name}")
+
+
+def _read_move(text: str):
+    """The move grammar: (origin, destination, promotion kind or None) of
+    move text, with the shared Square instances; no Move is built."""
     m = _MOVE_RE.fullmatch(text)
     if not m:
         raise BadMoveSyntaxError(f"bad move syntax: {text!r}")
     from_name, to_name, promotion = m.groups()
-    return Move(SQUARES[from_name], SQUARES[to_name], promotion.upper() if promotion else None)
+    if from_name == to_name:
+        raise _null_move_error(from_name)
+    return SQUARES[from_name], SQUARES[to_name], promotion and promotion.upper()
+
+
+def parse_move(text: str) -> Move:
+    """Parse "e2e4", "e2-e4" or "e7e8q" (promotion suffix, any case)."""
+    return Move(*_read_move(text))
 
 
 def update_castling_rights(
@@ -156,7 +171,7 @@ def derive_en_passant(
     # two-rank pseudo-pushes would put the target on an illegal rank
     if {from_square.rank, to_square.rank} not in ({2, 4}, {5, 7}):
         return None
-    target = Square(to_square.file, (from_square.rank + to_square.rank) // 2)
+    target = SQUARES[f"{to_square.name[0]}{(from_square.rank + to_square.rank) // 2}"]
     if ep_mode == "always":
         return target
     enemy_pawn = "p" if mover.color == WHITE else "P"
@@ -198,8 +213,10 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     # a carried clock can outgrow what parse_fen accepts; the FEN text of
     # that ply would then fail to parse here, so the record fails instead
     _check_clocks(record.halfmove, record.fullmove)
-    mv = parse_move(move) if isinstance(move, str) else move
-    from_sq, to_sq = mv.from_square, mv.to_square
+    if isinstance(move, str):
+        from_sq, to_sq, promotion = _read_move(move)
+    else:
+        from_sq, to_sq, promotion = move.from_square, move.to_square, move.promotion
 
     ranks = list(record.ranks)
     from_i = segment_index(from_sq.rank)
@@ -221,9 +238,9 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     was_capture = captured is not None
 
     is_pawn = mover.kind == "P"
-    if is_pawn and to_sq.rank in (1, 8) and mv.promotion is None:
+    if is_pawn and to_sq.rank in (1, 8) and promotion is None:
         raise MissingPromotionError(f"pawn reaches {to_sq.name} without promotion piece")
-    if mv.promotion is not None and not (is_pawn and to_sq.rank in (1, 8)):
+    if promotion is not None and not (is_pawn and to_sq.rank in (1, 8)):
         raise BadPromotionPieceError("promotion suffix only valid for a pawn reaching rank 1/8")
 
     special = None
@@ -245,8 +262,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     # placement rewrite, at most two expanded segments
     origin_row[from_sq.file] = "1"
     landing = mover_letter
-    if mv.promotion is not None:
-        landing = mv.promotion if mover.color == WHITE else mv.promotion.lower()
+    if promotion is not None:
+        landing = promotion if mover.color == WHITE else promotion.lower()
         special = "promotion"
     dest_row[to_sq.file] = landing
 
@@ -274,12 +291,12 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         record.halfmove, record.fullmove, mover, was_capture, options.clock_mode
     )
     after = FenRecord(
-        ranks=tuple(ranks),
-        side=BLACK if record.side == WHITE else WHITE,
-        castling=update_castling_rights(record.castling, mover, from_sq, to_sq, captured),
-        en_passant=derive_en_passant(ranks, mover, from_sq, to_sq, options.ep_mode),
-        halfmove=halfmove,
-        fullmove=fullmove,
+        tuple(ranks),
+        BLACK if record.side == WHITE else WHITE,
+        update_castling_rights(record.castling, mover, from_sq, to_sq, captured),
+        derive_en_passant(ranks, mover, from_sq, to_sq, options.ep_mode),
+        halfmove,
+        fullmove,
     )
     if options.validation == "strict":
         # closure: the result must itself pass strict validation. Its
@@ -289,11 +306,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         _strict_checks(after)
 
     return after, ApplyOutcome(
-        fen_after=serialize_fen(after),
-        segments_touched=frozenset((from_i, to_i)),
-        was_capture=was_capture,
-        was_pawn_move=is_pawn,
-        special=special,
+        serialize_fen(after), frozenset((from_i, to_i)), was_capture, is_pawn, special
     )
 
 

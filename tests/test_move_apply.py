@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fenstring import (
     ApplyOptions,
+    ApplyOutcome,
+    FenRecord,
     Move,
     Piece,
     Square,
@@ -15,6 +19,7 @@ from fenstring import (
     update_clocks,
     START_FEN,
 )
+from fenstring.fen_codec import SQUARES
 from fenstring.errors import (
     BadCastleError,
     BadOptionError,
@@ -23,6 +28,7 @@ from fenstring.errors import (
     BadPromotionPieceError,
     BadSquareError,
     EmptyOriginError,
+    FenstringError,
     FriendlyCaptureError,
     MissingPromotionError,
     SegmentCountError,
@@ -75,6 +81,55 @@ class TestParseMove:
     def test_null_move_rejected(self):
         with pytest.raises(BadMoveSyntaxError):
             parse_move("e2e2")
+
+
+# positions on which a move text can reach every outcome: ordinary moves,
+# captures, a promotion, castles, an en-passant capture and each move error
+STRING_MOVE_FENS = (
+    START_FEN,
+    FIG1_FEN,
+    "4k3/4P3/8/8/8/8/8/4K3 w - - 0 1",
+    "r3k2r/8/8/3pP3/8/8/8/R3K2R w KQkq d6 0 1",
+)
+
+
+def _result(apply, *args):
+    """What a call gives: its value, or its error's class and message."""
+    try:
+        return apply(*args)
+    except FenstringError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.text("abcdefgh12345678qrbnQRBNx-\n", max_size=7),
+        st.from_regex(r"[a-h][1-8]-?[a-h][1-8][qrbnQRBNx]?\n?", fullmatch=True),
+    )
+)
+@example("")
+@example("e2e2")
+@example("e2-e4")
+@example("e7e8Q")
+@example("e7e8x")
+@example("e2e4\n")
+@example("e5d6")
+@example("e1g1")
+def test_string_move_matches_parsed_move(text):
+    """apply_move reads move text without a Move; it must act as if it had
+    applied parse_move(text), and raise what parse_move raises."""
+    try:
+        move = parse_move(text)
+    except FenstringError as exc:
+        for fen in STRING_MOVE_FENS:
+            assert _result(apply_move, fen, text) == (type(exc), str(exc))
+        return
+    for fen in STRING_MOVE_FENS:
+        for options in ALL_OPTIONS:
+            assert _result(apply_move, fen, text, options) == _result(
+                apply_move, fen, move, options
+            )
 
 
 class TestApply:
@@ -306,6 +361,11 @@ class TestDeriveEnPassant:
         assert derive_en_passant(*args, "adjacent-only") is None
         assert derive_en_passant(*args, "always") == Square.from_name("e3")
 
+    def test_target_is_the_shared_square(self):
+        placement = ("8", "8", "8", "8", "4P3", "8", "8", "8")
+        args = (placement, Piece("P", "w"), Square.from_name("e2"), Square.from_name("e4"))
+        assert derive_en_passant(*args, "always") is SQUARES["e3"]
+
     def test_friendly_neighbor_does_not_count(self):
         placement = ("8", "8", "8", "8", "3PP3", "8", "8", "8")
         assert (
@@ -452,3 +512,47 @@ class TestInvariants:
             before = Counter(c for c in fen.split()[0] if c.isalpha())
             after = Counter(c for c in outcome.fen_after.split()[0] if c.isalpha())
             assert sum(before.values()) - sum(after.values()) == (1 if outcome.was_capture else 0)
+
+
+class TestRecordContract:
+    """FenRecord and ApplyOutcome are immutable, hashable records with named
+    fields, built by keyword or by position."""
+
+    def test_fields_cannot_be_assigned(self):
+        record = parse_fen(START_FEN)
+        outcome = apply_move(START_FEN, "e2e4")
+        with pytest.raises(AttributeError):
+            record.side = "b"
+        with pytest.raises(AttributeError):
+            outcome.fen_after = START_FEN
+
+    def test_hashable(self):
+        record = parse_fen(FIG1_FEN)
+        outcome = apply_move(FIG1_FEN, "f7f6")
+        assert hash(record) == hash(parse_fen(FIG1_FEN))
+        assert hash(outcome) == hash(apply_move(FIG1_FEN, "f7f6"))
+        assert len({record, parse_fen(FIG1_FEN), outcome, apply_move(FIG1_FEN, "f7f6")}) == 2
+
+    def test_keyword_construction(self):
+        record = FenRecord(
+            ranks=("rnbqkbnr", "pppppppp", "8", "8", "4P3", "8", "PPPP1PPP", "RNBQKBNR"),
+            side="b",
+            castling="KQkq",
+            en_passant=Square.from_name("e3"),
+            halfmove=0,
+            fullmove=1,
+        )
+        fen = "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3 0 1"
+        assert record == parse_fen(fen)
+        outcome = ApplyOutcome(
+            fen_after=fen,
+            segments_touched=frozenset({4, 6}),
+            was_capture=False,
+            was_pawn_move=True,
+        )
+        assert outcome == apply_move(START_FEN, "e2e4")
+        assert outcome.special is None
+
+    def test_segments_touched_is_a_frozenset(self):
+        assert type(apply_move(START_FEN, "e2e4").segments_touched) is frozenset
+        assert type(apply_move(FIG1_FEN, "f7c7").segments_touched) is frozenset
