@@ -13,10 +13,10 @@ import sys
 import time
 
 from .errors import FenstringError, MoveError
-from .fen_codec import Square, parse_castling, parse_fen, serialize_fen
+from .fen_codec import _OPTION_VALUES, Square, parse_castling, parse_fen, serialize_fen
 from .fuzzing import differential_fuzz, fuzz_pairs
 from .legacy import parse_legacy_forsyth
-from .move_apply import _OPTION_VALUES, ApplyOptions, _iter_sequence, apply_move
+from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
 from .oracle import oracle_apply
 
 EXIT_OK = 0
@@ -39,9 +39,7 @@ def _add_apply_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _options_from(args) -> ApplyOptions:
-    return ApplyOptions(
-        ep_mode=args.ep_mode, clock_mode=args.clock_mode, validation=args.validation
-    )
+    return ApplyOptions(**{name: getattr(args, name) for name in _OPTION_VALUES})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,9 +94,7 @@ def cmd_apply(args) -> int:
     if args.output == "plain":
         print(apply_move(args.fen, args.move, _options_from(args)).fen_after)
         return EXIT_OK
-    record = dict.fromkeys(
-        ("fen_after", "segments_touched", "was_capture", "was_pawn_move", "special", "error")
-    )
+    record = dict.fromkeys(ApplyOutcome._fields + ("error",))
     try:
         outcome = apply_move(args.fen, args.move, _options_from(args))
     except FenstringError as exc:
@@ -106,13 +102,7 @@ def cmd_apply(args) -> int:
         record["error"] = {"code": exc.code, "message": str(exc)}
         print(json.dumps(record))
         raise
-    record.update(
-        fen_after=outcome.fen_after,
-        segments_touched=sorted(outcome.segments_touched),
-        was_capture=outcome.was_capture,
-        was_pawn_move=outcome.was_pawn_move,
-        special=outcome.special,
-    )
+    record.update(outcome._asdict(), segments_touched=sorted(outcome.segments_touched))
     print(json.dumps(record))
     return EXIT_OK
 

@@ -12,7 +12,7 @@ class FenstringError(Exception):
 
 
 class BadOptionError(FenstringError, ValueError):
-    """An ApplyOptions field holds a value outside its documented set."""
+    """An ApplyOptions field or option argument holds a value outside its set."""
 
     code = "BadOption"
 
@@ -27,11 +27,17 @@ class SegmentCountError(FenSyntaxError):
     code = "SegmentCount"
 
 
-class RankWidthError(FenSyntaxError):
+class BadSegmentError(FenSyntaxError):
+    """A rank segment breaks the segment grammar; the subclass names how."""
+
+    code = "BadSegment"
+
+
+class RankWidthError(BadSegmentError):
     code = "RankWidth"
 
 
-class BadPieceLetterError(FenSyntaxError):
+class BadPieceLetterError(BadSegmentError):
     code = "BadPieceLetter"
 
 
@@ -51,12 +57,8 @@ class BadClockError(FenSyntaxError):
     code = "BadClock"
 
 
-class AdjacentDigitsError(FenSyntaxError):
+class AdjacentDigitsError(BadSegmentError):
     code = "AdjacentDigits"
-
-
-class BadSegmentError(FenSyntaxError):
-    code = "BadSegment"
 
 
 class BadExpandedRankError(FenSyntaxError):

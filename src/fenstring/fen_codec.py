@@ -18,7 +18,7 @@ expanded to one '1' per empty square, one regex checks the 8x8 slot
 layout and another looks for adjacent digits. Only when that bulk check
 fails does the per-segment checker run, segment by segment, to name the
 first error, so the error class, message and precedence are those of the
-per-segment grammar.
+per-segment grammar. expand_rank checks a single segment the same way.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
 and once per applied move.
@@ -37,8 +37,8 @@ from .errors import (
     BadClockError,
     BadEnPassantFieldError,
     BadExpandedRankError,
+    BadOptionError,
     BadPieceLetterError,
-    BadSegmentError,
     BadSideCharError,
     BadSquareError,
     OutOfRangeError,
@@ -65,12 +65,21 @@ _RUN_CONTRACTIONS = tuple((run, digit) for digit, run in reversed(_RUN_EXPANSION
 # one slot of an expanded rank: a piece letter, or '1' for an empty square
 _SLOT = f"[{PIECE_LETTERS}1]"
 _SLOT_RANK = re.compile(_SLOT + "{8}")
-# the slots that text starts with; they end at its first bad character
-_SLOT_PREFIX = re.compile(_SLOT + "*")
 # a valid placement, expanded: eight slot ranks; with no two digits adjacent
 # in the compact text, this is the whole grammar
 _SLOT_PLACEMENT = re.compile(f"{_SLOT}{{8}}(?:/{_SLOT}{{8}}){{7}}")
 _DIGIT_PAIR = re.compile(r"[0-9][0-9]")
+
+# every value each option may take; code that branches on one checks it there
+_OPTION_VALUES = {
+    "ep_mode": ("always", "adjacent-only"),
+    "clock_mode": ("standard", "frozen"),
+    "validation": ("lenient", "strict"),
+}
+
+
+def _bad_option(name: str, value) -> BadOptionError:
+    return BadOptionError(f"{name} must be one of {_OPTION_VALUES[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -154,11 +163,8 @@ def expand_runs(text: str) -> str:
 def expand_rank(segment: str) -> str:
     """Expand a compact rank segment to its 8-slot form ("1b3RN1" -> "1b111RN1")."""
     expanded = expand_runs(segment)
-    if _SLOT_RANK.fullmatch(expanded) is None:
-        valid = _SLOT_PREFIX.match(expanded).end()
-        if valid < len(expanded):
-            raise BadSegmentError(f"bad character {expanded[valid]!r} in segment {segment!r}")
-        raise BadSegmentError(f"segment {segment!r} spans {len(expanded)} squares, expected 8")
+    if _SLOT_RANK.fullmatch(expanded) is None or _DIGIT_PAIR.search(segment):
+        _check_segment(segment)
     return expanded
 
 
@@ -190,9 +196,6 @@ def _check_segment(segment: str) -> None:
     width = 0
     prev_digit = False
     for ch in segment:
-        if ch == "0":
-            # a zero-length empty run is meaningless
-            raise BadPieceLetterError(f"bad character '0' in segment {segment!r}")
         if ch in "123456789":
             if prev_digit:
                 raise AdjacentDigitsError(f"adjacent digits in segment {segment!r}")
@@ -283,7 +286,9 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
         _parse_clock(halfmove_field, 0, "halfmove clock"),
         _parse_clock(fullmove_field, 1, "fullmove number"),
     )
-    if validation == "strict":
+    if validation != "lenient":
+        if validation != "strict":
+            raise _bad_option("validation", validation)
         _strict_checks(record)
     return record
 

@@ -67,7 +67,7 @@ def emit_legacy_forsyth(placement) -> str:
     """Render 8 modern rank segments in the legacy comma-separated form."""
     groups = []
     for segment in placement:
-        expand_rank(segment)  # width/character check
+        expand_rank(segment)  # the segment grammar, as parse_fen checks it
         tokens = [ch if ch.isdigit() else _LETTER_TOKENS[ch] for ch in segment]
         groups.append(" ".join(tokens))
     return ", ".join(groups)

@@ -7,8 +7,8 @@ chess legality (checks, pins, blocked paths) is deliberately not
 enforced, so the result is a faithful transcription of the move.
 
 Each ply builds two immutable named tuples, positionally: the next
-FenRecord and an ApplyOutcome. A move given as text is read straight into
-its squares and promotion kind; only parse_move builds a Move from them.
+FenRecord and an ApplyOutcome. _read_move reads every move argument, text
+or a Move, into its squares and promotion kind; only parse_move builds a Move.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     BadCastleError,
     BadClockError,
     BadMoveSyntaxError,
-    BadOptionError,
     BadPromotionPieceError,
     EmptyOriginError,
     FriendlyCaptureError,
@@ -36,9 +35,12 @@ from .fen_codec import (
     FenRecord,
     Piece,
     Square,
+    _OPTION_VALUES,
+    _bad_option,
     _strict_checks,
     contract_rank,
     expand_rank,
+    expand_runs,
     parse_fen,
     segment_index,
     serialize_fen,
@@ -47,12 +49,6 @@ from .fen_codec import (
 _MOVE_RE = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?")
 _PROMOTION_KINDS = ("Q", "R", "B", "N")
 _CLOCK_LIMIT = 10**MAX_CLOCK_DIGITS
-# every value each ApplyOptions field may take
-_OPTION_VALUES = {
-    "ep_mode": ("always", "adjacent-only"),
-    "clock_mode": ("standard", "frozen"),
-    "validation": ("lenient", "strict"),
-}
 
 # king color -> the two rights it holds
 _KING_RIGHTS = {WHITE: "KQ", BLACK: "kq"}
@@ -90,7 +86,7 @@ class ApplyOptions:
         for name, allowed in _OPTION_VALUES.items():
             value = getattr(self, name)
             if value not in allowed:
-                raise BadOptionError(f"{name} must be one of {allowed}, got {value!r}")
+                raise _bad_option(name, value)
 
 
 class ApplyOutcome(NamedTuple):
@@ -106,16 +102,20 @@ def _null_move_error(name: str) -> BadMoveSyntaxError:
     return BadMoveSyntaxError(f"origin equals destination: {name}")
 
 
-def _read_move(text: str):
-    """The move grammar: (origin, destination, promotion kind or None) of
-    move text, with the shared Square instances; no Move is built."""
-    m = _MOVE_RE.fullmatch(text)
-    if not m:
-        raise BadMoveSyntaxError(f"bad move syntax: {text!r}")
-    from_name, to_name, promotion = m.groups()
-    if from_name == to_name:
-        raise _null_move_error(from_name)
-    return SQUARES[from_name], SQUARES[to_name], promotion and promotion.upper()
+def _read_move(move):
+    """The one reader of a move argument, text or a Move: (origin,
+    destination, promotion kind or None); anything else is bad move syntax."""
+    if isinstance(move, str):
+        m = _MOVE_RE.fullmatch(move)
+        if not m:
+            raise BadMoveSyntaxError(f"bad move syntax: {move!r}")
+        from_name, to_name, promotion = m.groups()
+        if from_name == to_name:
+            raise _null_move_error(from_name)
+        return SQUARES[from_name], SQUARES[to_name], promotion and promotion.upper()
+    if isinstance(move, Move):
+        return move.from_square, move.to_square, move.promotion
+    raise BadMoveSyntaxError(f"a move must be text or a Move, got {type(move).__name__}")
 
 
 def parse_move(text: str) -> Move:
@@ -174,6 +174,8 @@ def derive_en_passant(
     target = SQUARES[f"{to_square.name[0]}{(from_square.rank + to_square.rank) // 2}"]
     if ep_mode == "always":
         return target
+    if ep_mode != "adjacent-only":
+        raise _bad_option("ep_mode", ep_mode)
     enemy_pawn = "p" if mover.color == WHITE else "P"
     row = expand_rank(placement_after[segment_index(to_square.rank)])
     for f in (to_square.file - 1, to_square.file + 1):
@@ -191,7 +193,9 @@ def update_clocks(
 ):
     """Standard: halfmove resets on pawn move/capture else +1; fullmove +1
     after a black move. Frozen: both pass through unchanged."""
-    if clock_mode == "frozen":
+    if clock_mode != "standard":
+        if clock_mode != "frozen":
+            raise _bad_option("clock_mode", clock_mode)
         return halfmove, fullmove
     halfmove = 0 if (mover.kind == "P" or was_capture) else halfmove + 1
     if mover.color == BLACK:
@@ -208,21 +212,20 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     """The rewrite shared by every entry point: (next record, outcome).
 
     ``record`` comes from parse_fen or from an earlier call, so a game or
-    fuzz chain is parsed once and carried from ply to ply.
+    fuzz chain is parsed once and carried from ply to ply. Its segments
+    passed the grammar there, so they are expanded unchecked; contract_rank
+    checks every row written back.
     """
     # a carried clock can outgrow what parse_fen accepts; the FEN text of
     # that ply would then fail to parse here, so the record fails instead
     _check_clocks(record.halfmove, record.fullmove)
-    if isinstance(move, str):
-        from_sq, to_sq, promotion = _read_move(move)
-    else:
-        from_sq, to_sq, promotion = move.from_square, move.to_square, move.promotion
+    from_sq, to_sq, promotion = _read_move(move)
 
     ranks = list(record.ranks)
     from_i = segment_index(from_sq.rank)
     to_i = segment_index(to_sq.rank)
-    origin_row = list(expand_rank(ranks[from_i]))
-    dest_row = origin_row if to_i == from_i else list(expand_rank(ranks[to_i]))
+    origin_row = list(expand_runs(ranks[from_i]))
+    dest_row = origin_row if to_i == from_i else list(expand_runs(ranks[to_i]))
 
     mover_letter = origin_row[from_sq.file]
     if mover_letter == "1":

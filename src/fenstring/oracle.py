@@ -29,7 +29,7 @@ from .fen_codec import (
     Square,
     parse_fen,
 )
-from .move_apply import ApplyOptions, parse_move
+from .move_apply import ApplyOptions, _read_move
 
 
 @dataclass
@@ -100,8 +100,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     entirely on the 64-cell array.
     """
     board = board_from_fen(fen, options.validation)
-    mv = parse_move(move) if isinstance(move, str) else move
-    from_sq, to_sq = mv.from_square, mv.to_square
+    from_sq, to_sq, promotion = _read_move(move)
     from_i, to_i = cell_index(from_sq), cell_index(to_sq)
     cells = list(board.cells)
 
@@ -117,15 +116,15 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     was_capture = captured is not None
 
     is_pawn = mover.kind == "P"
-    if is_pawn and to_sq.rank in (1, 8) and mv.promotion is None:
+    if is_pawn and to_sq.rank in (1, 8) and promotion is None:
         raise MissingPromotionError(f"pawn reaches {to_sq.name} without promotion piece")
-    if mv.promotion is not None and not (is_pawn and to_sq.rank in (1, 8)):
+    if promotion is not None and not (is_pawn and to_sq.rank in (1, 8)):
         raise BadPromotionPieceError("promotion suffix only valid for a pawn reaching rank 1/8")
 
     # move the piece in the array
     cells[from_i] = None
-    if mv.promotion is not None:
-        cells[to_i] = Piece(mv.promotion, mover.color)
+    if promotion is not None:
+        cells[to_i] = Piece(promotion, mover.color)
     else:
         cells[to_i] = mover
 

@@ -17,6 +17,13 @@ from fenstring.errors import NoPiecesError
 FIG1_FEN = "7N/1b3RN1/7k/6b1/KBp4p/5q2/6Q1/7n w - - 0 1"
 EMPTY_FEN = "8/8/8/8/8/8/8/8 w - - 0 1"
 
+ALL_OPTIONS = [
+    ApplyOptions(ep, clock, validation)
+    for ep in ("always", "adjacent-only")
+    for clock in ("standard", "frozen")
+    for validation in ("lenient", "strict")
+]
+
 BAIRD_LEGACY = (
     "1 B 6, 2 kt 5, p 1 Kt 1 P 2 R, P 1 K 3 Kt 1, "
     "4 P k 2, 1 Q 2 p 2 p, 6 kt P, 1 B 4 R 1."

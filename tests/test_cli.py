@@ -72,6 +72,11 @@ class TestApply:
         assert record["segments_touched"] == [1, 2]
         assert record["error"] is None
         assert record["fen_after"].startswith("7N/1b4N1/5R1k/")
+        assert out == (
+            '{"fen_after": "7N/1b4N1/5R1k/6b1/KBp4p/5q2/6Q1/7n b - - 1 1", '
+            '"segments_touched": [1, 2], "was_capture": false, "was_pawn_move": false, '
+            '"special": null, "error": null}\n'
+        )
 
     @pytest.mark.parametrize(
         "fen,move,status,code",
@@ -82,6 +87,9 @@ class TestApply:
         exit_status, out, err = run(capsys, "apply", fen, move, "--output", "record")
         assert exit_status == status
         record = json.loads(out)
+        assert list(record) == [
+            "fen_after", "segments_touched", "was_capture", "was_pawn_move", "special", "error"
+        ]
         assert record["fen_after"] is None
         assert record["error"]["code"] == code
         assert err == f"{code}: {record['error']['message']}\n"
@@ -190,6 +198,16 @@ class TestConvertForsyth:
         code, _, err = run(capsys, "convert-forsyth", BAIRD_LEGACY, "--castling", field)
         assert code == 2
         assert err.startswith("BadCastlingField:")
+
+    def test_ep_flag(self, capsys):
+        code, out, _ = run(capsys, "convert-forsyth", BAIRD_LEGACY, "--ep", "e3")
+        assert code == 0
+        assert out.strip() == f"{BAIRD_PLACEMENT} w - e3 0 1"
+
+    def test_bad_ep_square(self, capsys):
+        code, _, err = run(capsys, "convert-forsyth", BAIRD_LEGACY, "--ep", "e9")
+        assert code == 2
+        assert err == "BadSquare: bad square name: 'e9'\n"
 
     def test_bad_token(self, capsys):
         code, _, err = run(capsys, "convert-forsyth", "1 X 6, 8, 8, 8, 8, 8, 8, 8")

@@ -10,6 +10,7 @@ from fenstring import (
     Square,
     board_from_fen,
     cell_index,
+    expand_rank,
     parse_castling,
     parse_fen,
     piece_at,
@@ -238,14 +239,18 @@ def _near_valid_rows(draw):
 _rows = st.one_of(segments, _near_valid_rows(), st.text(alphabet=_PLACEMENT_CHARS, max_size=10))
 
 
-def _segment_loop_verdict(placement):
-    """(class, message) of the first error the per-segment checker names, or None."""
+def _verdict(check, text):
+    """(class, message) of the error check(text) raises, or None."""
     try:
-        for segment in placement.split("/"):
-            _check_segment(segment)
+        check(text)
     except FenSyntaxError as exc:
         return type(exc), str(exc)
     return None
+
+
+def _check_segments(placement):
+    for segment in placement.split("/"):
+        _check_segment(segment)
 
 
 @settings(max_examples=500)
@@ -254,6 +259,7 @@ def _segment_loop_verdict(placement):
 @example("/".join(["8"] * 7 + ["9"]))
 @example("/".join(["8"] * 7 + ["0P7"]))
 @example("/".join(["8"] * 7 + ["44"]))
+@example("/".join(["8"] * 7 + ["17"]))
 @example("/".join(["8"] * 7 + ["²7"]))
 @example("/".join(["8"] * 7 + ["7"]))
 @example("/".join(["8"] * 7 + ["PPPPPPPPP"]))
@@ -261,13 +267,11 @@ def _segment_loop_verdict(placement):
 @example("/".join(["44"] + ["8"] * 6 + ["9"]))
 @example("/".join(["8"] * 8))
 def test_bulk_placement_check_matches_segment_loop(placement):
-    expected = _segment_loop_verdict(placement)
-    try:
-        parse_fen(placement + " w - - 0 1")
-    except FenSyntaxError as exc:
-        assert (type(exc), str(exc)) == expected
-    else:
-        assert expected is None
+    expected = _verdict(_check_segments, placement)
+    assert _verdict(lambda p: parse_fen(p + " w - - 0 1"), placement) == expected
+    # expand_rank's fast check on one segment judges it the same way
+    for segment in placement.split("/"):
+        assert _verdict(expand_rank, segment) == _verdict(_check_segment, segment)
 
 
 @given(st.text())

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import example, given
@@ -7,15 +8,18 @@ from hypothesis import strategies as st
 from fenstring import (
     START_FEN,
     ApplyOptions,
+    apply_move,
+    board_from_fen,
     differential_fuzz,
     fuzz_pairs,
+    oracle_apply,
     parse_fen,
     random_pseudo_move,
 )
 from fenstring import fuzzing
-from fenstring.errors import NoPiecesError
+from fenstring.errors import EmptyOriginError, FenstringError, NoPiecesError
 
-from conftest import fens, pseudo_game, reference_pseudo_move
+from conftest import ALL_OPTIONS, fens, pseudo_game, reference_pseudo_move
 
 
 def test_fuzz_pairs_walk_the_pseudo_game():
@@ -40,6 +44,67 @@ def test_every_pair_reaches_the_oracle(monkeypatch):
     assert (report.positions, report.mismatches) == (300, 300)
     fen, move, outcome = game[0]
     assert report.first_counterexample == (fen, move, outcome.fen_after, "not a fen")
+
+
+def test_oracle_error_is_a_mismatch(monkeypatch):
+    # an oracle that raises is counted, and the report prints its code
+    def raising_oracle(fen, move, options):
+        raise EmptyOriginError("stand-in")
+
+    monkeypatch.setattr(fuzzing, "oracle_apply", raising_oracle)
+    report = differential_fuzz(20, 3)
+    assert (report.positions, report.mismatches) == (20, 20)
+    fen, move, string_fen, array_fen = report.first_counterexample
+    assert array_fen == "<EmptyOrigin>"
+    assert report.format().splitlines()[3:] == [
+        "mismatches: 20",
+        "first counterexample:",
+        f"  position: {fen}",
+        f"  move:     {move}",
+        f"  string:   {string_fen}",
+        "  array:    <EmptyOrigin>",
+    ]
+
+
+# cell i of the mailbox (a8 first, h1 last) -> its square name
+_CELL_NAMES = [f + r for r in "87654321" for f in "abcdefgh"]
+# the castle-shaped king moves of each side, drawn on every position: an
+# arbitrary pair is one of them too rarely to reach a missing rook
+_CASTLE_SHAPES = {"w": ["e1g1", "e1c1"], "b": ["e8g8", "e8c8"]}
+
+
+def _fen_or_code(apply, fen, move, options):
+    try:
+        return apply(fen, move, options)
+    except FenstringError as exc:
+        return exc.code
+
+
+def test_error_codes_agree_on_arbitrary_moves():
+    """On fuzz-chain positions, under every option combination, arbitrary
+    square pairs (with and without a promotion suffix) give the same FEN or
+    the same error code on the string path and the oracle, and between them
+    they reach each code listed below."""
+    rng = random.Random(8)
+    codes = set()
+    for options in ALL_OPTIONS:
+        for fen, _ in fuzz_pairs(250, 8, options):
+            board = board_from_fen(fen)
+            own = [i for i, piece in enumerate(board.cells) if piece and piece.color == board.side]
+            moves = list(_CASTLE_SHAPES[board.side])
+            for _ in range(3):
+                origin = rng.choice(own) if rng.random() < 0.75 else rng.randrange(64)
+                suffix = rng.choice(("", "", "", "q", "R", "b", "n"))
+                moves.append(_CELL_NAMES[origin] + _CELL_NAMES[rng.randrange(64)] + suffix)
+            for move in moves:
+                string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
+                assert string == _fen_or_code(oracle_apply, fen, move, options), (fen, move, options)
+                if " " not in string:
+                    codes.add(string)
+    assert codes == {
+        "BadCastle", "BadMoveSyntax", "BadPromotionPiece", "EmptyOrigin", "FriendlyCapture",
+        "MissingPromotion", "Validation", "WrongColor",
+    }
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fenstring import emit_legacy_forsyth, parse_fen, parse_legacy_forsyth
-from fenstring.errors import BadTokenError, GroupCountError, RankWidthError
+from fenstring.errors import AdjacentDigitsError, BadTokenError, GroupCountError, RankWidthError
 
 from conftest import BAIRD_LEGACY, BAIRD_PLACEMENT, FIG1_FEN, segments
 
@@ -21,6 +21,12 @@ class TestParse:
     def test_rank_width(self):
         with pytest.raises(RankWidthError):
             parse_legacy_forsyth("1 B 7, 8, 8, 8, 8, 8, 8, 8")
+
+    @pytest.mark.parametrize("rank", ["9 P", "4 5"], ids=["before-a-piece", "at-the-end"])
+    def test_empty_run_longer_than_a_rank(self, rank):
+        with pytest.raises(RankWidthError) as info:
+            parse_legacy_forsyth(f"{rank}, 8, 8, 8, 8, 8, 8, 8")
+        assert str(info.value) == f"empty run of 9 in rank {rank!r}"
 
     def test_group_count(self):
         with pytest.raises(GroupCountError):
@@ -49,6 +55,11 @@ class TestEmit:
 
     def test_empty_board(self):
         assert emit_legacy_forsyth(("8",) * 8) == "8, 8, 8, 8, 8, 8, 8, 8"
+
+    def test_adjacent_digits_rejected(self):
+        # "44" spans 8 squares, but parse_fen rejects it, so it is no segment
+        with pytest.raises(AdjacentDigitsError):
+            emit_legacy_forsyth(("44",) * 8)
 
     def test_baird_round(self):
         # emits Appendix-style text equal to the source modulo trailing period

@@ -10,6 +10,7 @@ from fenstring import (
     Piece,
     Square,
     apply_move,
+    board_from_fen,
     derive_en_passant,
     oracle_apply,
     parse_fen,
@@ -35,15 +36,9 @@ from fenstring.errors import (
     WrongColorError,
 )
 
-from conftest import FIG1_FEN
+from conftest import ALL_OPTIONS, FIG1_FEN
 
 FROZEN = ApplyOptions(clock_mode="frozen")
-ALL_OPTIONS = [
-    ApplyOptions(ep, clock, validation)
-    for ep in ("always", "adjacent-only")
-    for clock in ("standard", "frozen")
-    for validation in ("lenient", "strict")
-]
 # a legal opening, so strict validation holds at every ply
 RUY_LOPEZ = (
     "e2e4 e7e5 g1f3 b8c6 f1b5 a7a6 b5a4 g8f6 e1g1 f8e7 "
@@ -81,6 +76,23 @@ class TestParseMove:
     def test_null_move_rejected(self):
         with pytest.raises(BadMoveSyntaxError):
             parse_move("e2e2")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        parse_move,
+        lambda move: apply_move(START_FEN, move),
+        lambda move: play_sequence(START_FEN, [move]),
+        lambda move: oracle_apply(START_FEN, move),
+    ],
+    ids=["parse_move", "apply_move", "play_sequence", "oracle_apply"],
+)
+@pytest.mark.parametrize("move", [b"e2e4", None, ("e2", "e4"), 42], ids=repr)
+def test_move_that_is_neither_text_nor_a_move(entry, move):
+    with pytest.raises(BadMoveSyntaxError) as info:
+        entry(move)
+    assert str(info.value) == f"a move must be text or a Move, got {type(move).__name__}"
 
 
 # positions on which a move text can reach every outcome: ordinary moves,
@@ -329,6 +341,32 @@ class TestApplyOptions:
             ApplyOptions(**{field: value})
         assert exc.value.code == "BadOption"
         assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "call, field, value",
+        [
+            (lambda: parse_fen(START_FEN, "Strict"), "validation", "Strict"),
+            (lambda: board_from_fen(START_FEN, "strict "), "validation", "strict "),
+            (lambda: update_clocks(0, 1, Piece("R", "w"), False, "Frozen"), "clock_mode", "Frozen"),
+            (
+                lambda: derive_en_passant(
+                    ("8", "8", "8", "8", "4P3", "8", "8", "8"), Piece("P", "w"),
+                    Square.from_name("e2"), Square.from_name("e4"), "Always",
+                ),
+                "ep_mode",
+                "Always",
+            ),
+        ],
+        ids=["parse_fen", "board_from_fen", "update_clocks", "derive_en_passant"],
+    )
+    def test_unknown_argument_rejected_where_read(self, call, field, value):
+        # each function checks the option where it branches on it, with the
+        # message ApplyOptions gives
+        with pytest.raises(BadOptionError) as exc:
+            call()
+        with pytest.raises(BadOptionError) as built:
+            ApplyOptions(**{field: value})
+        assert str(exc.value) == str(built.value)
 
 
 class TestDeriveEnPassant:

@@ -32,7 +32,7 @@ class TestExpand:
         "segment,message",
         [
             ("1b3RNx", "bad character 'x' in segment '1b3RNx'"),
-            ("9", "bad character '9' in segment '9'"),
+            ("9", "segment '9' spans 9 squares, expected 8"),
             ("8x", "bad character 'x' in segment '8x'"),
             ("4R4", "segment '4R4' spans 9 squares, expected 8"),
             ("", "segment '' spans 0 squares, expected 8"),
