@@ -18,7 +18,7 @@ expanded to one '1' per empty square, one regex checks the 8x8 slot
 layout and another looks for adjacent digits. Only when that bulk check
 fails does the per-segment checker run, segment by segment, to name the
 first error, so the error class, message and precedence are those of the
-per-segment grammar. expand_rank checks a single segment the same way.
+per-segment grammar. expand_rank always runs that checker on its segment.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
 and once per applied move.
@@ -39,8 +39,10 @@ from .errors import (
     BadExpandedRankError,
     BadOptionError,
     BadPieceLetterError,
+    BadSegmentError,
     BadSideCharError,
     BadSquareError,
+    FenSyntaxError,
     OutOfRangeError,
     RankWidthError,
     SegmentCountError,
@@ -52,9 +54,10 @@ BLACK = "b"
 
 PIECE_LETTERS = "KQRBNPkqrbnp"
 
-# a clock field is 1 to MAX_CLOCK_DIGITS ASCII digits: int() of longer text
-# is slow, and past the interpreter's digit limit it raises ValueError
-MAX_CLOCK_DIGITS = 9
+# a clock field, like a legacy empty-run token, is 1 to MAX_DIGITS ASCII
+# digits: str.isdigit() also accepts digits int() refuses, int() of longer
+# text is slow, and past the interpreter's digit limit it raises ValueError
+MAX_DIGITS = 9
 
 START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
@@ -90,6 +93,11 @@ class Square:
     rank: int
 
     def __post_init__(self):
+        if not (isinstance(self.file, int) and isinstance(self.rank, int)):
+            raise BadSquareError(
+                f"a square's file and rank must be integers, "
+                f"got {type(self.file).__name__} and {type(self.rank).__name__}"
+            )
         if not (0 <= self.file <= 7 and 1 <= self.rank <= 8):
             raise BadSquareError(f"square out of range: file={self.file} rank={self.rank}")
 
@@ -162,10 +170,8 @@ def expand_runs(text: str) -> str:
 
 def expand_rank(segment: str) -> str:
     """Expand a compact rank segment to its 8-slot form ("1b3RN1" -> "1b111RN1")."""
-    expanded = expand_runs(segment)
-    if _SLOT_RANK.fullmatch(expanded) is None or _DIGIT_PAIR.search(segment):
-        _check_segment(segment)
-    return expanded
+    _check_segment(segment)
+    return expand_runs(segment)
 
 
 def contract_rank(expanded: str) -> str:
@@ -193,6 +199,8 @@ def file_index(letter: str) -> int:
 
 def _check_segment(segment: str) -> None:
     """Validate one rank segment: legal characters, width 8, canonical runs."""
+    if not isinstance(segment, str):
+        raise BadSegmentError(f"a rank segment must be text, got {type(segment).__name__}")
     width = 0
     prev_digit = False
     for ch in segment:
@@ -238,7 +246,7 @@ def parse_castling(field: str) -> str:
 
 
 def _parse_clock(field: str, minimum: int, what: str) -> int:
-    if field.isascii() and field.isdigit() and len(field) <= MAX_CLOCK_DIGITS:
+    if field.isascii() and field.isdigit() and len(field) <= MAX_DIGITS:
         value = int(field)
         if value >= minimum:
             return value
@@ -251,6 +259,8 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     Repeated/leading/trailing whitespace between fields is tolerated;
     everything else follows the grammar exactly.
     """
+    if not isinstance(text, str):
+        raise FenSyntaxError(f"a FEN must be text, got {type(text).__name__}")
     fields = text.split()
     if len(fields) != 6:
         raise SegmentCountError(f"expected 6 space-separated fields, got {len(fields)}")

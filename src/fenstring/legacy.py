@@ -7,17 +7,22 @@ Black, and the knight is "Kt"/"kt". Only the placement is encoded; the
 modern trailer fields did not exist yet.
 """
 
-from .errors import BadTokenError, GroupCountError, RankWidthError
-from .fen_codec import expand_rank
+from .errors import (
+    BadTokenError, FenSyntaxError, GroupCountError, RankWidthError, SegmentCountError
+)
+from .fen_codec import MAX_DIGITS, contract_rank, expand_rank
 
 _PIECE_TOKENS = {
     "K": "K", "Q": "Q", "R": "R", "B": "B", "Kt": "N", "P": "P",
     "k": "k", "q": "q", "r": "r", "b": "b", "kt": "n", "p": "p",
 }
 _LETTER_TOKENS = {v: k for k, v in _PIECE_TOKENS.items()}
-# an empty-run token is 1 to _MAX_RUN_DIGITS ASCII digits: str.isdigit() also
-# accepts digits int() refuses, and int() of very long text is slow or raises
-_MAX_RUN_DIGITS = 9
+
+
+def _empty_slots(run: int, group: str) -> str:
+    if run > 8:
+        raise RankWidthError(f"empty run of {run} in rank {group.strip()!r}")
+    return "1" * run
 
 
 def parse_legacy_forsyth(text: str):
@@ -26,6 +31,8 @@ def parse_legacy_forsyth(text: str):
     A trailing period is tolerated; adjacent integer tokens are summed
     since typeset sources vary.
     """
+    if not isinstance(text, str):
+        raise FenSyntaxError(f"legacy Forsyth notation must be text, got {type(text).__name__}")
     stripped = text.strip()
     if stripped.endswith("."):
         stripped = stripped[:-1]
@@ -35,36 +42,28 @@ def parse_legacy_forsyth(text: str):
 
     segments = []
     for group in groups:
-        out = []
-        width = 0
+        slots = ""  # one per square, '1' if empty; contract_rank writes the runs
         run = 0
         for token in group.split():
-            if token.isascii() and token.isdigit() and len(token) <= _MAX_RUN_DIGITS:
+            if token.isascii() and token.isdigit() and len(token) <= MAX_DIGITS:
                 run += int(token)
             elif token in _PIECE_TOKENS:
-                if run:
-                    if run > 8:
-                        raise RankWidthError(f"empty run of {run} in rank {group.strip()!r}")
-                    out.append(str(run))
-                    width += run
-                    run = 0
-                out.append(_PIECE_TOKENS[token])
-                width += 1
+                slots += _empty_slots(run, group) + _PIECE_TOKENS[token]
+                run = 0
             else:
                 raise BadTokenError(f"bad token {token!r} in rank {group.strip()!r}")
-        if run:
-            if run > 8:
-                raise RankWidthError(f"empty run of {run} in rank {group.strip()!r}")
-            out.append(str(run))
-            width += run
-        if width != 8:
-            raise RankWidthError(f"rank {group.strip()!r} spans {width} squares, expected 8")
-        segments.append("".join(out))
+        slots += _empty_slots(run, group)
+        if len(slots) != 8:
+            raise RankWidthError(f"rank {group.strip()!r} spans {len(slots)} squares, expected 8")
+        segments.append(contract_rank(slots))
     return tuple(segments)
 
 
 def emit_legacy_forsyth(placement) -> str:
     """Render 8 modern rank segments in the legacy comma-separated form."""
+    placement = tuple(placement)
+    if len(placement) != 8:
+        raise SegmentCountError(f"expected 8 rank segments, got {len(placement)}")
     groups = []
     for segment in placement:
         expand_rank(segment)  # the segment grammar, as parse_fen checks it

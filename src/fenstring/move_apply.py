@@ -22,6 +22,7 @@ from .errors import (
     BadClockError,
     BadMoveSyntaxError,
     BadPromotionPieceError,
+    BadSquareError,
     EmptyOriginError,
     FriendlyCaptureError,
     MissingPromotionError,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fen_codec import (
     BLACK,
-    MAX_CLOCK_DIGITS,
+    MAX_DIGITS,
     SQUARES,
     WHITE,
     FenRecord,
@@ -48,7 +49,7 @@ from .fen_codec import (
 
 _MOVE_RE = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?")
 _PROMOTION_KINDS = ("Q", "R", "B", "N")
-_CLOCK_LIMIT = 10**MAX_CLOCK_DIGITS
+_CLOCK_LIMIT = 10**MAX_DIGITS
 
 # king color -> the two rights it holds
 _KING_RIGHTS = {WHITE: "KQ", BLACK: "kq"}
@@ -63,6 +64,11 @@ class Move:
     promotion: Optional[str] = None  # kind letter 'Q','R','B','N'
 
     def __post_init__(self):
+        for square in (self.from_square, self.to_square):
+            if not isinstance(square, Square):
+                raise BadSquareError(
+                    f"a move square must be a Square, got {type(square).__name__}"
+                )
         # the rewrite writes the promotion letter as given, in the mover's case
         if self.promotion is not None and self.promotion not in _PROMOTION_KINDS:
             raise BadPromotionPieceError(
@@ -205,7 +211,7 @@ def update_clocks(
 
 def _check_clocks(halfmove: int, fullmove: int) -> None:
     if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
-        raise BadClockError(f"clock longer than {MAX_CLOCK_DIGITS} digits: {halfmove} {fullmove}")
+        raise BadClockError(f"clock longer than {MAX_DIGITS} digits: {halfmove} {fullmove}")
 
 
 def _apply(record: FenRecord, move, options: ApplyOptions):

@@ -35,6 +35,28 @@ _SLOT_ALPHABET = "KQRBNPkqrbnp1"
 # compact rank segment, generated through its expanded form
 segments = st.text(alphabet=_SLOT_ALPHABET, min_size=8, max_size=8).map(contract_rank)
 
+_LEGACY_PIECE_TOKENS = ("K", "Q", "R", "B", "Kt", "P", "k", "q", "r", "b", "kt", "p")
+
+
+@st.composite
+def legacy_ranks(draw):
+    """One legacy rank: the 12 piece tokens and run tokens 0-9, some with
+    leading zeros, some adjacent. Most span exactly 8 squares; 1 in 8 is
+    loose, its runs may overshoot and it may hold the bad token "N"."""
+    loose = draw(st.integers(0, 7)) == 0
+    pieces = _LEGACY_PIECE_TOKENS + (("N",) if loose else ())
+    tokens, width = [], 0
+    while width < 8:
+        if draw(st.booleans()):
+            run = draw(st.integers(0, 9 if loose else 8 - width))
+            tokens.append("0" * draw(st.integers(0, 2)) + str(run))
+            width += run
+        else:
+            tokens.append(draw(st.sampled_from(pieces)))
+            width += 1
+    return " ".join(tokens)
+
+
 _castling_fields = st.sets(st.sampled_from("KQkq")).map(
     lambda s: "".join(c for c in "KQkq" if c in s) or "-"
 )

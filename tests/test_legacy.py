@@ -1,11 +1,17 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fenstring import emit_legacy_forsyth, parse_fen, parse_legacy_forsyth
-from fenstring.errors import AdjacentDigitsError, BadTokenError, GroupCountError, RankWidthError
+from fenstring.errors import (
+    AdjacentDigitsError,
+    BadTokenError,
+    GroupCountError,
+    RankWidthError,
+    SegmentCountError,
+)
 
-from conftest import BAIRD_LEGACY, BAIRD_PLACEMENT, FIG1_FEN, segments
+from conftest import BAIRD_LEGACY, BAIRD_PLACEMENT, FIG1_FEN, legacy_ranks, segments
 
 
 class TestParse:
@@ -45,6 +51,12 @@ class TestParse:
     def test_nine_digit_run_token(self):
         assert parse_legacy_forsyth("0" * 8 + "8, 8, 8, 8, 8, 8, 8, 8") == ("8",) * 8
 
+    def test_bad_token_after_an_overlong_run(self):
+        # a run is judged when a piece or the rank's end closes it, so the
+        # bad token that comes first is the error
+        with pytest.raises(BadTokenError):
+            parse_legacy_forsyth("9 x, 8, 8, 8, 8, 8, 8, 8")
+
 
 class TestEmit:
     def test_fig1(self):
@@ -61,6 +73,14 @@ class TestEmit:
         with pytest.raises(AdjacentDigitsError):
             emit_legacy_forsyth(("44",) * 8)
 
+    @pytest.mark.parametrize("count", [7, 9])
+    def test_segment_count(self, count):
+        with pytest.raises(SegmentCountError):
+            emit_legacy_forsyth(("8",) * count)
+
+    def test_iterator_of_segments(self):
+        assert emit_legacy_forsyth(iter(("8",) * 8)) == "8, 8, 8, 8, 8, 8, 8, 8"
+
     def test_baird_round(self):
         # emits Appendix-style text equal to the source modulo trailing period
         placement = tuple(BAIRD_PLACEMENT.split("/"))
@@ -71,3 +91,14 @@ class TestEmit:
 def test_round_trip(placement):
     placement = tuple(placement)
     assert parse_legacy_forsyth(emit_legacy_forsyth(placement)) == placement
+
+
+@given(st.sampled_from((8, 8, 8, 8, 7, 9)).flatmap(
+    lambda n: st.lists(legacy_ranks(), min_size=n, max_size=n)))
+@example(["0 0 3 05 ", "P 0 7", "1 1 1 1 1 1 1 1", "Kt 7", "8", "8", "8", "4 k 3"])
+def test_generated_ranks_parse_to_a_placement_or_fail_typed(ranks):
+    try:
+        segments = parse_legacy_forsyth(", ".join(ranks))
+    except (RankWidthError, BadTokenError, GroupCountError):
+        return
+    assert parse_fen("/".join(segments) + " w - - 0 1").ranks == segments

@@ -1,0 +1,180 @@
+"""Any input, from any entry point, gives a value or a typed FenstringError."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fenstring import (
+    START_FEN,
+    Move,
+    Square,
+    apply_move,
+    contract_rank,
+    expand_rank,
+    parse_castling,
+    parse_fen,
+    parse_legacy_forsyth,
+    parse_move,
+)
+from fenstring.cli import main
+from fenstring.errors import BadSegmentError, BadSquareError, FenstringError, FenSyntaxError
+from fenstring.fen_codec import SQUARES
+
+from conftest import BAIRD_LEGACY, fens, legacy_ranks, segments
+
+# each entry point taking text, a square or a coordinate, with the error
+# it raises for a wrongly typed argument
+_ENTRY_POINTS = {
+    "parse_fen": (parse_fen, FenSyntaxError),
+    "apply_move": (lambda value: apply_move(value, "e2e4"), FenSyntaxError),
+    "expand_rank": (expand_rank, BadSegmentError),
+    "parse_legacy_forsyth": (parse_legacy_forsyth, FenSyntaxError),
+    "Move-origin": (lambda value: Move(value, SQUARES["e4"]), BadSquareError),
+    "Move-destination": (lambda value: Move(SQUARES["e2"], value), BadSquareError),
+    "Square-file": (lambda value: Square(value, 1), BadSquareError),
+    "Square-rank": (lambda value: Square(0, value), BadSquareError),
+}
+
+
+@pytest.mark.parametrize("value", [None, START_FEN.encode(), 42, ["8"] * 8],
+                         ids=["None", "bytes", "int", "list"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_wrongly_typed_argument_raises_typed_error(entry, value):
+    call, error = _ENTRY_POINTS[entry]
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    if entry.startswith("Square") and isinstance(value, int):
+        # an integer is a coordinate's type; 42 is out of its range
+        assert "out of range" in str(info.value)
+    else:
+        assert type(value).__name__ in str(info.value)
+
+
+# FEN-ish characters: every grammar's letters and separators, ASCII and
+# Unicode digits, NUL, newline and other whitespace
+_ALPHABET = "KQRBNPkqrbnpt0123456789²٨abcdefghw/-,. \t\n\x00"
+
+_FENS = st.one_of(st.just(START_FEN), fens())
+_SQUARE_NAMES = st.sampled_from(sorted(SQUARES))
+_MOVES = st.builds("{}{}{}".format, _SQUARE_NAMES, _SQUARE_NAMES, st.sampled_from(("", "q", "N")))
+_LEGACY = st.lists(legacy_ranks(), min_size=8, max_size=8).map(", ".join)
+_CASTLING = st.sampled_from(("-", "KQkq", "kq", "Qk"))
+_ANY = st.one_of(st.just(""), _FENS, _MOVES, _LEGACY, _CASTLING, segments,
+                 segments.map(expand_rank))
+
+
+@st.composite
+def fenish_text(draw, wellformed=_ANY):
+    """A well-formed input, as it is or with a span of it replaced by
+    arbitrary FEN-ish text; from "" that is arbitrary text alone."""
+    text = draw(wellformed)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 4)))
+        text = text[:start] + draw(st.text(_ALPHABET, max_size=12)) + text[end:]
+    return text
+
+
+_PARSERS = [
+    parse_fen,
+    lambda text: parse_fen(text, "strict"),
+    parse_move,
+    parse_castling,
+    expand_rank,
+    contract_rank,
+    parse_legacy_forsyth,
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fenish_text())
+@example("8/8/8/8/8/8/8/8 w - - ٨ 1")
+@example("0" * 9 + "8, 8, 8, 8, 8, 8, 8, 8")
+def test_parsers_return_or_raise_typed_errors(text):
+    for parse in _PARSERS:
+        try:
+            parse(text)
+        except FenstringError:
+            pass
+
+
+def _positional(text):
+    # argparse reads an argument that starts with '-' as an option (and
+    # "-h" as a request for help); a leading space keeps it positional and
+    # is ignored by the FEN and legacy parsers
+    return " " + text if text.startswith("-") else text
+
+
+def _option(name, values):
+    values = st.sampled_from(values)
+    return st.one_of(values, fenish_text(values)).map(lambda value: f"--{name}={value}")
+
+
+_APPLY_OPTIONS = st.lists(
+    st.one_of(
+        _option("ep-mode", ("always", "adjacent-only")),
+        _option("clock-mode", ("standard", "frozen")),
+        _option("validation", ("lenient", "strict")),
+    ),
+    max_size=2,
+)
+_FORSYTH_OPTIONS = st.lists(
+    st.one_of(
+        _option("side", ("w", "b")),
+        _option("castling", ("-", "KQkq", "kq")),
+        _option("ep", ("-", "e3", "d6")),
+        _option("halfmove", ("0", "99")),
+        _option("fullmove", ("1", "40")),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, moves file text or None) for one CLI command; "MOVES" in argv
+    stands for the moves file."""
+    command = draw(st.sampled_from(("validate", "apply", "convert-forsyth", "play")))
+    if command == "convert-forsyth":
+        return ["convert-forsyth", _positional(draw(fenish_text(_LEGACY)))] + draw(
+            _FORSYTH_OPTIONS), None
+    fen = _positional(draw(fenish_text(_FENS)))
+    if command == "validate":
+        return ["validate", fen] + draw(st.lists(
+            _option("validation", ("lenient", "strict")), max_size=1)), None
+    if command == "apply":
+        move = _positional(draw(fenish_text(_MOVES)))
+        output = draw(st.sampled_from(("plain", "record")))
+        return ["apply", fen, move, f"--output={output}"] + draw(_APPLY_OPTIONS), None
+    moves = "\n".join(draw(st.lists(fenish_text(_MOVES), max_size=4)))
+    return ["play", fen, "MOVES"] + draw(_APPLY_OPTIONS), moves
+
+
+@pytest.fixture(scope="module")
+def moves_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("play") / "moves.txt"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_calls())
+@example((["apply", START_FEN, "e2e4", "--output=record"], None))
+@example((["play", START_FEN, "MOVES"], "e2e4\ne7e5 # reply\n"))
+@example((["convert-forsyth", BAIRD_LEGACY, "--halfmove=" + "9" * 12], None))
+def test_cli_exits_with_a_status_for_input_errors(moves_path, call):
+    argv, moves = call
+    if moves is not None:
+        moves_path.write_text(moves, encoding="utf-8")
+        argv = [str(moves_path) if arg == "MOVES" else arg for arg in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            # argparse rejects the arguments themselves with status 2
+            status = exc.code
+            assert status == 2, out.getvalue()
+    assert status in (0, 2, 3), out.getvalue()
