@@ -13,12 +13,19 @@ Parsing is grammar-only by default ("lenient"); "strict" additionally
 requires exactly one king per side, no pawns on ranks 1/8 and an
 en-passant square consistent with the side to move.
 
-The placement is validated in one pass over the whole field: its runs are
-expanded to one '1' per empty square, one regex checks the 8x8 slot
-layout and another looks for adjacent digits. Only when that bulk check
-fails does the per-segment checker run, segment by segment, to name the
-first error, so the error class, message and precedence are those of the
-per-segment grammar. expand_rank always runs that checker on its segment.
+A segment's shape is its text with every piece letter read as one mark
+("2p1p3" -> "2x1x3"). There are exactly 256 valid shapes, one per set of
+occupied squares, and a table built at import maps each to one write plan
+per file: which character covers the file, how a piece placed there splits
+its run, and how clearing it merges the runs on either side. _write_slot
+writes a square of the compact text through that plan, so a move never
+expands or contracts a segment; an unknown shape raises.
+
+The same table is the placement grammar: parse_fen checks the whole field
+in one pass, every shape in the table. Only when that bulk check fails does
+the per-segment checker run, segment by segment, to name the first error,
+so the error class, message and precedence are those of the per-segment
+grammar. expand_rank always runs that checker on its segment.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
 and once per applied move.
@@ -68,10 +75,11 @@ _RUN_CONTRACTIONS = tuple((run, digit) for digit, run in reversed(_RUN_EXPANSION
 # one slot of an expanded rank: a piece letter, or '1' for an empty square
 _SLOT = f"[{PIECE_LETTERS}1]"
 _SLOT_RANK = re.compile(_SLOT + "{8}")
-# a valid placement, expanded: eight slot ranks; with no two digits adjacent
-# in the compact text, this is the whole grammar
-_SLOT_PLACEMENT = re.compile(f"{_SLOT}{{8}}(?:/{_SLOT}{{8}}){{7}}")
-_DIGIT_PAIR = re.compile(r"[0-9][0-9]")
+
+# a segment's shape: each piece letter read as one mark; the mark itself is
+# read as a character no shape holds, so it cannot pass for a piece
+_PIECE_MARK = "x"
+_SHAPE_OF = str.maketrans(PIECE_LETTERS + _PIECE_MARK, _PIECE_MARK * 12 + "?")
 
 # every value each option may take; code that branches on one checks it there
 _OPTION_VALUES = {
@@ -103,6 +111,8 @@ class Square:
 
     @classmethod
     def from_name(cls, name: str) -> "Square":
+        if not isinstance(name, str):
+            raise BadSquareError(f"a square name must be text, got {type(name).__name__}")
         square = SQUARES.get(name)
         if square is None:
             raise BadSquareError(f"bad square name: {name!r}")
@@ -176,11 +186,83 @@ def expand_rank(segment: str) -> str:
 
 def contract_rank(expanded: str) -> str:
     """Contract an 8-slot rank back to compact form ("11111R1k" -> "5R1k")."""
+    if not isinstance(expanded, str):
+        raise BadExpandedRankError(f"an expanded rank must be text, got {type(expanded).__name__}")
     if _SLOT_RANK.fullmatch(expanded) is None:
         raise BadExpandedRankError(f"bad expanded rank: {expanded!r}")
     for run, digit in _RUN_CONTRACTIONS:
         expanded = expanded.replace(run, digit)
     return expanded
+
+
+def _segment_plans() -> dict:
+    """Every valid segment shape -> its 8 write plans, one per file.
+
+    A shape is an optional run, then pieces, each followed by an optional
+    run; the shapes are built by that grammar, a piece at a time. A file's
+    plan is (at, occupied, before, after, clear_head, merged, clear_tail),
+    where ``at`` is the character that covers the file: a piece is placed
+    as text[:at] + before + letter + after + text[at+1:], which splits a
+    run it lands in, and the slot is cleared as
+    text[:clear_head] + merged + text[clear_tail:], which merges an
+    occupied slot with the runs on either side. Identical plans are shared.
+    """
+    table = {}
+    piece_plans = {}
+    run_plans = {}
+
+    def runs_at(at: int, run: int) -> tuple:
+        # a piece k squares into the run splits it; a clear leaves the text as it is
+        plans = run_plans.get((at, run))
+        if plans is None:
+            plans = run_plans[at, run] = tuple(
+                (at, False, str(k) if k else "", str(run - 1 - k) if k < run - 1 else "", 0, "", 0)
+                for k in range(run)
+            )
+        return plans
+
+    def piece_after(shape: str, width: int, plans: tuple, left_run: int) -> None:
+        # shape spans width squares and ends in a run of left_run (0: none)
+        at = len(shape)
+        shape += _PIECE_MARK
+        width += 1
+        for right_run in range(9 - width):
+            plan = (at, True, "", "", at - (left_run > 0), str(left_run + 1 + right_run),
+                    at + 1 + (right_run > 0))
+            longer, longer_plans = shape, plans + (piece_plans.setdefault(plan, plan),)
+            if right_run:
+                longer += str(right_run)
+                longer_plans += runs_at(at + 1, right_run)
+            if width + right_run == 8:
+                table[longer] = longer_plans
+            else:
+                piece_after(longer, width + right_run, longer_plans, right_run)
+
+    piece_after("", 0, (), 0)
+    for run in range(1, 8):
+        piece_after(str(run), run, runs_at(0, run), run)
+    table["8"] = runs_at(0, 8)
+    return table
+
+
+# the grammar of a segment, complete: built once from the 256 shapes and
+# never filled from the segments it is asked about
+_SEGMENT_PLANS = _segment_plans()
+# its shapes as a set, so that parse_fen checks a placement's 8 in one call
+_SHAPES = frozenset(_SEGMENT_PLANS)
+
+
+def _write_slot(segment: str, file: int, letter: str):
+    """Write ``letter`` ('1' clears) on slot ``file`` of a compact segment:
+    (the new segment, the letter that was there, '1' if it was empty)."""
+    plans = _SEGMENT_PLANS.get(segment.translate(_SHAPE_OF))
+    if plans is None:
+        raise BadExpandedRankError(f"bad rank segment: {segment!r}")
+    at, occupied, before, after, clear_head, merged, clear_tail = plans[file]
+    old = segment[at] if occupied else "1"
+    if letter == "1":
+        return segment[:clear_head] + merged + segment[clear_tail:], old
+    return segment[:at] + before + letter + after + segment[at + 1 :], old
 
 
 def segment_index(rank: int) -> int:
@@ -239,6 +321,8 @@ def _strict_checks(record: FenRecord) -> None:
 def parse_castling(field: str) -> str:
     """Canonical text of a castling field; any letter order is accepted,
     duplicates are rejected."""
+    if not isinstance(field, str):
+        raise BadCastlingFieldError(f"a castling field must be text, got {type(field).__name__}")
     rights = _CASTLING_FIELDS.get(field)
     if rights is None:
         raise BadCastlingFieldError(f"bad castling field: {field!r}")
@@ -269,7 +353,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     segments = placement.split("/")
     if len(segments) != 8:
         raise SegmentCountError(f"expected 8 rank segments, got {len(segments)}")
-    if _SLOT_PLACEMENT.fullmatch(expand_runs(placement)) is None or _DIGIT_PAIR.search(placement):
+    if not _SHAPES.issuperset(placement.translate(_SHAPE_OF).split("/")):
         # the bulk check only tells that the placement is bad; this names why
         for segment in segments:
             _check_segment(segment)
@@ -319,5 +403,9 @@ def serialize_fen(record: FenRecord) -> str:
 
 def piece_at(record: FenRecord, square: Square) -> Optional[Piece]:
     """Return the piece on a square, or None if it is empty."""
+    if not isinstance(record, FenRecord):
+        raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
+    if not isinstance(square, Square):
+        raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
     letter = expand_rank(record.ranks[segment_index(square.rank)])[square.file]
     return None if letter == "1" else Piece.from_letter(letter)

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 from .errors import FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
 from .fen_codec import BLACK, START_FEN, WHITE, FenRecord, expand_runs, parse_fen
-from .move_apply import ApplyOptions, _apply
+from .move_apply import ApplyOptions, _apply, _check_options
 from .oracle import oracle_apply
 
 # slot i of the 64-slot placement (a8 first, h1 last) -> its square name
@@ -100,6 +100,7 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     under strict validation, when the drawn move captures an own piece or
     leaves a position that fails strict validation.
     """
+    _check_options(options)
     rng = random.Random(seed)
     start = parse_fen(START_FEN, options.validation)
     fen, record = START_FEN, start

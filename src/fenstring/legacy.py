@@ -61,7 +61,13 @@ def parse_legacy_forsyth(text: str):
 
 def emit_legacy_forsyth(placement) -> str:
     """Render 8 modern rank segments in the legacy comma-separated form."""
-    placement = tuple(placement)
+    try:
+        segments = iter(placement)
+    except TypeError:
+        raise FenSyntaxError(
+            f"a placement must be an iterable of rank segments, got {type(placement).__name__}"
+        ) from None
+    placement = tuple(segments)
     if len(placement) != 8:
         raise SegmentCountError(f"expected 8 rank segments, got {len(placement)}")
     groups = []

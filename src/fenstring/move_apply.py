@@ -1,8 +1,9 @@
 """Apply a coordinate move directly to a FEN string.
 
-Only the rank segment(s) touched by the move are expanded, rewritten and
-contracted; every other segment is carried over character-for-character.
-No board array is built at any point. Moves are applied as written:
+Each square the move changes is written straight into the compact text
+of its rank segment, through the codec's table of segment shapes; every
+other segment is carried over character-for-character. No board array,
+and no expanded row, is built at any point. Moves are applied as written:
 chess legality (checks, pins, blocked paths) is deliberately not
 enforced, so the result is a faithful transcription of the move.
 
@@ -21,9 +22,11 @@ from .errors import (
     BadCastleError,
     BadClockError,
     BadMoveSyntaxError,
+    BadOptionError,
     BadPromotionPieceError,
     BadSquareError,
     EmptyOriginError,
+    FenSyntaxError,
     FriendlyCaptureError,
     MissingPromotionError,
     WrongColorError,
@@ -39,9 +42,8 @@ from .fen_codec import (
     _OPTION_VALUES,
     _bad_option,
     _strict_checks,
-    contract_rank,
+    _write_slot,
     expand_rank,
-    expand_runs,
     parse_fen,
     segment_index,
     serialize_fen,
@@ -102,6 +104,11 @@ class ApplyOutcome(NamedTuple):
     was_pawn_move: bool
     special: Optional[str] = None  # castle-kingside / castle-queenside /
     # en-passant-capture / promotion
+
+
+def _check_options(options) -> None:
+    if not isinstance(options, ApplyOptions):
+        raise BadOptionError(f"options must be an ApplyOptions, got {type(options).__name__}")
 
 
 def _null_move_error(name: str) -> BadMoveSyntaxError:
@@ -199,6 +206,8 @@ def update_clocks(
 ):
     """Standard: halfmove resets on pawn move/capture else +1; fullmove +1
     after a black move. Frozen: both pass through unchanged."""
+    if not isinstance(mover, Piece):
+        raise FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
     if clock_mode != "standard":
         if clock_mode != "frozen":
             raise _bad_option("clock_mode", clock_mode)
@@ -218,9 +227,11 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     """The rewrite shared by every entry point: (next record, outcome).
 
     ``record`` comes from parse_fen or from an earlier call, so a game or
-    fuzz chain is parsed once and carried from ply to ply. Its segments
-    passed the grammar there, so they are expanded unchecked; contract_rank
-    checks every row written back.
+    fuzz chain is parsed once and carried from ply to ply. Each square the
+    move changes is written into its compact segment by _write_slot, which
+    reads the letter that was there and checks the segment's shape on
+    every write: two writes for a ply, two more for a castle's rook and
+    one for an en-passant victim.
     """
     # a carried clock can outgrow what parse_fen accepts; the FEN text of
     # that ply would then fail to parse here, so the record fails instead
@@ -230,17 +241,19 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     ranks = list(record.ranks)
     from_i = segment_index(from_sq.rank)
     to_i = segment_index(to_sq.rank)
-    origin_row = list(expand_runs(ranks[from_i]))
-    dest_row = origin_row if to_i == from_i else list(expand_runs(ranks[to_i]))
-
-    mover_letter = origin_row[from_sq.file]
+    # the origin is cleared first, so that a destination in the same
+    # segment is written on the cleared text
+    ranks[from_i], mover_letter = _write_slot(ranks[from_i], from_sq.file, "1")
     if mover_letter == "1":
         raise EmptyOriginError(f"no piece on {from_sq.name}")
     mover = Piece.from_letter(mover_letter)
     if mover.color != record.side:
         raise WrongColorError(f"piece on {from_sq.name} is not {record.side!r} to move")
 
-    target_letter = dest_row[to_sq.file]
+    landing = mover_letter
+    if promotion is not None:
+        landing = promotion if mover.color == WHITE else promotion.lower()
+    ranks[to_i], target_letter = _write_slot(ranks[to_i], to_sq.file, landing)
     captured = Piece.from_letter(target_letter) if target_letter != "1" else None
     if captured and options.validation == "strict" and captured.color == mover.color:
         raise FriendlyCaptureError(f"own piece on {to_sq.name}")
@@ -252,7 +265,6 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     if promotion is not None and not (is_pawn and to_sq.rank in (1, 8)):
         raise BadPromotionPieceError("promotion suffix only valid for a pawn reaching rank 1/8")
 
-    special = None
     is_castle = (
         mover.kind == "K"
         and from_sq.rank == to_sq.rank
@@ -268,33 +280,22 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         and abs(from_sq.rank - to_sq.rank) == 1
     )
 
-    # placement rewrite, at most two expanded segments
-    origin_row[from_sq.file] = "1"
-    landing = mover_letter
+    special = None
     if promotion is not None:
-        landing = promotion if mover.color == WHITE else promotion.lower()
         special = "promotion"
-    dest_row[to_sq.file] = landing
-
-    if is_castle:
+    elif is_castle:
         kingside = to_sq.file == 6
         rook_letter = "R" if mover.color == WHITE else "r"
-        rook_from = 7 if kingside else 0
-        rook_to = 5 if kingside else 3
-        if dest_row[rook_from] != rook_letter:
+        row, corner = _write_slot(ranks[to_i], 7 if kingside else 0, "1")
+        if corner != rook_letter:
             raise BadCastleError(f"no {rook_letter!r} on castling corner of rank {to_sq.rank}")
-        dest_row[rook_from] = "1"
-        dest_row[rook_to] = rook_letter
+        ranks[to_i] = _write_slot(row, 5 if kingside else 3, rook_letter)[0]
         special = "castle-kingside" if kingside else "castle-queenside"
     elif is_ep_capture:
         # bypassed pawn sits behind the target, in the mover's origin rank
-        origin_row[to_sq.file] = "1"
+        ranks[from_i] = _write_slot(ranks[from_i], to_sq.file, "1")[0]
         was_capture = True
         special = "en-passant-capture"
-
-    ranks[from_i] = contract_rank("".join(origin_row))
-    if to_i != from_i:
-        ranks[to_i] = contract_rank("".join(dest_row))
 
     halfmove, fullmove = update_clocks(
         record.halfmove, record.fullmove, mover, was_capture, options.clock_mode
@@ -309,7 +310,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     )
     if options.validation == "strict":
         # closure: the result must itself pass strict validation. Its
-        # grammar holds by construction (contracted rows, canonical rights,
+        # grammar holds by construction (rows written by plan, canonical rights,
         # en passant on rank 3/6), except for a clock grown one digit too long
         _check_clocks(halfmove, fullmove)
         _strict_checks(after)
@@ -326,6 +327,7 @@ def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyO
     subclass when the move cannot be transcribed (empty origin, wrong
     color, missing promotion, bad castle).
     """
+    _check_options(options)
     return _apply(parse_fen(fen, options.validation), move, options)[1]
 
 
@@ -334,6 +336,13 @@ def _iter_sequence(fen: str, moves, options: ApplyOptions):
 
     The failing ply's error is re-raised with a ``ply`` attribute (1-based).
     """
+    _check_options(options)
+    try:
+        moves = iter(moves)
+    except TypeError:
+        raise BadMoveSyntaxError(
+            f"moves must be an iterable of moves, got {type(moves).__name__}"
+        ) from None
     record = None
     for ply, move in enumerate(moves, start=1):
         try:

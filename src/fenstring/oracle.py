@@ -29,7 +29,7 @@ from .fen_codec import (
     Square,
     parse_fen,
 )
-from .move_apply import ApplyOptions, _read_move
+from .move_apply import ApplyOptions, _check_options, _read_move
 
 
 @dataclass
@@ -99,6 +99,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     Same semantics and error taxonomy as move_apply.apply_move, computed
     entirely on the 64-cell array.
     """
+    _check_options(options)
     board = board_from_fen(fen, options.validation)
     from_sq, to_sq, promotion = _read_move(move)
     from_i, to_i = cell_index(from_sq), cell_index(to_sq)

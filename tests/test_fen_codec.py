@@ -269,7 +269,7 @@ def _check_segments(placement):
 def test_bulk_placement_check_matches_segment_loop(placement):
     expected = _verdict(_check_segments, placement)
     assert _verdict(lambda p: parse_fen(p + " w - - 0 1"), placement) == expected
-    # expand_rank's fast check on one segment judges it the same way
+    # expand_rank, which runs the segment checker, judges each segment the same way
     for segment in placement.split("/"):
         assert _verdict(expand_rank, segment) == _verdict(_check_segment, segment)
 

@@ -11,6 +11,7 @@ from fenstring import (
     Square,
     apply_move,
     board_from_fen,
+    contract_rank,
     derive_en_passant,
     oracle_apply,
     parse_fen,
@@ -217,6 +218,80 @@ class TestEnPassantCapture:
         outcome = apply_move("8/8/8/8/3pP3/8/8/8 b - - 0 1", "d4e3")
         assert outcome.special is None
         assert parse_fen(outcome.fen_after).ranks[4] == "4P3"
+
+
+def _placement(pieces):
+    """The placement with {square name: letter} on it and every other square empty."""
+    return "/".join(
+        contract_rank("".join(pieces.get(f"{f}{rank}", "1") for f in "abcdefgh"))
+        for rank in range(8, 0, -1)
+    )
+
+
+def _en_passant_captures():
+    """(fen, move) for every en-passant capture: each target file, both
+    colours, from either side, with the other squares of the victim's rank
+    empty, all taken, or taken on every other file. One king a side, so
+    strict validation holds."""
+    for side, rank, target_rank, own, victim, fillers in (
+        ("w", 5, 6, "P", "p", "Nb"),
+        ("b", 4, 3, "p", "P", "nB"),
+    ):
+        for target in range(8):
+            for origin in (target - 1, target + 1):
+                if not 0 <= origin <= 7:
+                    continue
+                for fill in ("empty", "full", "even", "odd"):
+                    pieces = {"e1": "K", "e8": "k"}
+                    for f in set(range(8)) - {target, origin}:
+                        if fill == "full" or fill == ("even", "odd")[f % 2]:
+                            pieces[f"{'abcdefgh'[f]}{rank}"] = fillers[f % 2]
+                    pieces[f"{'abcdefgh'[target]}{rank}"] = victim
+                    pieces[f"{'abcdefgh'[origin]}{rank}"] = own
+                    target_name = f"{'abcdefgh'[target]}{target_rank}"
+                    fen = f"{_placement(pieces)} {side} - {target_name} 0 1"
+                    yield fen, f"{'abcdefgh'[origin]}{rank}{target_name}"
+
+
+def _castles():
+    """(fen, move, special) for each of the 4 castles under every occupancy,
+    by enemy pieces, of the squares between the king and the rook."""
+    for side, move, corner, between, special in (
+        ("w", "e1g1", "h1", ("f1", "g1"), "castle-kingside"),
+        ("w", "e1c1", "a1", ("b1", "c1", "d1"), "castle-queenside"),
+        ("b", "e8g8", "h8", ("f8", "g8"), "castle-kingside"),
+        ("b", "e8c8", "a8", ("b8", "c8", "d8"), "castle-queenside"),
+    ):
+        rook, enemies = ("R", "nbq") if side == "w" else ("r", "NBQ")
+        for mask in range(2 ** len(between)):
+            pieces = {"e1": "K", "e8": "k", corner: rook}
+            for i, square in enumerate(between):
+                if mask >> i & 1:
+                    pieces[square] = enemies[i]
+            yield f"{_placement(pieces)} {side} KQkq - 0 1", move, special
+
+
+class TestSpecialGeometryAgainstOracle:
+    """Every en-passant capture and castle shape, against the array oracle;
+    the acceptance fuzz reaches too few of them to check their writes."""
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_every_en_passant_capture(self, options):
+        captures = list(_en_passant_captures())
+        assert len(captures) == 2 * 14 * 4
+        for fen, move in captures:
+            outcome = apply_move(fen, move, options)
+            assert outcome.special == "en-passant-capture", (fen, move)
+            assert outcome.fen_after == oracle_apply(fen, move, options), (fen, move)
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_every_castle_occupancy(self, options):
+        castles = list(_castles())
+        assert len(castles) == 2 * (4 + 8)
+        for fen, move, special in castles:
+            outcome = apply_move(fen, move, options)
+            assert outcome.special == special, (fen, move)
+            assert outcome.fen_after == oracle_apply(fen, move, options), (fen, move)
 
 
 class TestPromotion:

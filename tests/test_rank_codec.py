@@ -1,10 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fenstring import contract_rank, expand_rank, file_index, segment_index
 from fenstring.errors import BadExpandedRankError, BadSegmentError, OutOfRangeError
-from fenstring.fen_codec import PIECE_LETTERS
+from fenstring.fen_codec import PIECE_LETTERS, _SEGMENT_PLANS, _check_segment, _write_slot
 
 from conftest import segments
 
@@ -118,3 +120,50 @@ def test_shift_lemma_exhaustive():
                 moved[start] = "1"
                 moved[end] = letter
                 assert contract_rank("".join(moved)) == contract_rank("".join(after))
+
+
+def _write_by_row(segment, file, letter):
+    """The reference write: expand to 8 slots, set one, contract."""
+    row = list(expand_rank(segment))
+    old, row[file] = row[file], letter
+    return contract_rank("".join(row)), old
+
+
+def test_writer_matches_row_write_on_every_shape():
+    # each of the 256 sets of occupied squares, twice with random letters,
+    # written on every file with every slot letter
+    rng = random.Random(20260824)
+    shapes = set()
+    for mask in range(256):
+        for _ in range(2):
+            segment = contract_rank(
+                "".join(rng.choice(PIECE_LETTERS) if mask >> f & 1 else "1" for f in range(8))
+            )
+            shapes.add("".join("x" if ch in PIECE_LETTERS else ch for ch in segment))
+            for file in range(8):
+                for letter in PIECE_LETTERS + "1":
+                    assert _write_slot(segment, file, letter) == _write_by_row(
+                        segment, file, letter
+                    ), (segment, file, letter)
+    assert shapes == set(_SEGMENT_PLANS)
+
+
+@given(st.one_of(segments, st.text(alphabet=PIECE_LETTERS + "0123456789x²/", max_size=9)))
+@example("44")
+@example("x7")
+@example("²7")
+@example("9")
+@example("")
+@example("17")
+@example("8/")
+@example("xxxxxxxx")
+def test_writer_accepts_exactly_the_valid_segments(text):
+    try:
+        _check_segment(text)
+    except BadSegmentError:
+        for letter in ("P", "1"):
+            with pytest.raises(BadExpandedRankError):
+                _write_slot(text, 0, letter)
+    else:
+        for letter in ("P", "1"):
+            assert _write_slot(text, 0, letter) == _write_by_row(text, 0, letter)

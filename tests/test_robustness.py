@@ -13,20 +13,33 @@ from fenstring import (
     Square,
     apply_move,
     contract_rank,
+    emit_legacy_forsyth,
     expand_rank,
     parse_castling,
     parse_fen,
     parse_legacy_forsyth,
     parse_move,
+    piece_at,
+    play_sequence,
+    update_clocks,
 )
 from fenstring.cli import main
-from fenstring.errors import BadSegmentError, BadSquareError, FenstringError, FenSyntaxError
+from fenstring.errors import (
+    BadCastlingFieldError,
+    BadExpandedRankError,
+    BadMoveSyntaxError,
+    BadOptionError,
+    BadSegmentError,
+    BadSquareError,
+    FenstringError,
+    FenSyntaxError,
+)
 from fenstring.fen_codec import SQUARES
 
 from conftest import BAIRD_LEGACY, fens, legacy_ranks, segments
 
-# each entry point taking text, a square or a coordinate, with the error
-# it raises for a wrongly typed argument
+# each entry point taking text, a square, a coordinate, a record, a piece,
+# options or an iterable, with the error it raises for a wrongly typed argument
 _ENTRY_POINTS = {
     "parse_fen": (parse_fen, FenSyntaxError),
     "apply_move": (lambda value: apply_move(value, "e2e4"), FenSyntaxError),
@@ -36,18 +49,33 @@ _ENTRY_POINTS = {
     "Move-destination": (lambda value: Move(SQUARES["e2"], value), BadSquareError),
     "Square-file": (lambda value: Square(value, 1), BadSquareError),
     "Square-rank": (lambda value: Square(0, value), BadSquareError),
+    "contract_rank": (contract_rank, BadExpandedRankError),
+    "parse_castling": (parse_castling, BadCastlingFieldError),
+    "Square.from_name": (Square.from_name, BadSquareError),
+    "emit_legacy_forsyth": (emit_legacy_forsyth, FenSyntaxError),
+    "play_sequence-moves": (lambda value: play_sequence(START_FEN, value), BadMoveSyntaxError),
+    "piece_at": (lambda value: piece_at(value, SQUARES["e2"]), FenSyntaxError),
+    "apply_move-options": (lambda value: apply_move(START_FEN, "e2e4", value), BadOptionError),
+    "update_clocks": (lambda value: update_clocks(0, 1, value, False), FenSyntaxError),
 }
+_VALUES = {"None": None, "bytes": START_FEN.encode(), "int": 42, "list": ["8"] * 8}
+# these take any iterable, bytes and a list too; each item is checked where
+# it is read, as a segment or as a move
+_ITERABLE_ARGUMENTS = ("emit_legacy_forsyth", "play_sequence-moves")
 
 
-@pytest.mark.parametrize("value", [None, START_FEN.encode(), 42, ["8"] * 8],
-                         ids=["None", "bytes", "int", "list"])
-@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{name}")
+    for entry in _ENTRY_POINTS
+    for name, value in _VALUES.items()
+    if not (entry in _ITERABLE_ARGUMENTS and name in ("bytes", "list"))
+])
 def test_wrongly_typed_argument_raises_typed_error(entry, value):
     call, error = _ENTRY_POINTS[entry]
     with pytest.raises(error) as info:
         call(value)
     assert type(info.value) is error
-    if entry.startswith("Square") and isinstance(value, int):
+    if entry.startswith("Square-") and isinstance(value, int):
         # an integer is a coordinate's type; 42 is out of its range
         assert "out of range" in str(info.value)
     else:
