@@ -13,7 +13,8 @@ from .oracle import oracle_apply
 
 # slot i of the 64-slot placement (a8 first, h1 last) -> its square name
 _SLOT_NAMES = tuple(f + r for r in "87654321" for f in "abcdefgh")
-_OWN_LETTERS = {WHITE: frozenset("KQRBNP"), BLACK: frozenset("kqrbnp")}
+# the side to move's piece letters each read as '*', which str.find then locates
+_OWN_MARKS = {WHITE: str.maketrans("KQRBNP", "******"), BLACK: str.maketrans("kqrbnp", "******")}
 
 
 @dataclass
@@ -43,12 +44,16 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _pseudo_move(record: FenRecord, seed: int) -> str:
-    """Draw a seeded pseudo-move for the side to move, from the parsed ranks."""
+def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
+    """Draw a pseudo-move for the side to move, from the parsed ranks, with
+    a generator seeded for this draw."""
     slots = expand_runs("".join(record.ranks))
-    rng = random.Random(seed)
-    own = _OWN_LETTERS[record.side]
-    origins = [i for i, letter in enumerate(slots) if letter in own]
+    marked = slots.translate(_OWN_MARKS[record.side])
+    origins = []
+    i = marked.find("*")
+    while i >= 0:
+        origins.append(i)
+        i = marked.find("*", i + 1)
     if not origins:
         raise NoPiecesError(f"side {record.side!r} has no pieces")
 
@@ -88,7 +93,7 @@ def random_pseudo_move(fen: str, seed: int) -> str:
     The move satisfies apply_move's structural preconditions but is not
     necessarily legal chess.
     """
-    return _pseudo_move(parse_fen(fen), seed)
+    return _pseudo_move(parse_fen(fen), random.Random(seed))
 
 
 def _chain(iterations: int, seed: int, options: ApplyOptions):
@@ -102,12 +107,14 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     """
     _check_options(options)
     rng = random.Random(seed)
+    draw = random.Random()  # reseeded for each draw, as random_pseudo_move seeds its own
     start = parse_fen(START_FEN, options.validation)
     fen, record = START_FEN, start
     for _ in range(iterations):
         while True:
             try:
-                move = _pseudo_move(record, rng.randrange(2**32))
+                draw.seed(rng.randrange(2**32))
+                move = _pseudo_move(record, draw)
                 record, outcome = _apply(record, move, options)
                 break
             except (NoPiecesError, FriendlyCaptureError, ValidationError):

@@ -2,28 +2,36 @@
 
 The board is a flat 64-cell mailbox indexed 0 (a8) row-major to 63 (h1).
 Moves are processed in the array and the result serialized back to FEN,
-the classic FEN -> array -> FEN pipeline. The specials logic (castling,
-en passant, promotion, rights, clocks) is intentionally written out
-again here instead of calling the string-path helpers, so the two
-implementations share no placement-rewrite code and can check each
-other.
+the classic FEN -> array -> FEN pipeline, each conversion in bulk:
+board_from_fen maps every placement character to the cells it covers and
+chains them into the 64-cell list; fen_from_board joins one letter per
+cell, cuts the text into rows and contracts the empty runs with its own
+replace table. The specials logic (castling, en passant, promotion,
+rights, clocks) is intentionally written out again here instead of
+calling the string-path helpers, so the two implementations share no
+placement code and can check each other. The oracle reads a FEN with
+parse_fen and a move with _read_move, as the string path does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional
 
 from .errors import (
     BadCastleError,
     BadPromotionPieceError,
+    BadSquareError,
     EmptyOriginError,
+    FenSyntaxError,
     FriendlyCaptureError,
     MissingPromotionError,
     WrongColorError,
 )
 from .fen_codec import (
     BLACK,
+    PIECE_LETTERS,
     WHITE,
     Piece,
     Square,
@@ -42,48 +50,61 @@ class BoardArray:
     fullmove: int
 
 
+# each placement character -> the cells it covers: a piece letter its
+# shared Piece, a run digit that many empty cells
+_CELLS_OF = {
+    **{letter: (Piece.from_letter(letter),) for letter in PIECE_LETTERS},
+    **{str(n): (None,) * n for n in range(1, 9)},
+}
+# the 8 rows of the 64-letter text, a8 first
+_ROWS = tuple(slice(start, start + 8) for start in range(0, 64, 8))
+# each run of empty cells ('.' per cell) and its digit, longest run first,
+# so that each run is contracted whole
+_EMPTY_RUNS = tuple(("." * n, str(n)) for n in range(8, 0, -1))
+# what a cell may hold, checked over all 64 by one issuperset(map(type, ...))
+_CELL_TYPES = frozenset((Piece, type(None)))
+# the corner cells and the castling right each hosts
+_CORNER_RIGHTS = {63: "K", 56: "Q", 7: "k", 0: "q"}
+
+
 def cell_index(square: Square) -> int:
+    if not isinstance(square, Square):
+        raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
     return (8 - square.rank) * 8 + square.file
 
 
 def board_from_fen(fen: str, validation: str = "lenient") -> BoardArray:
     """Build the mailbox array from a FEN string."""
     record = parse_fen(fen, validation)
-    cells: List[Optional[Piece]] = [None] * 64
-    for row, segment in enumerate(record.ranks):
-        col = 0
-        for ch in segment:
-            if ch.isdigit():
-                col += int(ch)
-            else:
-                cells[row * 8 + col] = Piece.from_letter(ch)
-                col += 1
+    cells = list(chain.from_iterable(map(_CELLS_OF.__getitem__, "".join(record.ranks))))
     return BoardArray(
         cells, record.side, record.castling, record.en_passant, record.halfmove, record.fullmove
     )
 
 
 def fen_from_board(board: BoardArray) -> str:
-    """Serialize the mailbox array back to FEN, scanning a8 to h1."""
-    segments = []
-    for row in range(8):
-        seg = []
-        empty = 0
-        for col in range(8):
-            piece = board.cells[row * 8 + col]
-            if piece is None:
-                empty += 1
-            else:
-                if empty:
-                    seg.append(str(empty))
-                    empty = 0
-                seg.append(piece.letter)
-        if empty:
-            seg.append(str(empty))
-        segments.append("".join(seg))
+    """Serialize the mailbox array back to FEN, a8 to h1."""
+    if not isinstance(board, BoardArray):
+        raise FenSyntaxError(f"a board must be a BoardArray, got {type(board).__name__}")
+    cells = board.cells
+    if not isinstance(cells, list):
+        raise FenSyntaxError(f"a board's cells must be a list, got {type(cells).__name__}")
+    if len(cells) != 64:
+        raise FenSyntaxError(f"a board must have 64 cells, got {len(cells)}")
+    if not _CELL_TYPES.issuperset(map(type, cells)):
+        raise FenSyntaxError("a board's cells must each hold a Piece or None")
+    return _serialize(board)
+
+
+def _serialize(board: BoardArray) -> str:
+    """fen_from_board without the argument checks, for a board built here."""
+    letters = "".join(["." if piece is None else piece.letter for piece in board.cells])
+    placement = "/".join(map(letters.__getitem__, _ROWS))
+    for run, digit in _EMPTY_RUNS:
+        placement = placement.replace(run, digit)
     return " ".join(
         (
-            "/".join(segments),
+            placement,
             board.side,
             board.castling,
             board.en_passant.name if board.en_passant else "-",
@@ -103,7 +124,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     board = board_from_fen(fen, options.validation)
     from_sq, to_sq, promotion = _read_move(move)
     from_i, to_i = cell_index(from_sq), cell_index(to_sq)
-    cells = list(board.cells)
+    cells = board.cells
 
     mover = cells[from_i]
     if mover is None:
@@ -137,12 +158,14 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         and to_sq.file in (2, 6)
     ):
         kingside = to_sq.file == 6
-        corner = Square(7 if kingside else 0, to_sq.rank)
-        rook = cells[cell_index(corner)]
+        corner_i, rook_to_i = (to_i + 1, to_i - 1) if kingside else (to_i - 2, to_i + 1)
+        rook = cells[corner_i]
         if rook is None or rook.kind != "R" or rook.color != mover.color:
-            raise BadCastleError(f"no rook of the mover's color on {corner.name}")
-        cells[cell_index(corner)] = None
-        cells[cell_index(Square(5 if kingside else 3, to_sq.rank))] = rook
+            raise BadCastleError(
+                f"no rook of the mover's color on {'h' if kingside else 'a'}{to_sq.rank}"
+            )
+        cells[corner_i] = None
+        cells[rook_to_i] = rook
     elif (
         is_pawn
         and board.en_passant is not None
@@ -150,38 +173,19 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         and abs(from_sq.file - to_sq.file) == 1
         and abs(from_sq.rank - to_sq.rank) == 1
     ):
-        cells[cell_index(Square(to_sq.file, from_sq.rank))] = None
+        # the victim stands on the origin's rank, in the destination's file
+        cells[from_i - from_sq.file + to_sq.file] = None
         was_capture = True
 
     # castling rights, recomputed independently of the string path
-    wk, wq, bk, bq = (letter in board.castling for letter in "KQkq")
-    if mover.kind == "K":
-        if mover.color == WHITE:
-            wk = wq = False
-        else:
-            bk = bq = False
+    lost = ("KQ" if mover.color == WHITE else "kq") if mover.kind == "K" else ""
     if mover.kind == "R":
-        if (from_sq.file, from_sq.rank) == (7, 1):
-            wk = False
-        elif (from_sq.file, from_sq.rank) == (0, 1):
-            wq = False
-        elif (from_sq.file, from_sq.rank) == (7, 8):
-            bk = False
-        elif (from_sq.file, from_sq.rank) == (0, 8):
-            bq = False
+        lost += _CORNER_RIGHTS.get(from_i, "")
     if captured is not None:
-        if (to_sq.file, to_sq.rank) == (7, 1):
-            wk = False
-        elif (to_sq.file, to_sq.rank) == (0, 1):
-            wq = False
-        elif (to_sq.file, to_sq.rank) == (7, 8):
-            bk = False
-        elif (to_sq.file, to_sq.rank) == (0, 8):
-            bq = False
-
-    castling = (
-        ("K" if wk else "") + ("Q" if wq else "") + ("k" if bk else "") + ("q" if bq else "")
-    ) or "-"
+        lost += _CORNER_RIGHTS.get(to_i, "")
+    castling = board.castling
+    for right in lost:
+        castling = castling.replace(right, "")
 
     # en-passant target
     new_ep = None
@@ -190,9 +194,10 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         if options.ep_mode == "always":
             new_ep = target
         else:
+            row_i = to_i - to_sq.file
             for f in (to_sq.file - 1, to_sq.file + 1):
                 if 0 <= f <= 7:
-                    neighbor = cells[cell_index(Square(f, to_sq.rank))]
+                    neighbor = cells[row_i + f]
                     if (
                         neighbor is not None
                         and neighbor.kind == "P"
@@ -201,21 +206,15 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
                         new_ep = target
 
     # clocks
-    halfmove, fullmove = board.halfmove, board.fullmove
     if options.clock_mode != "frozen":
-        halfmove = 0 if (is_pawn or was_capture) else halfmove + 1
+        board.halfmove = 0 if (is_pawn or was_capture) else board.halfmove + 1
         if mover.color == BLACK:
-            fullmove += 1
+            board.fullmove += 1
 
-    after = BoardArray(
-        cells=cells,
-        side=BLACK if board.side == WHITE else WHITE,
-        castling=castling,
-        en_passant=new_ep,
-        halfmove=halfmove,
-        fullmove=fullmove,
-    )
-    fen_after = fen_from_board(after)
+    board.side = BLACK if board.side == WHITE else WHITE
+    board.castling = castling or "-"
+    board.en_passant = new_ep
+    fen_after = _serialize(board)
     if options.validation == "strict":
         parse_fen(fen_after, "strict")
     return fen_after

@@ -12,9 +12,11 @@ from fenstring import (
     Move,
     Square,
     apply_move,
+    cell_index,
     contract_rank,
     emit_legacy_forsyth,
     expand_rank,
+    fen_from_board,
     parse_castling,
     parse_fen,
     parse_legacy_forsyth,
@@ -57,6 +59,8 @@ _ENTRY_POINTS = {
     "piece_at": (lambda value: piece_at(value, SQUARES["e2"]), FenSyntaxError),
     "apply_move-options": (lambda value: apply_move(START_FEN, "e2e4", value), BadOptionError),
     "update_clocks": (lambda value: update_clocks(0, 1, value, False), FenSyntaxError),
+    "cell_index": (cell_index, BadSquareError),
+    "fen_from_board": (fen_from_board, FenSyntaxError),
 }
 _VALUES = {"None": None, "bytes": START_FEN.encode(), "int": 42, "list": ["8"] * 8}
 # these take any iterable, bytes and a list too; each item is checked where
