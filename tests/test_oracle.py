@@ -91,9 +91,10 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
     nodes = list(ast.walk(ast.parse(inspect.getsource(oracle))))
     imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
     # a package module imported whole would reach every helper by attribute
+    assert not [alias.name for node in imports if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.startswith("fenstring")]
     assert not [node for node in imports
-                if isinstance(node, ast.Import) and node.names[0].name.startswith("fenstring")
-                or isinstance(node, ast.ImportFrom) and node.level and node.module is None]
+                if isinstance(node, ast.ImportFrom) and node.module in (None, "fenstring")]
     used = {alias.name for node in imports for alias in node.names}
     used |= {node.id for node in nodes if isinstance(node, ast.Name)}
     used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
