@@ -1,5 +1,10 @@
 """Apply chess moves directly to FEN strings by localized segment
-rewriting, with an array-based oracle for differential verification."""
+rewriting, with an array-based oracle for differential verification.
+
+The oracle, the fuzzer and the legacy codec load on first use of any of
+their exports (PEP 562), so a process that only rewrites strings, such as
+`fenstring play`, never imports them.
+"""
 
 from .errors import (
     FenstringError,
@@ -22,8 +27,6 @@ from .fen_codec import (
     segment_index,
     serialize_fen,
 )
-from .fuzzing import FuzzReport, differential_fuzz, fuzz_pairs, random_pseudo_move
-from .legacy import emit_legacy_forsyth, parse_legacy_forsyth
 from .move_apply import (
     ApplyOptions,
     ApplyOutcome,
@@ -35,13 +38,28 @@ from .move_apply import (
     update_castling_rights,
     update_clocks,
 )
-from .oracle import (
-    BoardArray,
-    board_from_fen,
-    cell_index,
-    fen_from_board,
-    oracle_apply,
-)
+
+# each export that loads on first use -> its module
+_LAZY = {
+    **dict.fromkeys(("FuzzReport", "differential_fuzz", "fuzz_pairs", "random_pseudo_move"),
+                    "fuzzing"),
+    **dict.fromkeys(("emit_legacy_forsyth", "parse_legacy_forsyth"), "legacy"),
+    **dict.fromkeys(("BoardArray", "board_from_fen", "cell_index", "fen_from_board",
+                     "oracle_apply"), "oracle"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # all three load together, and each becomes an attribute of the package,
+    # so that from then on every module holding one of these exports is too
+    from . import fuzzing, legacy, oracle  # noqa: F401
+
+    for export, module in _LAZY.items():
+        globals()[export] = getattr(globals()[module], export)
+    return globals()[name]
+
 
 __version__ = "0.1.0"
 

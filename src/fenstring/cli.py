@@ -3,21 +3,20 @@
 Exit statuses: 0 success, 1 internal failure (or fuzz mismatch), 2
 input-format error (any typed error that is not a move error), 3
 move-application error.
+
+Each command imports what only it uses (json, the oracle, the fuzzer, the
+legacy codec), so that `play` loads the string path and nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 from .errors import FenstringError, MoveError
 from .fen_codec import _OPTION_VALUES, Square, parse_castling, parse_fen, serialize_fen
-from .fuzzing import differential_fuzz, fuzz_pairs
-from .legacy import parse_legacy_forsyth
 from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
-from .oracle import oracle_apply
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -35,7 +34,7 @@ def _positive_int(text: str) -> int:
 def _add_apply_options(parser: argparse.ArgumentParser) -> None:
     for name, values in _OPTION_VALUES.items():
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, choices=values, default=getattr(ApplyOptions, name))
+        parser.add_argument(flag, choices=values, default=getattr(ApplyOptions(), name))
 
 
 def _options_from(args) -> ApplyOptions:
@@ -94,6 +93,8 @@ def cmd_apply(args) -> int:
     if args.output == "plain":
         print(apply_move(args.fen, args.move, _options_from(args)).fen_after)
         return EXIT_OK
+    import json
+
     record = dict.fromkeys(ApplyOutcome._fields + ("error",))
     try:
         outcome = apply_move(args.fen, args.move, _options_from(args))
@@ -124,12 +125,17 @@ def cmd_play(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzzing import differential_fuzz
+
     report = differential_fuzz(args.iterations, args.seed, _options_from(args))
     print(report.format())
     return EXIT_OK if report.mismatches == 0 else EXIT_INTERNAL
 
 
 def cmd_bench(args) -> int:
+    from .fuzzing import fuzz_pairs
+    from .oracle import oracle_apply
+
     options = _options_from(args)
     workload = list(fuzz_pairs(args.iterations, args.seed, options))
 
@@ -152,6 +158,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_convert_forsyth(args) -> int:
+    from .legacy import parse_legacy_forsyth
+
     placement = "/".join(parse_legacy_forsyth(args.text))
     # checked before the FEN is joined, so a field with a space in it, or an
     # empty one, is named as a castling error and not a field-count error

@@ -28,15 +28,18 @@ so the error class, message and precedence are those of the per-segment
 grammar. expand_rank always runs that checker on its segment.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
-and once per applied move.
+and once per applied move. Squares and pieces are interned slot classes:
+the 64 squares and 12 pieces are built at import, and building one again
+returns the shared instance, so they compare by identity. The module
+imports no dataclasses, which alone would cost a process more import time
+than the string path spends on a long game.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
-from typing import NamedTuple, Optional
 
 from .errors import (
     AdjacentDigitsError,
@@ -93,21 +96,53 @@ def _bad_option(name: str, value) -> BadOptionError:
     return BadOptionError(f"{name} must be one of {_OPTION_VALUES[name]}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Square:
+class _Value:
+    """An interned immutable value: every instance is built at import and
+    the constructor returns the one with the given fields, so equality and
+    hashing are identity. Fields are slots and cannot be assigned; copy,
+    deepcopy and pickle rebuild through the constructor, so they give back
+    the same instance."""
+
+    __slots__ = ()
+    _fields = ()
+
+    @classmethod
+    def _build(cls, **slots):
+        value = object.__new__(cls)
+        for name, field in slots.items():
+            object.__setattr__(value, name, field)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Square(_Value):
     """Board square; file 0..7 maps to 'a'..'h', rank 1..8."""
 
-    file: int
-    rank: int
+    __slots__ = ("file", "rank", "name")
+    _fields = ("file", "rank")
 
-    def __post_init__(self):
-        if not (isinstance(self.file, int) and isinstance(self.rank, int)):
+    def __new__(cls, file: int, rank: int) -> "Square":
+        if not (isinstance(file, int) and isinstance(rank, int)):
             raise BadSquareError(
                 f"a square's file and rank must be integers, "
-                f"got {type(self.file).__name__} and {type(self.rank).__name__}"
+                f"got {type(file).__name__} and {type(rank).__name__}"
             )
-        if not (0 <= self.file <= 7 and 1 <= self.rank <= 8):
-            raise BadSquareError(f"square out of range: file={self.file} rank={self.rank}")
+        square = _SQUARE_AT.get((file, rank))
+        if square is None:
+            raise BadSquareError(f"square out of range: file={file} rank={rank}")
+        return square
 
     @classmethod
     def from_name(cls, name: str) -> "Square":
@@ -118,36 +153,45 @@ class Square:
             raise BadSquareError(f"bad square name: {name!r}")
         return square
 
-    @property
-    def name(self) -> str:
-        return "abcdefgh"[self.file] + str(self.rank)
+
+# the 64 squares by (file, rank) and by name, so hot paths look squares up
+_SQUARE_AT = {
+    (f, r): Square._build(file=f, rank=r, name="abcdefgh"[f] + str(r))
+    for r in range(1, 9)
+    for f in range(8)
+}
+SQUARES = {sq.name: sq for sq in _SQUARE_AT.values()}
 
 
-# every square by name, so hot paths look squares up instead of building them
-SQUARES = {sq.name: sq for sq in (Square(f, r) for r in range(1, 9) for f in range(8))}
-
-
-@dataclass(frozen=True)
-class Piece:
+class Piece(_Value):
     """A piece; kind is one of 'KQRBNP', color 'w' or 'b'."""
 
-    kind: str
-    color: str
+    __slots__ = ("kind", "color", "letter")
+    _fields = ("kind", "color")
+
+    def __new__(cls, kind: str, color: str) -> "Piece":
+        try:
+            return _PIECE_OF[kind, color]
+        except (KeyError, TypeError):
+            raise BadPieceLetterError(
+                f"a piece must be a kind in 'KQRBNP' and a color 'w' or 'b', "
+                f"got {kind!r} and {color!r}"
+            ) from None
 
     @classmethod
     def from_letter(cls, letter: str) -> "Piece":
-        piece = _PIECES.get(letter)
-        if piece is None:
-            raise BadPieceLetterError(f"bad piece letter: {letter!r}")
-        return piece
-
-    @property
-    def letter(self) -> str:
-        return self.kind if self.color == WHITE else self.kind.lower()
+        try:
+            return _PIECES[letter]
+        except (KeyError, TypeError):
+            raise BadPieceLetterError(f"bad piece letter: {letter!r}") from None
 
 
-# the twelve pieces by FEN letter; Piece is frozen, so one instance each is shared
-_PIECES = {ch: Piece(ch.upper(), WHITE if ch.isupper() else BLACK) for ch in PIECE_LETTERS}
+# the twelve pieces by FEN letter and by (kind, color)
+_PIECES = {
+    ch: Piece._build(kind=ch.upper(), color=WHITE if ch.isupper() else BLACK, letter=ch)
+    for ch in PIECE_LETTERS
+}
+_PIECE_OF = {(piece.kind, piece.color): piece for piece in _PIECES.values()}
 
 
 # every valid castling field mapped to its canonical text ("KQkq" order, or
@@ -160,15 +204,11 @@ _CASTLING_FIELDS = {
 }
 
 
-class FenRecord(NamedTuple):
-    """Fully parsed FEN; ranks[0] is rank 8, ranks[7] is rank 1."""
+class FenRecord(namedtuple("FenRecord", "ranks side castling en_passant halfmove fullmove")):
+    """Fully parsed FEN; ranks[0] is rank 8, ranks[7] is rank 1. ``castling``
+    is in canonical "KQkq" order, or "-"; ``en_passant`` is a Square or None."""
 
-    ranks: tuple
-    side: str
-    castling: str  # canonical "KQkq" order, or "-"
-    en_passant: Optional[Square]
-    halfmove: int
-    fullmove: int
+    __slots__ = ()
 
 
 def expand_runs(text: str) -> str:
@@ -267,14 +307,17 @@ def _write_slot(segment: str, file: int, letter: str):
 
 def segment_index(rank: int) -> int:
     """Placement-segment index of a rank: the first segment is rank 8."""
-    if not 1 <= rank <= 8:
-        raise OutOfRangeError(f"rank out of range: {rank}")
-    return 8 - rank
+    try:
+        if 1 <= rank <= 8:
+            return 8 - rank
+    except TypeError:
+        pass
+    raise OutOfRangeError(f"rank out of range: {rank!r}")
 
 
 def file_index(letter: str) -> int:
     """'a' -> 0 ... 'h' -> 7; equals the slot index within an expanded rank."""
-    if len(letter) != 1 or not "a" <= letter <= "h":
+    if not (isinstance(letter, str) and len(letter) == 1 and "a" <= letter <= "h"):
         raise OutOfRangeError(f"file out of range: {letter!r}")
     return ord(letter) - ord("a")
 
@@ -389,19 +432,22 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
 
 def serialize_fen(record: FenRecord) -> str:
     """Serialize a record back to canonical FEN text."""
-    return " ".join(
-        (
-            "/".join(record.ranks),
-            record.side,
-            record.castling,
-            record.en_passant.name if record.en_passant else "-",
-            str(record.halfmove),
-            str(record.fullmove),
+    try:
+        return " ".join(
+            (
+                "/".join(record.ranks),
+                record.side,
+                record.castling,
+                record.en_passant.name if record.en_passant else "-",
+                str(record.halfmove),
+                str(record.fullmove),
+            )
         )
-    )
+    except (AttributeError, TypeError) as exc:
+        raise FenSyntaxError(f"cannot serialize a {type(record).__name__} as FEN: {exc}") from None
 
 
-def piece_at(record: FenRecord, square: Square) -> Optional[Piece]:
+def piece_at(record: FenRecord, square: Square) -> Piece | None:
     """Return the piece on a square, or None if it is empty."""
     if not isinstance(record, FenRecord):
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")

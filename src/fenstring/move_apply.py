@@ -15,8 +15,8 @@ or a Move, into its squares and promotion kind; only parse_move builds a Move.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from itertools import product
 
 from .errors import (
     BadCastleError,
@@ -40,6 +40,7 @@ from .fen_codec import (
     Piece,
     Square,
     _OPTION_VALUES,
+    _Value,
     _bad_option,
     _strict_checks,
     _write_slot,
@@ -59,51 +60,64 @@ _KING_RIGHTS = {WHITE: "KQ", BLACK: "kq"}
 _CORNER_RIGHTS = {(7, 1): "K", (0, 1): "Q", (7, 8): "k", (0, 8): "q"}
 
 
-@dataclass(frozen=True)
-class Move:
-    from_square: Square
-    to_square: Square
-    promotion: Optional[str] = None  # kind letter 'Q','R','B','N'
+class Move(namedtuple("Move", "from_square to_square promotion")):
+    """A parsed move: a named tuple of its two squares and its promotion kind
+    ('Q', 'R', 'B', 'N' or None), checked when built."""
 
-    def __post_init__(self):
-        for square in (self.from_square, self.to_square):
+    __slots__ = ()
+
+    def __new__(cls, from_square: Square, to_square: Square, promotion: str | None = None):
+        for square in (from_square, to_square):
             if not isinstance(square, Square):
                 raise BadSquareError(
                     f"a move square must be a Square, got {type(square).__name__}"
                 )
         # the rewrite writes the promotion letter as given, in the mover's case
-        if self.promotion is not None and self.promotion not in _PROMOTION_KINDS:
+        if promotion is not None and promotion not in _PROMOTION_KINDS:
             raise BadPromotionPieceError(
-                f"promotion piece must be Q, R, B or N, got {self.promotion!r}"
+                f"promotion piece must be Q, R, B or N, got {promotion!r}"
             )
-        src, dst = self.from_square, self.to_square
-        # field by field: Square's dataclass __eq__ costs four times as much
-        if src.file == dst.file and src.rank == dst.rank:
-            raise _null_move_error(src.name)
+        if from_square is to_square:
+            raise _null_move_error(from_square.name)
+        return tuple.__new__(cls, (from_square, to_square, promotion))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: checked like every other Move
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ApplyOptions:
-    ep_mode: str = "always"  # or "adjacent-only"
-    clock_mode: str = "standard"  # or "frozen"
-    validation: str = "lenient"  # or "strict"
+class ApplyOptions(_Value):
+    """How a move is applied: ep_mode "always" or "adjacent-only", clock_mode
+    "standard" or "frozen", validation "lenient" or "strict". Each of the 8
+    combinations is built once, at import."""
 
-    def __post_init__(self):
+    __slots__ = _fields = tuple(_OPTION_VALUES)
+
+    def __new__(cls, ep_mode="always", clock_mode="standard", validation="lenient"):
         # checked once, when built: the rewrite tests each field against one
         # of its values and would take any unknown value for the other one
-        for name, allowed in _OPTION_VALUES.items():
-            value = getattr(self, name)
-            if value not in allowed:
+        values = (ep_mode, clock_mode, validation)
+        for name, value in zip(_OPTION_VALUES, values):
+            if value not in _OPTION_VALUES[name]:
                 raise _bad_option(name, value)
+        return _OPTIONS[values]
 
 
-class ApplyOutcome(NamedTuple):
-    fen_after: str
-    segments_touched: frozenset
-    was_capture: bool
-    was_pawn_move: bool
-    special: Optional[str] = None  # castle-kingside / castle-queenside /
-    # en-passant-capture / promotion
+_OPTIONS = {
+    values: ApplyOptions._build(**dict(zip(_OPTION_VALUES, values)))
+    for values in product(*_OPTION_VALUES.values())
+}
+
+
+class ApplyOutcome(namedtuple(
+    "ApplyOutcome", "fen_after segments_touched was_capture was_pawn_move special",
+    defaults=(None,),
+)):
+    """What a ply did; ``special`` is "castle-kingside", "castle-queenside",
+    "en-passant-capture", "promotion" or None."""
+
+    __slots__ = ()
 
 
 def _check_options(options) -> None:
@@ -113,6 +127,14 @@ def _check_options(options) -> None:
 
 def _null_move_error(name: str) -> BadMoveSyntaxError:
     return BadMoveSyntaxError(f"origin equals destination: {name}")
+
+
+def _bad_argument(mover, *squares) -> FenSyntaxError:
+    """The typed error for a mover that is not a Piece or a square that is not a Square."""
+    if not isinstance(mover, Piece):
+        return FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
+    wrong = next(square for square in squares if not isinstance(square, Square))
+    return BadSquareError(f"a square must be a Square, got {type(wrong).__name__}")
 
 
 def _read_move(move):
@@ -127,7 +149,7 @@ def _read_move(move):
             raise _null_move_error(from_name)
         return SQUARES[from_name], SQUARES[to_name], promotion and promotion.upper()
     if isinstance(move, Move):
-        return move.from_square, move.to_square, move.promotion
+        return move
     raise BadMoveSyntaxError(f"a move must be text or a Move, got {type(move).__name__}")
 
 
@@ -141,7 +163,7 @@ def update_castling_rights(
     mover: Piece,
     from_square: Square,
     to_square: Square,
-    captured: Optional[Piece] = None,
+    captured: Piece | None = None,
 ) -> str:
     """Drop rights invalidated by the move; rights are never regained.
 
@@ -150,11 +172,14 @@ def update_castling_rights(
     clears that corner's right; a capture landing on a corner clears the
     right hosted there.
     """
-    lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ""
-    if mover.kind == "R":
-        lost += _CORNER_RIGHTS.get((from_square.file, from_square.rank), "")
-    if captured is not None:
-        lost += _CORNER_RIGHTS.get((to_square.file, to_square.rank), "")
+    try:
+        lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ""
+        if mover.kind == "R":
+            lost += _CORNER_RIGHTS.get((from_square.file, from_square.rank), "")
+        if captured is not None:
+            lost += _CORNER_RIGHTS.get((to_square.file, to_square.rank), "")
+    except AttributeError:
+        raise _bad_argument(mover, from_square, to_square) from None
     if not lost or rights == "-":
         return rights
     for letter in lost:
@@ -168,7 +193,7 @@ def derive_en_passant(
     from_square: Square,
     to_square: Square,
     ep_mode: str = "always",
-) -> Optional[Square]:
+) -> Square | None:
     """En-passant target created by the move, if any.
 
     Only a same-file two-rank pawn move qualifies. Mode "always" records
@@ -176,14 +201,15 @@ def derive_en_passant(
     it only when an enemy pawn sits on an adjacent file of the landing
     rank (the 'Pp'/'pP' pattern) in the post-move placement.
     """
-    if mover.kind != "P":
-        return None
-    if from_square.file != to_square.file:
-        return None
-    # only a 2->4 or 7->5 style push yields a target on rank 3/6; other
-    # two-rank pseudo-pushes would put the target on an illegal rank
-    if {from_square.rank, to_square.rank} not in ({2, 4}, {5, 7}):
-        return None
+    try:
+        if mover.kind != "P" or from_square.file != to_square.file:
+            return None
+        # only a 2->4 or 7->5 style push yields a target on rank 3/6; other
+        # two-rank pseudo-pushes would put the target on an illegal rank
+        if {from_square.rank, to_square.rank} not in ({2, 4}, {5, 7}):
+            return None
+    except AttributeError:
+        raise _bad_argument(mover, from_square, to_square) from None
     target = SQUARES[f"{to_square.name[0]}{(from_square.rank + to_square.rank) // 2}"]
     if ep_mode == "always":
         return target
@@ -275,7 +301,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     is_ep_capture = (
         is_pawn
         and record.en_passant is not None
-        and to_sq == record.en_passant
+        and to_sq is record.en_passant
         and abs(from_sq.file - to_sq.file) == 1
         and abs(from_sq.rank - to_sq.rank) == 1
     )

@@ -93,7 +93,14 @@ def fen_from_board(board: BoardArray) -> str:
         raise FenSyntaxError(f"a board must have 64 cells, got {len(cells)}")
     if not _CELL_TYPES.issuperset(map(type, cells)):
         raise FenSyntaxError("a board's cells must each hold a Piece or None")
-    return _serialize(board)
+    if not isinstance(board.en_passant, (Square, type(None))):
+        raise FenSyntaxError(
+            f"a board's en-passant square must be a Square or None, "
+            f"got {type(board.en_passant).__name__}"
+        )
+    fen = _serialize(board)
+    parse_fen(fen)  # the trailer fields, as text, must pass the FEN grammar
+    return fen
 
 
 def _serialize(board: BoardArray) -> str:
@@ -102,16 +109,8 @@ def _serialize(board: BoardArray) -> str:
     placement = "/".join(map(letters.__getitem__, _ROWS))
     for run, digit in _EMPTY_RUNS:
         placement = placement.replace(run, digit)
-    return " ".join(
-        (
-            placement,
-            board.side,
-            board.castling,
-            board.en_passant.name if board.en_passant else "-",
-            str(board.halfmove),
-            str(board.fullmove),
-        )
-    )
+    ep = board.en_passant.name if board.en_passant else "-"
+    return f"{placement} {board.side} {board.castling} {ep} {board.halfmove} {board.fullmove}"
 
 
 def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:

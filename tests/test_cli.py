@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +223,38 @@ class TestConvertForsyth:
         code, _, err = run(capsys, "convert-forsyth", f"{token}, 8, 8, 8, 8, 8, 8, 8")
         assert code == 2
         assert err.startswith("BadToken:")
+
+
+# what a `play` process must not load: each costs start-up time and `play` uses none
+_NOT_FOR_PLAY = ("dataclasses", "typing", "json", "fenstring.oracle", "fenstring.fuzzing",
+                 "fenstring.legacy")
+
+_PLAY_IMPORTS = """
+import sys
+
+from fenstring import cli
+
+start, moves, not_for_play = sys.argv[1], sys.argv[2], sys.argv[3].split()
+assert cli.main(["play", start, moves]) == 0
+print("loaded:", " ".join(sorted(set(not_for_play) & set(sys.modules))))
+
+import fenstring
+from fenstring import oracle
+
+assert all(getattr(fenstring, name) is not None for name in fenstring.__all__)
+assert fenstring.oracle_apply is oracle.oracle_apply
+"""
+
+
+def test_play_process_loads_only_the_string_path(tmp_path):
+    moves = tmp_path / "game.moves"
+    moves.write_text("e2e4\ne7e5\ng1f3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PLAY_IMPORTS, START_FEN, str(moves), " ".join(_NOT_FOR_PLAY)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *fens, loaded = proc.stdout.splitlines()
+    assert len(fens) == 3
+    assert loaded == "loaded: "

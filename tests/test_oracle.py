@@ -21,7 +21,13 @@ from fenstring import (
     serialize_fen,
     START_FEN,
 )
-from fenstring.errors import EmptyOriginError, FenSyntaxError, NoPiecesError, WrongColorError
+from fenstring.errors import (
+    BadPieceLetterError,
+    EmptyOriginError,
+    FenSyntaxError,
+    NoPiecesError,
+    WrongColorError,
+)
 
 from conftest import EMPTY_FEN, FIG1_FEN, fens
 
@@ -72,6 +78,32 @@ class TestFenFromBoard:
     def test_rejects_cells_that_are_not_64_pieces_or_none(self, cells):
         with pytest.raises(FenSyntaxError):
             fen_from_board(BoardArray(cells, "w", "-", None, 0, 1))
+
+    @pytest.mark.parametrize("field, value, code", [
+        ("side", "q", "BadSideChar"),
+        ("side", None, "BadSideChar"),
+        ("side", "w b", "SegmentCount"),
+        ("castling", "X", "BadCastlingField"),
+        ("castling", "KK", "BadCastlingField"),
+        ("castling", None, "BadCastlingField"),
+        ("en_passant", Square.from_name("e4"), "BadEnPassantField"),
+        ("en_passant", "e3", "Syntax"),
+        ("halfmove", -5, "BadClock"),
+        ("halfmove", None, "BadClock"),
+        ("fullmove", 0, "BadClock"),
+        ("fullmove", 10**9, "BadClock"),
+    ])
+    def test_rejects_trailer_fields_the_parser_rejects(self, field, value, code):
+        board = board_from_fen(START_FEN)
+        setattr(board, field, value)
+        with pytest.raises(FenSyntaxError) as info:
+            fen_from_board(board)
+        assert info.value.code == code
+
+    def test_a_piece_of_no_kind_or_colour_cannot_be_built(self):
+        for kind, color in (("X", "w"), ("K", "z")):
+            with pytest.raises(BadPieceLetterError):
+                Piece(kind, color)
 
 
 @settings(max_examples=200)

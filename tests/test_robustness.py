@@ -10,19 +10,25 @@ from hypothesis import strategies as st
 from fenstring import (
     START_FEN,
     Move,
+    Piece,
     Square,
     apply_move,
     cell_index,
     contract_rank,
+    derive_en_passant,
     emit_legacy_forsyth,
     expand_rank,
     fen_from_board,
+    file_index,
     parse_castling,
     parse_fen,
     parse_legacy_forsyth,
     parse_move,
     piece_at,
     play_sequence,
+    segment_index,
+    serialize_fen,
+    update_castling_rights,
     update_clocks,
 )
 from fenstring.cli import main
@@ -35,6 +41,7 @@ from fenstring.errors import (
     BadSquareError,
     FenstringError,
     FenSyntaxError,
+    OutOfRangeError,
 )
 from fenstring.fen_codec import SQUARES
 
@@ -59,6 +66,23 @@ _ENTRY_POINTS = {
     "piece_at": (lambda value: piece_at(value, SQUARES["e2"]), FenSyntaxError),
     "apply_move-options": (lambda value: apply_move(START_FEN, "e2e4", value), BadOptionError),
     "update_clocks": (lambda value: update_clocks(0, 1, value, False), FenSyntaxError),
+    "update_castling_rights-mover": (
+        lambda value: update_castling_rights("KQkq", value, SQUARES["e1"], SQUARES["e2"]),
+        FenSyntaxError,
+    ),
+    "update_castling_rights-square": (
+        lambda value: update_castling_rights("KQkq", Piece("R", "w"), value, SQUARES["h2"]),
+        BadSquareError,
+    ),
+    "derive_en_passant-mover": (
+        lambda value: derive_en_passant(("8",) * 8, value, SQUARES["e2"], SQUARES["e4"]),
+        FenSyntaxError,
+    ),
+    "derive_en_passant-square": (
+        lambda value: derive_en_passant(("8",) * 8, Piece("P", "w"), SQUARES["e2"], value),
+        BadSquareError,
+    ),
+    "serialize_fen": (serialize_fen, FenSyntaxError),
     "cell_index": (cell_index, BadSquareError),
     "fen_from_board": (fen_from_board, FenSyntaxError),
 }
@@ -84,6 +108,13 @@ def test_wrongly_typed_argument_raises_typed_error(entry, value):
         assert "out of range" in str(info.value)
     else:
         assert type(value).__name__ in str(info.value)
+
+
+@pytest.mark.parametrize("call", [segment_index, file_index], ids=["segment_index", "file_index"])
+@pytest.mark.parametrize("value", [None, b"a", "3", ["a"], 1.5j], ids=repr)
+def test_coordinate_of_the_wrong_type_is_out_of_range(call, value):
+    with pytest.raises(OutOfRangeError):
+        call(value)
 
 
 # FEN-ish characters: every grammar's letters and separators, ASCII and
