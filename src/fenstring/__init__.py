@@ -20,7 +20,6 @@ from .fen_codec import (
     Square,
     contract_rank,
     expand_rank,
-    file_index,
     parse_castling,
     parse_fen,
     piece_at,
@@ -87,7 +86,6 @@ __all__ = [
     "emit_legacy_forsyth",
     "expand_rank",
     "fen_from_board",
-    "file_index",
     "fuzz_pairs",
     "oracle_apply",
     "parse_castling",

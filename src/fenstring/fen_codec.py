@@ -15,17 +15,19 @@ en-passant square consistent with the side to move.
 
 A segment's shape is its text with every piece letter read as one mark
 ("2p1p3" -> "2x1x3"). There are exactly 256 valid shapes, one per set of
-occupied squares, and a table built at import maps each to one write plan
-per file: which character covers the file, how a piece placed there splits
-its run, and how clearing it merges the runs on either side. _write_slot
-writes a square of the compact text through that plan, so a move never
-expands or contracts a segment; an unknown shape raises.
+occupied squares. A table built at import from those 256 rows maps each
+shape to one write plan per file: which character covers the file, how a
+piece placed there splits its run, and how clearing it merges the runs on
+either side. _write_slot writes a square of the compact text through that
+plan, so a move never expands or contracts a segment; an unknown shape
+raises.
 
-The same table is the placement grammar: parse_fen checks the whole field
-in one pass, every shape in the table. Only when that bulk check fails does
-the per-segment checker run, segment by segment, to name the first error,
-so the error class, message and precedence are those of the per-segment
-grammar. expand_rank always runs that checker on its segment.
+The same table is the segment grammar, and it alone accepts a segment:
+parse_fen checks the whole placement in one pass, every shape in the
+table, and expand_rank checks its segment's shape. Only when the table
+rejects does the per-segment checker run, segment by segment, to name the
+first error, so the error class, message and precedence are those of the
+per-segment checker.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
 and once per applied move. Squares and pieces are interned slot classes:
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .errors import (
     AdjacentDigitsError,
@@ -220,7 +222,8 @@ def expand_runs(text: str) -> str:
 
 def expand_rank(segment: str) -> str:
     """Expand a compact rank segment to its 8-slot form ("1b3RN1" -> "1b111RN1")."""
-    _check_segment(segment)
+    if not (isinstance(segment, str) and segment.translate(_SHAPE_OF) in _SHAPES):
+        _check_segment(segment)  # the table only tells that the segment is bad; this names why
     return expand_runs(segment)
 
 
@@ -238,57 +241,38 @@ def contract_rank(expanded: str) -> str:
 def _segment_plans() -> dict:
     """Every valid segment shape -> its 8 write plans, one per file.
 
-    A shape is an optional run, then pieces, each followed by an optional
-    run; the shapes are built by that grammar, a piece at a time. A file's
-    plan is (at, occupied, before, after, clear_head, merged, clear_tail),
-    where ``at`` is the character that covers the file: a piece is placed
-    as text[:at] + before + letter + after + text[at+1:], which splits a
-    run it lands in, and the slot is cleared as
+    Each of the 256 sets of occupied squares gives one row and its shape,
+    the row's runs written as digits. A file's plan is (at, occupied,
+    before, after, clear_head, merged, clear_tail), where ``at`` is the
+    character that covers the file: a piece is placed as
+    text[:at] + before + letter + after + text[at+1:], which splits a run
+    it lands in, and the slot is cleared as
     text[:clear_head] + merged + text[clear_tail:], which merges an
-    occupied slot with the runs on either side. Identical plans are shared.
+    occupied slot with the runs on either side.
     """
     table = {}
-    piece_plans = {}
-    run_plans = {}
-
-    def runs_at(at: int, run: int) -> tuple:
-        # a piece k squares into the run splits it; a clear leaves the text as it is
-        plans = run_plans.get((at, run))
-        if plans is None:
-            plans = run_plans[at, run] = tuple(
-                (at, False, str(k) if k else "", str(run - 1 - k) if k < run - 1 else "", 0, "", 0)
-                for k in range(run)
-            )
-        return plans
-
-    def piece_after(shape: str, width: int, plans: tuple, left_run: int) -> None:
-        # shape spans width squares and ends in a run of left_run (0: none)
-        at = len(shape)
-        shape += _PIECE_MARK
-        width += 1
-        for right_run in range(9 - width):
-            plan = (at, True, "", "", at - (left_run > 0), str(left_run + 1 + right_run),
-                    at + 1 + (right_run > 0))
-            longer, longer_plans = shape, plans + (piece_plans.setdefault(plan, plan),)
-            if right_run:
-                longer += str(right_run)
-                longer_plans += runs_at(at + 1, right_run)
-            if width + right_run == 8:
-                table[longer] = longer_plans
-            else:
-                piece_after(longer, width + right_run, longer_plans, right_run)
-
-    piece_after("", 0, (), 0)
-    for run in range(1, 8):
-        piece_after(str(run), run, runs_at(0, run), run)
-    table["8"] = runs_at(0, 8)
+    for row in map("".join, product("1P", repeat=8)):
+        shape = contract_rank(row).translate(_SHAPE_OF)
+        # the squares each character of the shape covers: 0 for a piece
+        runs = [0 if ch == _PIECE_MARK else int(ch) for ch in shape] + [0]
+        plans = []
+        for at, run in enumerate(runs[:-1]):
+            if not run:
+                left, right = runs[at - 1] if at else 0, runs[at + 1]
+                plans.append((at, True, "", "", at - (left > 0), str(left + 1 + right),
+                              at + 1 + (right > 0)))
+            # a piece k squares into a run splits it; a clear leaves the text as it is
+            for k in range(run):
+                before, after = str(k) if k else "", str(run - 1 - k) if k < run - 1 else ""
+                plans.append((at, False, before, after, 0, "", 0))
+        table[shape] = tuple(plans)
     return table
 
 
-# the grammar of a segment, complete: built once from the 256 shapes and
+# the grammar of a segment, complete: built once from the 256 rows and
 # never filled from the segments it is asked about
 _SEGMENT_PLANS = _segment_plans()
-# its shapes as a set, so that parse_fen checks a placement's 8 in one call
+# its shapes as a set: parse_fen checks a placement's 8 in one call, expand_rank one
 _SHAPES = frozenset(_SEGMENT_PLANS)
 
 
@@ -305,21 +289,26 @@ def _write_slot(segment: str, file: int, letter: str):
     return segment[:at] + before + letter + after + segment[at + 1 :], old
 
 
+# the segment index of each rank 1..8; the lookup fails for every other value
+_SEGMENT_OF_RANK = {rank: 8 - rank for rank in range(1, 9)}
+
+
 def segment_index(rank: int) -> int:
     """Placement-segment index of a rank: the first segment is rank 8."""
     try:
-        if 1 <= rank <= 8:
-            return 8 - rank
-    except TypeError:
-        pass
-    raise OutOfRangeError(f"rank out of range: {rank!r}")
+        return _SEGMENT_OF_RANK[rank]
+    except (KeyError, TypeError):
+        raise OutOfRangeError(f"rank out of range: {rank!r}") from None
 
 
-def file_index(letter: str) -> int:
-    """'a' -> 0 ... 'h' -> 7; equals the slot index within an expanded rank."""
-    if not (isinstance(letter, str) and len(letter) == 1 and "a" <= letter <= "h"):
-        raise OutOfRangeError(f"file out of range: {letter!r}")
-    return ord(letter) - ord("a")
+def _rank_segment(ranks, rank: int) -> str:
+    """The segment of a rank in a placement's 8 segments, rank 8 first."""
+    try:
+        return ranks[segment_index(rank)]
+    except (LookupError, TypeError):
+        raise FenSyntaxError(
+            f"a placement must be a sequence of 8 rank segments, got {type(ranks).__name__}"
+        ) from None
 
 
 def _check_segment(segment: str) -> None:
@@ -453,5 +442,5 @@ def piece_at(record: FenRecord, square: Square) -> Piece | None:
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     if not isinstance(square, Square):
         raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
-    letter = expand_rank(record.ranks[segment_index(square.rank)])[square.file]
+    letter = expand_rank(_rank_segment(record.ranks, square.rank))[square.file]
     return None if letter == "1" else Piece.from_letter(letter)

@@ -6,7 +6,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
+from .errors import (
+    BadOptionError, FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
+)
 from .fen_codec import BLACK, START_FEN, WHITE, FenRecord, expand_runs, parse_fen
 from .move_apply import ApplyOptions, _apply, _check_options
 from .oracle import oracle_apply
@@ -84,6 +86,15 @@ def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
         return text
 
 
+def _seeded(seed) -> random.Random:
+    try:
+        return random.Random(seed)
+    except TypeError:
+        raise BadOptionError(
+            f"a seed must be an int, float, str or bytes, got {type(seed).__name__}"
+        ) from None
+
+
 def random_pseudo_move(fen: str, seed: int) -> str:
     """Deterministic pseudo-move generator for fuzzing.
 
@@ -93,7 +104,7 @@ def random_pseudo_move(fen: str, seed: int) -> str:
     The move satisfies apply_move's structural preconditions but is not
     necessarily legal chess.
     """
-    return _pseudo_move(parse_fen(fen), random.Random(seed))
+    return _pseudo_move(parse_fen(fen), _seeded(seed))
 
 
 def _chain(iterations: int, seed: int, options: ApplyOptions):
@@ -106,11 +117,17 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     leaves a position that fails strict validation.
     """
     _check_options(options)
-    rng = random.Random(seed)
+    try:
+        pairs = range(iterations)
+    except TypeError:
+        raise BadOptionError(
+            f"iterations must be an integer, got {type(iterations).__name__}"
+        ) from None
+    rng = _seeded(seed)
     draw = random.Random()  # reseeded for each draw, as random_pseudo_move seeds its own
     start = parse_fen(START_FEN, options.validation)
     fen, record = START_FEN, start
-    for _ in range(iterations):
+    for _ in pairs:
         while True:
             try:
                 draw.seed(rng.randrange(2**32))

@@ -20,6 +20,7 @@ from itertools import product
 
 from .errors import (
     BadCastleError,
+    BadCastlingFieldError,
     BadClockError,
     BadMoveSyntaxError,
     BadOptionError,
@@ -42,6 +43,7 @@ from .fen_codec import (
     _OPTION_VALUES,
     _Value,
     _bad_option,
+    _rank_segment,
     _strict_checks,
     _write_slot,
     expand_rank,
@@ -172,6 +174,8 @@ def update_castling_rights(
     clears that corner's right; a capture landing on a corner clears the
     right hosted there.
     """
+    if not isinstance(rights, str):
+        raise BadCastlingFieldError(f"castling rights must be text, got {type(rights).__name__}")
     try:
         lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ""
         if mover.kind == "R":
@@ -216,7 +220,7 @@ def derive_en_passant(
     if ep_mode != "adjacent-only":
         raise _bad_option("ep_mode", ep_mode)
     enemy_pawn = "p" if mover.color == WHITE else "P"
-    row = expand_rank(placement_after[segment_index(to_square.rank)])
+    row = expand_rank(_rank_segment(placement_after, to_square.rank))
     for f in (to_square.file - 1, to_square.file + 1):
         if 0 <= f <= 7 and row[f] == enemy_pawn:
             return target
@@ -238,9 +242,15 @@ def update_clocks(
         if clock_mode != "frozen":
             raise _bad_option("clock_mode", clock_mode)
         return halfmove, fullmove
-    halfmove = 0 if (mover.kind == "P" or was_capture) else halfmove + 1
-    if mover.color == BLACK:
-        fullmove += 1
+    try:
+        halfmove = 0 if (mover.kind == "P" or was_capture) else halfmove + 1
+        if mover.color == BLACK:
+            fullmove += 1
+    except TypeError:
+        raise BadClockError(
+            f"clocks must be integers, got {type(halfmove).__name__} "
+            f"and {type(fullmove).__name__}"
+        ) from None
     return halfmove, fullmove
 
 

@@ -10,6 +10,7 @@ from fenstring import (
     Square,
     board_from_fen,
     cell_index,
+    emit_legacy_forsyth,
     expand_rank,
     parse_castling,
     parse_fen,
@@ -29,7 +30,8 @@ from fenstring.errors import (
     SegmentCountError,
     ValidationError,
 )
-from fenstring.fen_codec import _check_segment, expand_runs
+from fenstring import fen_codec
+from fenstring.fen_codec import SQUARES, _check_segment, expand_runs
 
 from conftest import EMPTY_FEN, FIG1_FEN, fens, segments
 
@@ -269,7 +271,7 @@ def _check_segments(placement):
 def test_bulk_placement_check_matches_segment_loop(placement):
     expected = _verdict(_check_segments, placement)
     assert _verdict(lambda p: parse_fen(p + " w - - 0 1"), placement) == expected
-    # expand_rank, which runs the segment checker, judges each segment the same way
+    # expand_rank, which accepts by the shape table, judges each segment the same way
     for segment in placement.split("/"):
         assert _verdict(expand_rank, segment) == _verdict(_check_segment, segment)
 
@@ -279,3 +281,31 @@ def test_bulk_placement_check_matches_segment_loop(placement):
 def test_expand_runs_matches_digit_reference(text):
     expected = "".join("1" * int(c) if c in "2345678" else c for c in text)
     assert expand_runs(text) == expected
+
+
+def test_only_a_segment_the_table_rejects_reaches_the_segment_checker(monkeypatch, fuzz_corpus):
+    def checker_must_not_run(segment):
+        raise AssertionError(f"the segment checker ran on {segment!r}")
+
+    monkeypatch.setattr(fen_codec, "_check_segment", checker_must_not_run)
+    for fen, move, _ in fuzz_corpus:
+        record = parse_fen(fen)
+        for segment in record.ranks:
+            expand_rank(segment)
+        piece_at(record, SQUARES[move[:2]])
+        emit_legacy_forsyth(record.ranks)
+    monkeypatch.undo()
+
+    # a segment the table rejects still gets the checker's class and message
+    for segment, error, message in [
+        ("9", RankWidthError, "segment '9' spans 9 squares, expected 8"),
+        ("7", RankWidthError, "segment '7' spans 7 squares, expected 8"),
+        ("44", AdjacentDigitsError, "adjacent digits in segment '44'"),
+        ("x7", BadPieceLetterError, "bad character 'x' in segment 'x7'"),
+        ("0P7", BadPieceLetterError, "bad character '0' in segment '0P7'"),
+    ]:
+        for call in (expand_rank, lambda s: parse_fen(f"{s}/8/8/8/8/8/8/8 w - - 0 1"),
+                     lambda s: emit_legacy_forsyth((s,) + ("8",) * 7)):
+            with pytest.raises(error) as info:
+                call(segment)
+            assert type(info.value) is error and str(info.value) == message

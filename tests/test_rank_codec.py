@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fenstring import contract_rank, expand_rank, file_index, segment_index
+from fenstring import contract_rank, expand_rank, segment_index
 from fenstring.errors import BadExpandedRankError, BadSegmentError, OutOfRangeError
 from fenstring.fen_codec import PIECE_LETTERS, _SEGMENT_PLANS, _check_segment, _write_slot
 
@@ -72,21 +72,10 @@ class TestIndexing:
         assert segment_index(7) == 1
         assert segment_index(1) == 7
 
-    def test_file_index(self):
-        assert file_index("f") == 5
-        assert file_index("c") == 2
-        assert file_index("a") == 0
-        assert file_index("h") == 7
-
     @pytest.mark.parametrize("rank", [0, 9, -1])
     def test_segment_index_range(self, rank):
         with pytest.raises(OutOfRangeError):
             segment_index(rank)
-
-    @pytest.mark.parametrize("letter", ["i", "A", "", "ab"])
-    def test_file_index_range(self, letter):
-        with pytest.raises(OutOfRangeError):
-            file_index(letter)
 
 
 @given(segments)

@@ -1,14 +1,19 @@
 """Any input, from any entry point, gives a value or a typed FenstringError."""
 
 import contextlib
+import inspect
 import io
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fenstring
 from fenstring import (
     START_FEN,
+    ApplyOptions,
+    BoardArray,
+    FenRecord,
     Move,
     Piece,
     Square,
@@ -16,16 +21,18 @@ from fenstring import (
     cell_index,
     contract_rank,
     derive_en_passant,
+    differential_fuzz,
     emit_legacy_forsyth,
     expand_rank,
     fen_from_board,
-    file_index,
+    fuzz_pairs,
     parse_castling,
     parse_fen,
     parse_legacy_forsyth,
     parse_move,
     piece_at,
     play_sequence,
+    random_pseudo_move,
     segment_index,
     serialize_fen,
     update_castling_rights,
@@ -34,6 +41,7 @@ from fenstring import (
 from fenstring.cli import main
 from fenstring.errors import (
     BadCastlingFieldError,
+    BadClockError,
     BadExpandedRankError,
     BadMoveSyntaxError,
     BadOptionError,
@@ -110,11 +118,119 @@ def test_wrongly_typed_argument_raises_typed_error(entry, value):
         assert type(value).__name__ in str(info.value)
 
 
-@pytest.mark.parametrize("call", [segment_index, file_index], ids=["segment_index", "file_index"])
-@pytest.mark.parametrize("value", [None, b"a", "3", ["a"], 1.5j], ids=repr)
-def test_coordinate_of_the_wrong_type_is_out_of_range(call, value):
+@pytest.mark.parametrize("value", [None, b"a", "3", ["a"], 1.5j, 1.5], ids=repr)
+def test_coordinate_of_the_wrong_type_is_out_of_range(value):
     with pytest.raises(OutOfRangeError):
-        call(value)
+        segment_index(value)
+
+
+# wrongly typed arguments that a helper reads only deep in its work (rights,
+# a placement, clocks, fuzz iterations and seeds, a record's ranks), each
+# with the error it raises
+_WRONG_TYPE_CALLS = {
+    "update_castling_rights-rights": (
+        lambda: update_castling_rights(None, Piece("K", "w"), SQUARES["e1"], SQUARES["e2"]),
+        BadCastlingFieldError,
+    ),
+    "derive_en_passant-placement": (
+        lambda: derive_en_passant(None, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
+                                  "adjacent-only"),
+        FenSyntaxError,
+    ),
+    "update_clocks-halfmove": (lambda: update_clocks(None, 1, Piece("N", "w"), False),
+                               BadClockError),
+    "update_clocks-fullmove": (lambda: update_clocks(0, None, Piece("N", "b"), False),
+                               BadClockError),
+    "differential_fuzz-iterations": (lambda: differential_fuzz(None, 0), BadOptionError),
+    "fuzz_pairs-iterations": (lambda: list(fuzz_pairs(None, 0)), BadOptionError),
+    "differential_fuzz-seed": (lambda: differential_fuzz(10, [1]), BadOptionError),
+    "random_pseudo_move-seed": (lambda: random_pseudo_move(START_FEN, [1]), BadOptionError),
+    "piece_at-ranks": (lambda: piece_at(FenRecord(None, "w", "-", None, 0, 1), SQUARES["e2"]),
+                       FenSyntaxError),
+}
+
+
+@pytest.mark.parametrize("call,error", _WRONG_TYPE_CALLS.values(), ids=_WRONG_TYPE_CALLS)
+def test_wrongly_typed_argument_read_late_raises_typed_error(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+
+
+# valid arguments for each positional parameter of every callable export
+_BASE_ARGUMENTS = {
+    "ApplyOptions": ("adjacent-only", "frozen", "strict"),
+    "ApplyOutcome": (START_FEN, frozenset((6,)), False, True, None),
+    "BoardArray": ([None] * 64, "w", "-", None, 0, 1),
+    "FenRecord": (("8",) * 8, "w", "-", None, 0, 1),
+    "FenSyntaxError": ("message",),
+    "FenstringError": ("message",),
+    "FuzzReport": (0, 3, 3, 0, None),
+    "Move": (SQUARES["e7"], SQUARES["e8"], "Q"),
+    "MoveError": ("message",),
+    "Piece": ("P", "w"),
+    "Square": (4, 2),
+    "apply_move": (START_FEN, "e2e4", ApplyOptions()),
+    "board_from_fen": (START_FEN, "strict"),
+    "cell_index": (SQUARES["e2"],),
+    "contract_rank": ("11111R1k",),
+    # a double push under adjacent-only reads the placement
+    "derive_en_passant": (("8",) * 8, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
+                          "adjacent-only"),
+    "differential_fuzz": (3, 0, ApplyOptions()),
+    "emit_legacy_forsyth": (("8",) * 8,),
+    "expand_rank": ("1b3RN1",),
+    "fen_from_board": (BoardArray([None] * 64, "w", "-", None, 0, 1),),
+    "fuzz_pairs": (3, 0, ApplyOptions()),
+    "oracle_apply": (START_FEN, "e2e4", ApplyOptions()),
+    "parse_castling": ("KQkq",),
+    "parse_fen": (START_FEN, "strict"),
+    "parse_legacy_forsyth": (BAIRD_LEGACY,),
+    "parse_move": ("e7e8q",),
+    "piece_at": (parse_fen(START_FEN), SQUARES["e2"]),
+    "play_sequence": (START_FEN, ["e2e4", "e7e5"], ApplyOptions()),
+    "random_pseudo_move": (START_FEN, 0),
+    "segment_index": (8,),
+    "serialize_fen": (parse_fen(START_FEN),),
+    # a king move drops rights
+    "update_castling_rights": ("KQkq", Piece("K", "w"), SQUARES["e1"], SQUARES["e2"], None),
+    # a black non-pawn move counts both clocks
+    "update_clocks": (3, 1, Piece("N", "b"), False, "standard"),
+}
+
+
+def _call(name, args):
+    result = getattr(fenstring, name)(*args)
+    return list(result) if inspect.isgenerator(result) else result
+
+
+def test_base_arguments_cover_every_callable_export():
+    callables = {name for name in fenstring.__all__ if callable(getattr(fenstring, name))}
+    assert set(_BASE_ARGUMENTS) == callables
+    for name, args in _BASE_ARGUMENTS.items():
+        _call(name, args)
+        try:
+            parameters = inspect.signature(getattr(fenstring, name)).parameters.values()
+        except ValueError:
+            continue  # an exception class takes any arguments
+        positional = [p for p in parameters
+                      if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        assert len(args) == len(positional), name
+
+
+@pytest.mark.parametrize("name,position", [
+    pytest.param(name, position, id=f"{name}-{position}")
+    for name, args in _BASE_ARGUMENTS.items()
+    for position in range(len(args))
+])
+def test_every_export_returns_or_raises_typed_errors_for_any_argument(name, position):
+    for value in _VALUES.values():
+        args = list(_BASE_ARGUMENTS[name])
+        args[position] = value
+        try:
+            _call(name, args)
+        except FenstringError:
+            pass
 
 
 # FEN-ish characters: every grammar's letters and separators, ASCII and
