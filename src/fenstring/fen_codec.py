@@ -14,13 +14,15 @@ requires exactly one king per side, no pawns on ranks 1/8 and an
 en-passant square consistent with the side to move.
 
 A segment's shape is its text with every piece letter read as one mark
-("2p1p3" -> "2x1x3"). There are exactly 256 valid shapes, one per set of
-occupied squares. A table built at import from those 256 rows maps each
-shape to one write plan per file: which character covers the file, how a
-piece placed there splits its run, and how clearing it merges the runs on
-either side. _write_slot writes a square of the compact text through that
-plan, so a move never expands or contracts a segment; an unknown shape
-raises.
+("2p1p3" -> "2x1x3"), read through a 256-byte table: the text is encoded
+as ASCII with each other character replaced by '?', so a foreign
+character is never dropped, and the mark itself becomes '?' too. There
+are exactly 256 valid shapes, one per set of occupied squares. A table
+built at import from those 256 rows maps each shape to one write plan per
+file: which character covers the file, how a piece placed there splits
+its run, and how clearing it merges the runs on either side. _write_slot
+writes a square of the compact text through that plan, so a move never
+expands or contracts a segment; an unknown shape raises.
 
 The same table is the segment grammar, and it alone accepts a segment:
 parse_fen checks the whole placement in one pass, every shape in the
@@ -30,7 +32,8 @@ first error, so the error class, message and precedence are those of the
 per-segment checker.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
-and once per applied move. Squares and pieces are interned slot classes:
+and once per applied move; serialize_fen checks that it is given one, and
+its unchecked core _fen_text writes the text of the records built here. Squares and pieces are interned slot classes:
 the 64 squares and 12 pieces are built at import, and building one again
 returns the shared instance, so they compare by identity. The module
 imports no dataclasses, which alone would cost a process more import time
@@ -84,7 +87,8 @@ _SLOT_RANK = re.compile(_SLOT + "{8}")
 # a segment's shape: each piece letter read as one mark; the mark itself is
 # read as a character no shape holds, so it cannot pass for a piece
 _PIECE_MARK = "x"
-_SHAPE_OF = str.maketrans(PIECE_LETTERS + _PIECE_MARK, _PIECE_MARK * 12 + "?")
+_SHAPE_BYTES = bytes.maketrans((PIECE_LETTERS + _PIECE_MARK).encode(),
+                               (_PIECE_MARK * 12 + "?").encode())
 
 # every value each option may take; code that branches on one checks it there
 _OPTION_VALUES = {
@@ -222,7 +226,7 @@ def expand_runs(text: str) -> str:
 
 def expand_rank(segment: str) -> str:
     """Expand a compact rank segment to its 8-slot form ("1b3RN1" -> "1b111RN1")."""
-    if not (isinstance(segment, str) and segment.translate(_SHAPE_OF) in _SHAPES):
+    if not (isinstance(segment, str) and _shape(segment) in _SHAPES):
         _check_segment(segment)  # the table only tells that the segment is bad; this names why
     return expand_runs(segment)
 
@@ -236,6 +240,13 @@ def contract_rank(expanded: str) -> str:
     for run, digit in _RUN_CONTRACTIONS:
         expanded = expanded.replace(run, digit)
     return expanded
+
+
+def _shape(text: str) -> str:
+    """The shape of a segment or a placement ("2p1p3" -> "2x1x3"). Each
+    non-ASCII character becomes '?', one that no shape holds: replaced,
+    never dropped, so that "ppppépppp" cannot pass for "pppppppp"."""
+    return text.encode("ascii", "replace").translate(_SHAPE_BYTES).decode()
 
 
 def _segment_plans() -> dict:
@@ -252,7 +263,7 @@ def _segment_plans() -> dict:
     """
     table = {}
     for row in map("".join, product("1P", repeat=8)):
-        shape = contract_rank(row).translate(_SHAPE_OF)
+        shape = _shape(contract_rank(row))
         # the squares each character of the shape covers: 0 for a piece
         runs = [0 if ch == _PIECE_MARK else int(ch) for ch in shape] + [0]
         plans = []
@@ -279,7 +290,7 @@ _SHAPES = frozenset(_SEGMENT_PLANS)
 def _write_slot(segment: str, file: int, letter: str):
     """Write ``letter`` ('1' clears) on slot ``file`` of a compact segment:
     (the new segment, the letter that was there, '1' if it was empty)."""
-    plans = _SEGMENT_PLANS.get(segment.translate(_SHAPE_OF))
+    plans = _SEGMENT_PLANS.get(_shape(segment))
     if plans is None:
         raise BadExpandedRankError(f"bad rank segment: {segment!r}")
     at, occupied, before, after, clear_head, merged, clear_tail = plans[file]
@@ -385,7 +396,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     segments = placement.split("/")
     if len(segments) != 8:
         raise SegmentCountError(f"expected 8 rank segments, got {len(segments)}")
-    if not _SHAPES.issuperset(placement.translate(_SHAPE_OF).split("/")):
+    if not _SHAPES.issuperset(_shape(placement).split("/")):
         # the bulk check only tells that the placement is bad; this names why
         for segment in segments:
             _check_segment(segment)
@@ -419,21 +430,21 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     return record
 
 
+def _fen_text(record: FenRecord) -> str:
+    """serialize_fen without the argument check, for a record built here."""
+    ranks, side, castling, en_passant, halfmove, fullmove = record
+    return " ".join(("/".join(ranks), side, castling, en_passant.name if en_passant else "-",
+                     str(halfmove), str(fullmove)))
+
+
 def serialize_fen(record: FenRecord) -> str:
     """Serialize a record back to canonical FEN text."""
+    if not isinstance(record, FenRecord):
+        raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     try:
-        return " ".join(
-            (
-                "/".join(record.ranks),
-                record.side,
-                record.castling,
-                record.en_passant.name if record.en_passant else "-",
-                str(record.halfmove),
-                str(record.fullmove),
-            )
-        )
+        return _fen_text(record)
     except (AttributeError, TypeError) as exc:
-        raise FenSyntaxError(f"cannot serialize a {type(record).__name__} as FEN: {exc}") from None
+        raise FenSyntaxError(f"cannot serialize the record as FEN: {exc}") from None
 
 
 def piece_at(record: FenRecord, square: Square) -> Piece | None:

@@ -87,12 +87,13 @@ def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
 
 
 def _seeded(seed) -> random.Random:
-    try:
-        return random.Random(seed)
-    except TypeError:
-        raise BadOptionError(
-            f"a seed must be an int, float, str or bytes, got {type(seed).__name__}"
-        ) from None
+    # random.Random(None) would seed from the OS: a chain nobody can repeat
+    if seed is not None:
+        try:
+            return random.Random(seed)
+        except TypeError:
+            pass
+    raise BadOptionError(f"a seed must be an int, float, str or bytes, got {type(seed).__name__}")
 
 
 def random_pseudo_move(fen: str, seed: int) -> str:

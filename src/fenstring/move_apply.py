@@ -7,9 +7,13 @@ and no expanded row, is built at any point. Moves are applied as written:
 chess legality (checks, pins, blocked paths) is deliberately not
 enforced, so the result is a faithful transcription of the move.
 
-Each ply builds two immutable named tuples, positionally: the next
-FenRecord and an ApplyOutcome. _read_move reads every move argument, text
-or a Move, into its squares and promotion kind; only parse_move builds a Move.
+_apply is the one kernel behind every entry point. A ply is one pass: it
+unpacks the record once, makes the move's writes and takes the trailer
+and the FEN text from the unchecked cores of update_clocks,
+update_castling_rights, derive_en_passant and serialize_fen. Each rule is
+written once, in its core; the public functions check their arguments and
+call the same cores. _read_move reads every move argument, text or a
+Move, into its squares and promotion kind; only parse_move builds a Move.
 """
 
 from __future__ import annotations
@@ -40,16 +44,18 @@ from .fen_codec import (
     FenRecord,
     Piece,
     Square,
+    _CASTLING_FIELDS,
     _OPTION_VALUES,
+    _PIECES,
+    _SQUARE_AT,
     _Value,
     _bad_option,
+    _fen_text,
     _rank_segment,
     _strict_checks,
     _write_slot,
     expand_rank,
     parse_fen,
-    segment_index,
-    serialize_fen,
 )
 
 _MOVE_RE = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?")
@@ -59,7 +65,9 @@ _CLOCK_LIMIT = 10**MAX_DIGITS
 # king color -> the two rights it holds
 _KING_RIGHTS = {WHITE: "KQ", BLACK: "kq"}
 # corner square -> the right it hosts
-_CORNER_RIGHTS = {(7, 1): "K", (0, 1): "Q", (7, 8): "k", (0, 8): "q"}
+_CORNER_RIGHTS = {SQUARES["h1"]: "K", SQUARES["a1"]: "Q", SQUARES["h8"]: "k", SQUARES["a8"]: "q"}
+# segments_touched of a ply from segment i to segment j, built once for the 64 pairs
+_TOUCHED = tuple(tuple(frozenset((i, j)) for j in range(8)) for i in range(8))
 
 
 class Move(namedtuple("Move", "from_square to_square promotion")):
@@ -131,12 +139,13 @@ def _null_move_error(name: str) -> BadMoveSyntaxError:
     return BadMoveSyntaxError(f"origin equals destination: {name}")
 
 
-def _bad_argument(mover, *squares) -> FenSyntaxError:
-    """The typed error for a mover that is not a Piece or a square that is not a Square."""
+def _check_move_arguments(mover, from_square, to_square) -> None:
+    """Raise the typed error for a mover that is not a Piece or a square that is not a Square."""
     if not isinstance(mover, Piece):
-        return FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
-    wrong = next(square for square in squares if not isinstance(square, Square))
-    return BadSquareError(f"a square must be a Square, got {type(wrong).__name__}")
+        raise FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
+    for square in (from_square, to_square):
+        if not isinstance(square, Square):
+            raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
 
 
 def _read_move(move):
@@ -160,6 +169,20 @@ def parse_move(text: str) -> Move:
     return Move(*_read_move(text))
 
 
+def _rights_after(rights, mover, from_square, to_square, captured):
+    """update_castling_rights without the argument checks."""
+    lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ""
+    if mover.kind == "R":
+        lost += _CORNER_RIGHTS.get(from_square, "")
+    if captured is not None:
+        lost += _CORNER_RIGHTS.get(to_square, "")
+    if not lost or rights == "-":
+        return rights
+    for letter in lost:
+        rights = rights.replace(letter, "")
+    return rights or "-"
+
+
 def update_castling_rights(
     rights: str,
     mover: Piece,
@@ -174,21 +197,31 @@ def update_castling_rights(
     clears that corner's right; a capture landing on a corner clears the
     right hosted there.
     """
-    if not isinstance(rights, str):
-        raise BadCastlingFieldError(f"castling rights must be text, got {type(rights).__name__}")
-    try:
-        lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ""
-        if mover.kind == "R":
-            lost += _CORNER_RIGHTS.get((from_square.file, from_square.rank), "")
-        if captured is not None:
-            lost += _CORNER_RIGHTS.get((to_square.file, to_square.rank), "")
-    except AttributeError:
-        raise _bad_argument(mover, from_square, to_square) from None
-    if not lost or rights == "-":
-        return rights
-    for letter in lost:
-        rights = rights.replace(letter, "")
-    return rights or "-"
+    if not isinstance(rights, str) or _CASTLING_FIELDS.get(rights) != rights:
+        raise BadCastlingFieldError(f"castling rights must be a canonical castling field, "
+                                    f"got {rights!r}")
+    _check_move_arguments(mover, from_square, to_square)
+    return _rights_after(rights, mover, from_square, to_square, captured)
+
+
+def _en_passant_after(ranks, mover, from_square, to_square, ep_mode):
+    """derive_en_passant without the argument checks."""
+    # only a same-file 2->4 or 7->5 style push yields a target on rank 3/6;
+    # other two-rank pseudo-pushes would put the target on an illegal rank
+    if (mover.kind != "P" or from_square.file != to_square.file
+            or {from_square.rank, to_square.rank} not in ({2, 4}, {5, 7})):
+        return None
+    target = _SQUARE_AT[to_square.file, (from_square.rank + to_square.rank) // 2]
+    if ep_mode == "always":
+        return target
+    if ep_mode != "adjacent-only":
+        raise _bad_option("ep_mode", ep_mode)
+    enemy_pawn = "p" if mover.color == WHITE else "P"
+    row = expand_rank(_rank_segment(ranks, to_square.rank))
+    for f in (to_square.file - 1, to_square.file + 1):
+        if 0 <= f <= 7 and row[f] == enemy_pawn:
+            return target
+    return None
 
 
 def derive_en_passant(
@@ -205,26 +238,18 @@ def derive_en_passant(
     it only when an enemy pawn sits on an adjacent file of the landing
     rank (the 'Pp'/'pP' pattern) in the post-move placement.
     """
-    try:
-        if mover.kind != "P" or from_square.file != to_square.file:
-            return None
-        # only a 2->4 or 7->5 style push yields a target on rank 3/6; other
-        # two-rank pseudo-pushes would put the target on an illegal rank
-        if {from_square.rank, to_square.rank} not in ({2, 4}, {5, 7}):
-            return None
-    except AttributeError:
-        raise _bad_argument(mover, from_square, to_square) from None
-    target = SQUARES[f"{to_square.name[0]}{(from_square.rank + to_square.rank) // 2}"]
-    if ep_mode == "always":
-        return target
-    if ep_mode != "adjacent-only":
-        raise _bad_option("ep_mode", ep_mode)
-    enemy_pawn = "p" if mover.color == WHITE else "P"
-    row = expand_rank(_rank_segment(placement_after, to_square.rank))
-    for f in (to_square.file - 1, to_square.file + 1):
-        if 0 <= f <= 7 and row[f] == enemy_pawn:
-            return target
-    return None
+    _check_move_arguments(mover, from_square, to_square)
+    return _en_passant_after(placement_after, mover, from_square, to_square, ep_mode)
+
+
+def _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode):
+    """update_clocks without the argument checks."""
+    if clock_mode != "standard":
+        if clock_mode != "frozen":
+            raise _bad_option("clock_mode", clock_mode)
+        return halfmove, fullmove
+    return (0 if mover.kind == "P" or was_capture else halfmove + 1,
+            fullmove + 1 if mover.color == BLACK else fullmove)
 
 
 def update_clocks(
@@ -238,20 +263,11 @@ def update_clocks(
     after a black move. Frozen: both pass through unchanged."""
     if not isinstance(mover, Piece):
         raise FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
-    if clock_mode != "standard":
-        if clock_mode != "frozen":
-            raise _bad_option("clock_mode", clock_mode)
-        return halfmove, fullmove
-    try:
-        halfmove = 0 if (mover.kind == "P" or was_capture) else halfmove + 1
-        if mover.color == BLACK:
-            fullmove += 1
-    except TypeError:
-        raise BadClockError(
-            f"clocks must be integers, got {type(halfmove).__name__} "
-            f"and {type(fullmove).__name__}"
-        ) from None
-    return halfmove, fullmove
+    # type(), not isinstance(): a bool is an int, and True is no fullmove number
+    if not (type(halfmove) is int and type(fullmove) is int and halfmove >= 0 and fullmove >= 1):
+        raise BadClockError(f"clocks must be integers, halfmove >= 0 and fullmove >= 1, "
+                            f"got {halfmove!r} and {fullmove!r}")
+    return _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode)
 
 
 def _check_clocks(halfmove: int, fullmove: int) -> None:
@@ -267,31 +283,33 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     move changes is written into its compact segment by _write_slot, which
     reads the letter that was there and checks the segment's shape on
     every write: two writes for a ply, two more for a castle's rook and
-    one for an en-passant victim.
+    one for an en-passant victim. The trailer comes from the unchecked
+    cores of the public rules, in the same pass.
     """
+    ranks, side, castling, en_passant, halfmove, fullmove = record
     # a carried clock can outgrow what parse_fen accepts; the FEN text of
     # that ply would then fail to parse here, so the record fails instead
-    _check_clocks(record.halfmove, record.fullmove)
+    _check_clocks(halfmove, fullmove)
     from_sq, to_sq, promotion = _read_move(move)
 
-    ranks = list(record.ranks)
-    from_i = segment_index(from_sq.rank)
-    to_i = segment_index(to_sq.rank)
+    ranks = list(ranks)
+    from_i = 8 - from_sq.rank
+    to_i = 8 - to_sq.rank
     # the origin is cleared first, so that a destination in the same
     # segment is written on the cleared text
     ranks[from_i], mover_letter = _write_slot(ranks[from_i], from_sq.file, "1")
-    if mover_letter == "1":
+    mover = _PIECES.get(mover_letter)
+    if mover is None:
         raise EmptyOriginError(f"no piece on {from_sq.name}")
-    mover = Piece.from_letter(mover_letter)
-    if mover.color != record.side:
-        raise WrongColorError(f"piece on {from_sq.name} is not {record.side!r} to move")
+    if mover.color != side:
+        raise WrongColorError(f"piece on {from_sq.name} is not {side!r} to move")
 
     landing = mover_letter
     if promotion is not None:
-        landing = promotion if mover.color == WHITE else promotion.lower()
+        landing = promotion if side == WHITE else promotion.lower()
     ranks[to_i], target_letter = _write_slot(ranks[to_i], to_sq.file, landing)
-    captured = Piece.from_letter(target_letter) if target_letter != "1" else None
-    if captured and options.validation == "strict" and captured.color == mover.color:
+    captured = _PIECES.get(target_letter)
+    if captured and options.validation == "strict" and captured.color == side:
         raise FriendlyCaptureError(f"own piece on {to_sq.name}")
     was_capture = captured is not None
 
@@ -301,49 +319,45 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     if promotion is not None and not (is_pawn and to_sq.rank in (1, 8)):
         raise BadPromotionPieceError("promotion suffix only valid for a pawn reaching rank 1/8")
 
-    is_castle = (
-        mover.kind == "K"
-        and from_sq.rank == to_sq.rank
-        and to_sq.rank in (1, 8)
-        and abs(from_sq.file - to_sq.file) == 2
-        and to_sq.file in (2, 6)
-    )
-    is_ep_capture = (
-        is_pawn
-        and record.en_passant is not None
-        and to_sq is record.en_passant
-        and abs(from_sq.file - to_sq.file) == 1
-        and abs(from_sq.rank - to_sq.rank) == 1
-    )
-
     special = None
     if promotion is not None:
         special = "promotion"
-    elif is_castle:
+    elif (
+        mover.kind == "K"
+        and from_i == to_i
+        and to_sq.rank in (1, 8)
+        and abs(from_sq.file - to_sq.file) == 2
+        and to_sq.file in (2, 6)
+    ):
         kingside = to_sq.file == 6
-        rook_letter = "R" if mover.color == WHITE else "r"
+        rook_letter = "R" if side == WHITE else "r"
         row, corner = _write_slot(ranks[to_i], 7 if kingside else 0, "1")
         if corner != rook_letter:
             raise BadCastleError(f"no {rook_letter!r} on castling corner of rank {to_sq.rank}")
         ranks[to_i] = _write_slot(row, 5 if kingside else 3, rook_letter)[0]
         special = "castle-kingside" if kingside else "castle-queenside"
-    elif is_ep_capture:
+    elif (
+        is_pawn
+        and to_sq is en_passant
+        and abs(from_sq.file - to_sq.file) == 1
+        and abs(from_i - to_i) == 1
+    ):
         # bypassed pawn sits behind the target, in the mover's origin rank
         ranks[from_i] = _write_slot(ranks[from_i], to_sq.file, "1")[0]
         was_capture = True
         special = "en-passant-capture"
 
-    halfmove, fullmove = update_clocks(
-        record.halfmove, record.fullmove, mover, was_capture, options.clock_mode
-    )
-    after = FenRecord(
+    halfmove, fullmove = _clocks_after(halfmove, fullmove, mover, was_capture, options.clock_mode)
+    after = FenRecord._make((
         tuple(ranks),
-        BLACK if record.side == WHITE else WHITE,
-        update_castling_rights(record.castling, mover, from_sq, to_sq, captured),
-        derive_en_passant(ranks, mover, from_sq, to_sq, options.ep_mode),
+        BLACK if side == WHITE else WHITE,
+        _rights_after(castling, mover, from_sq, to_sq, captured),
+        # the rule can hold only for a same-file pawn move: the others skip the call
+        _en_passant_after(ranks, mover, from_sq, to_sq, options.ep_mode)
+        if is_pawn and from_sq.file == to_sq.file else None,
         halfmove,
         fullmove,
-    )
+    ))
     if options.validation == "strict":
         # closure: the result must itself pass strict validation. Its
         # grammar holds by construction (rows written by plan, canonical rights,
@@ -351,8 +365,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         _check_clocks(halfmove, fullmove)
         _strict_checks(after)
 
-    return after, ApplyOutcome(
-        serialize_fen(after), frozenset((from_i, to_i)), was_capture, is_pawn, special
+    return after, ApplyOutcome._make(
+        (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)
     )
 
 

@@ -227,7 +227,7 @@ def test_piece_at_matches_full_expansion(fen):
 
 
 # placement text the bulk check must judge exactly as the per-segment checker
-_PLACEMENT_CHARS = "KQRBNPkqrbnp0123456789x²"
+_PLACEMENT_CHARS = "KQRBNPkqrbnp0123456789x?²é\ud800"
 
 
 @st.composite
@@ -303,6 +303,15 @@ def test_only_a_segment_the_table_rejects_reaches_the_segment_checker(monkeypatc
         ("44", AdjacentDigitsError, "adjacent digits in segment '44'"),
         ("x7", BadPieceLetterError, "bad character 'x' in segment 'x7'"),
         ("0P7", BadPieceLetterError, "bad character '0' in segment '0P7'"),
+        # the shape table reads each non-ASCII character as '?', and its own
+        # mark 'x' as '?' too: a lone surrogate, a letter, a fullwidth digit,
+        # and a segment that would pass if the non-ASCII letter were dropped
+        ("\ud8007", BadPieceLetterError, "bad character '\\ud800' in segment '\\ud8007'"),
+        ("7\ud800", BadPieceLetterError, "bad character '\\ud800' in segment '7\\ud800'"),
+        ("é7", BadPieceLetterError, "bad character 'é' in segment 'é7'"),
+        ("８", BadPieceLetterError, "bad character '８' in segment '８'"),
+        ("?7", BadPieceLetterError, "bad character '?' in segment '?7'"),
+        ("ppppépppp", BadPieceLetterError, "bad character 'é' in segment 'ppppépppp'"),
     ]:
         for call in (expand_rank, lambda s: parse_fen(f"{s}/8/8/8/8/8/8/8 w - - 0 1"),
                      lambda s: emit_legacy_forsyth((s,) + ("8",) * 7)):

@@ -16,7 +16,9 @@ from fenstring import (
     oracle_apply,
     parse_fen,
     parse_move,
+    piece_at,
     play_sequence,
+    serialize_fen,
     update_castling_rights,
     update_clocks,
     START_FEN,
@@ -625,6 +627,67 @@ class TestInvariants:
             before = Counter(c for c in fen.split()[0] if c.isalpha())
             after = Counter(c for c in outcome.fen_after.split()[0] if c.isalpha())
             assert sum(before.values()) - sum(after.values()) == (1 if outcome.was_capture else 0)
+
+
+class TestKernelAndPublicRules:
+    """_apply states no rule of its own: each ply's trailer is what the
+    public rules give, and its text is serialize_fen of its record."""
+
+    def test_every_ply_agrees_with_the_public_rules(self, fuzz_corpus):
+        from fenstring.move_apply import _apply
+
+        checked = dict.fromkeys(ALL_OPTIONS, 0)
+        for fen, move, _ in fuzz_corpus:
+            lenient = parse_fen(fen)
+            try:
+                strict = parse_fen(fen, "strict")
+            except FenstringError:
+                strict = None
+            mv = parse_move(move)
+            mover = piece_at(lenient, mv.from_square)
+            captured = piece_at(lenient, mv.to_square)
+            for options in ALL_OPTIONS:
+                record = strict if options.validation == "strict" else lenient
+                if record is None:
+                    continue
+                try:
+                    after, outcome = _apply(record, move, options)
+                except FenstringError:
+                    continue
+                checked[options] += 1
+                assert after.castling == update_castling_rights(
+                    record.castling, mover, mv.from_square, mv.to_square, captured
+                )
+                assert after.en_passant is derive_en_passant(
+                    after.ranks, mover, mv.from_square, mv.to_square, options.ep_mode
+                )
+                assert (after.halfmove, after.fullmove) == update_clocks(
+                    record.halfmove, record.fullmove, mover, outcome.was_capture,
+                    options.clock_mode,
+                )
+                assert outcome.fen_after == serialize_fen(after)
+        # every combination, strict ones included, checks thousands of plies
+        assert min(checked.values()) > 1000, checked
+
+    def test_the_kernel_calls_no_checked_wrapper(self, monkeypatch):
+        from fenstring import fen_codec, move_apply
+
+        def wrapper_must_not_run(*args):
+            raise AssertionError("a checked wrapper ran on the kernel's path")
+
+        for module, name in [(move_apply, "update_castling_rights"),
+                             (move_apply, "derive_en_passant"),
+                             (move_apply, "update_clocks"),
+                             (fen_codec, "serialize_fen")]:
+            monkeypatch.setattr(module, name, wrapper_must_not_run)
+        # double pushes under both ep modes, a castle, an en-passant capture
+        # and a promotion
+        moves = ["e2e4", "d7d5", "e4d5", "c7c5", "d5c6", "g8f6", "c6b7", "e7e5",
+                 "b7a8q", "f8e7", "g1f3", "e8g8"]
+        for options in ALL_OPTIONS:
+            fens = play_sequence(START_FEN, moves, options)
+            assert fens[-1].split()[:3] == ["Qnbq1rk1/p3bppp/5n2/4p3/8/5N2/PPPP1PPP/RNBQKB1R",
+                                            "w", "KQ"]
 
 
 class TestRecordContract:

@@ -146,6 +146,10 @@ def test_writer_matches_row_write_on_every_shape():
 @example("17")
 @example("8/")
 @example("xxxxxxxx")
+@example("ppppépppp")
+@example("\ud8007")
+@example("８")
+@example("?7")
 def test_writer_accepts_exactly_the_valid_segments(text):
     try:
         _check_segment(text)

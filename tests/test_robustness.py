@@ -125,8 +125,9 @@ def test_coordinate_of_the_wrong_type_is_out_of_range(value):
 
 
 # wrongly typed arguments that a helper reads only deep in its work (rights,
-# a placement, clocks, fuzz iterations and seeds, a record's ranks), each
-# with the error it raises
+# a placement, clocks, fuzz iterations and seeds, a record's ranks), and
+# wrong values of the right type that the checked helpers refuse, each with
+# the error it raises
 _WRONG_TYPE_CALLS = {
     "update_castling_rights-rights": (
         lambda: update_castling_rights(None, Piece("K", "w"), SQUARES["e1"], SQUARES["e2"]),
@@ -147,6 +148,24 @@ _WRONG_TYPE_CALLS = {
     "random_pseudo_move-seed": (lambda: random_pseudo_move(START_FEN, [1]), BadOptionError),
     "piece_at-ranks": (lambda: piece_at(FenRecord(None, "w", "-", None, 0, 1), SQUARES["e2"]),
                        FenSyntaxError),
+    "update_castling_rights-unknown": (
+        lambda: update_castling_rights("xyz", Piece("K", "w"), SQUARES["e1"], SQUARES["e2"]),
+        BadCastlingFieldError,
+    ),
+    "update_castling_rights-order": (
+        lambda: update_castling_rights("kqKQ", Piece("N", "w"), SQUARES["g1"], SQUARES["f3"]),
+        BadCastlingFieldError,
+    ),
+    "update_clocks-float": (lambda: update_clocks(1.5, 1, Piece("N", "w"), False), BadClockError),
+    "update_clocks-bool": (lambda: update_clocks(0, True, Piece("N", "b"), False), BadClockError),
+    "update_clocks-negative": (lambda: update_clocks(-1, 1, Piece("N", "w"), False, "frozen"),
+                               BadClockError),
+    "update_clocks-fullmove-zero": (lambda: update_clocks(0, 0, Piece("N", "w"), False),
+                                    BadClockError),
+    # random.Random(None) would seed from the OS: a run nobody can repeat
+    "random_pseudo_move-seed-None": (lambda: random_pseudo_move(START_FEN, None), BadOptionError),
+    "fuzz_pairs-seed-None": (lambda: list(fuzz_pairs(10, None)), BadOptionError),
+    "differential_fuzz-seed-None": (lambda: differential_fuzz(10, None), BadOptionError),
 }
 
 
