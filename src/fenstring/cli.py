@@ -23,6 +23,10 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_MOVE = 3
 
+# FENs per write to stdout in `play`. On an unbuffered stream (PYTHONUNBUFFERED)
+# print would make two write(2) calls per ply; a block makes one
+PLAY_BLOCK = 256
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -119,8 +123,17 @@ def cmd_play(args) -> int:
     except UnicodeDecodeError as exc:
         print(f"{args.moves_file}: not UTF-8 text: {exc.reason}", file=sys.stderr)
         return EXIT_INPUT
-    for fen in _iter_sequence(args.fen, moves, _options_from(args)):
-        print(fen)
+    block = []
+    try:
+        for fen in _iter_sequence(args.fen, moves, _options_from(args)):
+            block.append(fen)
+            if len(block) == PLAY_BLOCK:
+                sys.stdout.write("\n".join(block) + "\n")
+                block.clear()
+    finally:
+        # the plies before a failing one are written before main reports it
+        if block:
+            sys.stdout.write("\n".join(block) + "\n")
     return EXIT_OK
 
 

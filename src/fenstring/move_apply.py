@@ -201,6 +201,9 @@ def update_castling_rights(
         raise BadCastlingFieldError(f"castling rights must be a canonical castling field, "
                                     f"got {rights!r}")
     _check_move_arguments(mover, from_square, to_square)
+    if captured is not None and not isinstance(captured, Piece):
+        raise FenSyntaxError(f"a captured piece must be a Piece or None, "
+                             f"got {type(captured).__name__}")
     return _rights_after(rights, mover, from_square, to_square, captured)
 
 
@@ -252,6 +255,11 @@ def _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode):
             fullmove + 1 if mover.color == BLACK else fullmove)
 
 
+def _check_clocks(halfmove: int, fullmove: int) -> None:
+    if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
+        raise BadClockError(f"clock longer than {MAX_DIGITS} digits: {halfmove} {fullmove}")
+
+
 def update_clocks(
     halfmove: int,
     fullmove: int,
@@ -260,19 +268,16 @@ def update_clocks(
     clock_mode: str = "standard",
 ):
     """Standard: halfmove resets on pawn move/capture else +1; fullmove +1
-    after a black move. Frozen: both pass through unchanged."""
+    after a black move. Frozen: both pass through unchanged. Clocks of more
+    than MAX_DIGITS digits are refused, as parse_fen refuses them."""
     if not isinstance(mover, Piece):
         raise FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
     # type(), not isinstance(): a bool is an int, and True is no fullmove number
     if not (type(halfmove) is int and type(fullmove) is int and halfmove >= 0 and fullmove >= 1):
         raise BadClockError(f"clocks must be integers, halfmove >= 0 and fullmove >= 1, "
                             f"got {halfmove!r} and {fullmove!r}")
+    _check_clocks(halfmove, fullmove)
     return _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode)
-
-
-def _check_clocks(halfmove: int, fullmove: int) -> None:
-    if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
-        raise BadClockError(f"clock longer than {MAX_DIGITS} digits: {halfmove} {fullmove}")
 
 
 def _apply(record: FenRecord, move, options: ApplyOptions):

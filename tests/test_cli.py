@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fenstring import ApplyOptions, cli
+from fenstring import ApplyOptions, cli, play_sequence
 from fenstring.cli import main
 
 from conftest import BAIRD_LEGACY, BAIRD_PLACEMENT, FIG1_FEN, START_FEN
@@ -125,10 +127,30 @@ class TestPlay:
     def test_error_reports_ply(self, capsys, tmp_path):
         moves = tmp_path / "moves.txt"
         moves.write_text("e2e4\ne2e4\n")
-        code, _, err = run(capsys, "play", START_FEN, str(moves))
+        code, out, err = run(capsys, "play", START_FEN, str(moves))
         assert code == 3
+        # the plies before the failing one are written before the error
+        assert out == "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3 0 1\n"
         assert err.startswith("ply 2:")
         assert "EmptyOrigin" in err
+
+    def test_writes_one_block_of_fens_at_a_time(self, monkeypatch, tmp_path):
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        shuffle = ["g1f3", "g8f6", "f3g1", "f6g8"]
+        game = (shuffle * cli.PLAY_BLOCK)[:2 * cli.PLAY_BLOCK + 37]
+        moves = tmp_path / "knights.moves"
+        moves.write_text("\n".join(game) + "\n")
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["play", START_FEN, str(moves)]) == 0
+        assert stdout.getvalue() == "\n".join(play_sequence(START_FEN, game)) + "\n"
+        assert stdout.writes == math.ceil(len(game) / cli.PLAY_BLOCK) == 3
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "play", START_FEN, str(tmp_path / "nope.txt"))

@@ -82,6 +82,12 @@ _ENTRY_POINTS = {
         lambda value: update_castling_rights("KQkq", Piece("R", "w"), value, SQUARES["h2"]),
         BadSquareError,
     ),
+    # the rights drop a corner's right for a capture there: 42 is no capture
+    "update_castling_rights-captured": (
+        lambda value: update_castling_rights("KQkq", Piece("N", "b"), SQUARES["g3"],
+                                             SQUARES["h1"], value),
+        FenSyntaxError,
+    ),
     "derive_en_passant-mover": (
         lambda value: derive_en_passant(("8",) * 8, value, SQUARES["e2"], SQUARES["e4"]),
         FenSyntaxError,
@@ -98,6 +104,8 @@ _VALUES = {"None": None, "bytes": START_FEN.encode(), "int": 42, "list": ["8"] *
 # these take any iterable, bytes and a list too; each item is checked where
 # it is read, as a segment or as a move
 _ITERABLE_ARGUMENTS = ("emit_legacy_forsyth", "play_sequence-moves")
+# these take None: no piece was captured
+_OPTIONAL_ARGUMENTS = ("update_castling_rights-captured",)
 
 
 @pytest.mark.parametrize("entry,value", [
@@ -105,6 +113,7 @@ _ITERABLE_ARGUMENTS = ("emit_legacy_forsyth", "play_sequence-moves")
     for entry in _ENTRY_POINTS
     for name, value in _VALUES.items()
     if not (entry in _ITERABLE_ARGUMENTS and name in ("bytes", "list"))
+    and not (entry in _OPTIONAL_ARGUMENTS and name == "None")
 ])
 def test_wrongly_typed_argument_raises_typed_error(entry, value):
     call, error = _ENTRY_POINTS[entry]
@@ -161,6 +170,11 @@ _WRONG_TYPE_CALLS = {
     "update_clocks-negative": (lambda: update_clocks(-1, 1, Piece("N", "w"), False, "frozen"),
                                BadClockError),
     "update_clocks-fullmove-zero": (lambda: update_clocks(0, 0, Piece("N", "w"), False),
+                                    BadClockError),
+    "update_clocks-halfmove-long": (lambda: update_clocks(10**12, 1, Piece("N", "w"), False),
+                                    BadClockError),
+    "update_clocks-fullmove-long": (lambda: update_clocks(0, 10**9, Piece("N", "w"), False,
+                                                          "frozen"),
                                     BadClockError),
     # random.Random(None) would seed from the OS: a run nobody can repeat
     "random_pseudo_move-seed-None": (lambda: random_pseudo_move(START_FEN, None), BadOptionError),
