@@ -114,7 +114,7 @@ def cmd_apply(args) -> int:
 
 def cmd_play(args) -> int:
     try:
-        with open(args.moves_file, encoding="utf-8") as handle:
+        with open(args.moves_file, encoding="utf-8-sig") as handle:
             moves = []
             for line in handle:
                 line = line.split("#", 1)[0].strip()

@@ -32,8 +32,9 @@ first error, so the error class, message and precedence are those of the
 per-segment checker.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
-and once per applied move; serialize_fen checks that it is given one, and
-its unchecked core _fen_text writes the text of the records built here. Squares and pieces are interned slot classes:
+and once per applied move; serialize_fen checks that it is given one and
+that the text it writes parses, and its unchecked core _fen_text writes the
+text of the records built here. Squares and pieces are interned slot classes:
 the 64 squares and 12 pieces are built at import, and building one again
 returns the shared instance, so they compare by identity. The module
 imports no dataclasses, which alone would cost a process more import time
@@ -140,7 +141,8 @@ class Square(_Value):
     _fields = ("file", "rank")
 
     def __new__(cls, file: int, rank: int) -> "Square":
-        if not (isinstance(file, int) and isinstance(rank, int)):
+        # type(), not isinstance(): a bool is an int, and True is no coordinate
+        if not (type(file) is int and type(rank) is int):
             raise BadSquareError(
                 f"a square's file and rank must be integers, "
                 f"got {type(file).__name__} and {type(rank).__name__}"
@@ -300,16 +302,12 @@ def _write_slot(segment: str, file: int, letter: str):
     return segment[:at] + before + letter + after + segment[at + 1 :], old
 
 
-# the segment index of each rank 1..8; the lookup fails for every other value
-_SEGMENT_OF_RANK = {rank: 8 - rank for rank in range(1, 9)}
-
-
 def segment_index(rank: int) -> int:
     """Placement-segment index of a rank: the first segment is rank 8."""
-    try:
-        return _SEGMENT_OF_RANK[rank]
-    except (KeyError, TypeError):
-        raise OutOfRangeError(f"rank out of range: {rank!r}") from None
+    # type(), not isinstance(): a bool is an int, and True is no rank
+    if type(rank) is not int or not 1 <= rank <= 8:
+        raise OutOfRangeError(f"rank out of range: {rank!r}")
+    return 8 - rank
 
 
 def _rank_segment(ranks, rank: int) -> str:
@@ -438,13 +436,16 @@ def _fen_text(record: FenRecord) -> str:
 
 
 def serialize_fen(record: FenRecord) -> str:
-    """Serialize a record back to canonical FEN text."""
+    """Serialize a record back to canonical FEN text; text that would not
+    parse as a FEN raises the error parse_fen gives for it."""
     if not isinstance(record, FenRecord):
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     try:
-        return _fen_text(record)
+        fen = _fen_text(record)
     except (AttributeError, TypeError) as exc:
         raise FenSyntaxError(f"cannot serialize the record as FEN: {exc}") from None
+    parse_fen(fen)
+    return fen
 
 
 def piece_at(record: FenRecord, square: Square) -> Piece | None:

@@ -9,12 +9,12 @@ from typing import Optional, Tuple
 from .errors import (
     BadOptionError, FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
 )
-from .fen_codec import BLACK, START_FEN, WHITE, FenRecord, expand_runs, parse_fen
-from .move_apply import ApplyOptions, _apply, _check_options
+from .fen_codec import BLACK, SQUARES, START_FEN, WHITE, FenRecord, expand_runs, parse_fen
+from .move_apply import ApplyOptions, _CASTLES, _apply, _check_options
 from .oracle import oracle_apply
 
-# slot i of the 64-slot placement (a8 first, h1 last) -> its square name
-_SLOT_NAMES = tuple(f + r for r in "87654321" for f in "abcdefgh")
+# slot i of the 64-slot placement (a8 first, h1 last) -> its square
+_SLOT_SQUARES = tuple(SQUARES[f + r] for r in "87654321" for f in "abcdefgh")
 # the side to move's piece letters each read as '*', which str.find then locates
 _OWN_MARKS = {WHITE: str.maketrans("KQRBNP", "******"), BLACK: str.maketrans("kqrbnp", "******")}
 
@@ -65,23 +65,16 @@ def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
         if to_i == from_i:
             continue
         mover = slots[from_i]
-        row, to_file = divmod(to_i, 8)
-        edge = row in (0, 7)
+        from_sq, to_sq = _SLOT_SQUARES[from_i], _SLOT_SQUARES[to_i]
 
         # a castle-shaped king move needs its own rook on the corner
-        if (
-            mover in "Kk"
-            and edge
-            and from_i // 8 == row
-            and abs(from_i - to_i) == 2
-            and to_file in (2, 6)
-        ):
-            corner = row * 8 + (7 if to_file == 6 else 0)
+        if mover in "Kk" and (from_sq, to_sq) in _CASTLES:
+            corner = to_i - to_sq.file + _CASTLES[from_sq, to_sq][0]
             if slots[corner] != ("R" if mover == "K" else "r"):
                 continue
 
-        text = _SLOT_NAMES[from_i] + _SLOT_NAMES[to_i]
-        if mover in "Pp" and edge:
+        text = from_sq.name + to_sq.name
+        if mover in "Pp" and to_sq.rank in (1, 8):
             text += rng.choice("qrbn")
         return text
 

@@ -11,9 +11,10 @@ _apply is the one kernel behind every entry point. A ply is one pass: it
 unpacks the record once, makes the move's writes and takes the trailer
 and the FEN text from the unchecked cores of update_clocks,
 update_castling_rights, derive_en_passant and serialize_fen. Each rule is
-written once, in its core; the public functions check their arguments and
-call the same cores. _read_move reads every move argument, text or a
-Move, into its squares and promotion kind; only parse_move builds a Move.
+written once, in its core, and each special-move shape once, in _CASTLES or
+_PASSED; the public functions check their arguments and call the same
+cores. _read_move reads every move argument, text or a Move, into its
+squares and promotion kind; only parse_move builds a Move.
 """
 
 from __future__ import annotations
@@ -68,6 +69,20 @@ _KING_RIGHTS = {WHITE: "KQ", BLACK: "kq"}
 _CORNER_RIGHTS = {SQUARES["h1"]: "K", SQUARES["a1"]: "Q", SQUARES["h8"]: "k", SQUARES["a8"]: "q"}
 # segments_touched of a ply from segment i to segment j, built once for the 64 pairs
 _TOUCHED = tuple(tuple(frozenset((i, j)) for j in range(8)) for i in range(8))
+# each castle-shaped king move, a two-file step along rank 1 or 8 onto the c
+# or g file -> (the rook's corner file, its file after the castle, the special)
+_CASTLES = {
+    (_SQUARE_AT[from_file, rank], _SQUARE_AT[to_file, rank]): shape
+    for to_file, shape in ((6, (7, 5, "castle-kingside")), (2, (0, 3, "castle-queenside")))
+    for from_file in (to_file - 2, to_file + 2) if 0 <= from_file <= 7
+    for rank in (1, 8)
+}
+# each same-file step between ranks 2 and 4 or 5 and 7, either way -> the square it passes
+_PASSED = {
+    (_SQUARE_AT[file, start], _SQUARE_AT[file, end]): _SQUARE_AT[file, (start + end) // 2]
+    for file in range(8)
+    for start, end in ((2, 4), (4, 2), (5, 7), (7, 5))
+}
 
 
 class Move(namedtuple("Move", "from_square to_square promotion")):
@@ -109,8 +124,7 @@ class ApplyOptions(_Value):
         # of its values and would take any unknown value for the other one
         values = (ep_mode, clock_mode, validation)
         for name, value in zip(_OPTION_VALUES, values):
-            if value not in _OPTION_VALUES[name]:
-                raise _bad_option(name, value)
+            _check_value(name, value)
         return _OPTIONS[values]
 
 
@@ -133,6 +147,11 @@ class ApplyOutcome(namedtuple(
 def _check_options(options) -> None:
     if not isinstance(options, ApplyOptions):
         raise BadOptionError(f"options must be an ApplyOptions, got {type(options).__name__}")
+
+
+def _check_value(name: str, value) -> None:
+    if value not in _OPTION_VALUES[name]:
+        raise _bad_option(name, value)
 
 
 def _null_move_error(name: str) -> BadMoveSyntaxError:
@@ -209,16 +228,11 @@ def update_castling_rights(
 
 def _en_passant_after(ranks, mover, from_square, to_square, ep_mode):
     """derive_en_passant without the argument checks."""
-    # only a same-file 2->4 or 7->5 style push yields a target on rank 3/6;
-    # other two-rank pseudo-pushes would put the target on an illegal rank
-    if (mover.kind != "P" or from_square.file != to_square.file
-            or {from_square.rank, to_square.rank} not in ({2, 4}, {5, 7})):
-        return None
-    target = _SQUARE_AT[to_square.file, (from_square.rank + to_square.rank) // 2]
-    if ep_mode == "always":
+    # only a step in _PASSED puts its target on rank 3/6; other two-rank
+    # pseudo-pushes would put it on a rank no FEN allows
+    target = _PASSED.get((from_square, to_square)) if mover.kind == "P" else None
+    if target is None or ep_mode == "always":
         return target
-    if ep_mode != "adjacent-only":
-        raise _bad_option("ep_mode", ep_mode)
     enemy_pawn = "p" if mover.color == WHITE else "P"
     row = expand_rank(_rank_segment(ranks, to_square.rank))
     for f in (to_square.file - 1, to_square.file + 1):
@@ -236,20 +250,20 @@ def derive_en_passant(
 ) -> Square | None:
     """En-passant target created by the move, if any.
 
-    Only a same-file two-rank pawn move qualifies. Mode "always" records
-    the square behind the pawn unconditionally; "adjacent-only" records
-    it only when an enemy pawn sits on an adjacent file of the landing
-    rank (the 'Pp'/'pP' pattern) in the post-move placement.
+    Only a same-file pawn move between ranks 2 and 4 or 5 and 7, either
+    way, qualifies. Mode "always" records the square the pawn passes
+    unconditionally; "adjacent-only" records it only when an enemy pawn
+    sits on an adjacent file of the landing rank (the 'Pp'/'pP' pattern)
+    in the post-move placement.
     """
     _check_move_arguments(mover, from_square, to_square)
+    _check_value("ep_mode", ep_mode)
     return _en_passant_after(placement_after, mover, from_square, to_square, ep_mode)
 
 
 def _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode):
     """update_clocks without the argument checks."""
-    if clock_mode != "standard":
-        if clock_mode != "frozen":
-            raise _bad_option("clock_mode", clock_mode)
+    if clock_mode == "frozen":
         return halfmove, fullmove
     return (0 if mover.kind == "P" or was_capture else halfmove + 1,
             fullmove + 1 if mover.color == BLACK else fullmove)
@@ -277,6 +291,7 @@ def update_clocks(
         raise BadClockError(f"clocks must be integers, halfmove >= 0 and fullmove >= 1, "
                             f"got {halfmove!r} and {fullmove!r}")
     _check_clocks(halfmove, fullmove)
+    _check_value("clock_mode", clock_mode)
     return _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode)
 
 
@@ -327,20 +342,13 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     special = None
     if promotion is not None:
         special = "promotion"
-    elif (
-        mover.kind == "K"
-        and from_i == to_i
-        and to_sq.rank in (1, 8)
-        and abs(from_sq.file - to_sq.file) == 2
-        and to_sq.file in (2, 6)
-    ):
-        kingside = to_sq.file == 6
+    elif mover.kind == "K" and (from_sq, to_sq) in _CASTLES:
+        corner_file, rook_file, special = _CASTLES[from_sq, to_sq]
         rook_letter = "R" if side == WHITE else "r"
-        row, corner = _write_slot(ranks[to_i], 7 if kingside else 0, "1")
+        row, corner = _write_slot(ranks[to_i], corner_file, "1")
         if corner != rook_letter:
             raise BadCastleError(f"no {rook_letter!r} on castling corner of rank {to_sq.rank}")
-        ranks[to_i] = _write_slot(row, 5 if kingside else 3, rook_letter)[0]
-        special = "castle-kingside" if kingside else "castle-queenside"
+        ranks[to_i] = _write_slot(row, rook_file, rook_letter)[0]
     elif (
         is_pawn
         and to_sq is en_passant
@@ -357,9 +365,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         tuple(ranks),
         BLACK if side == WHITE else WHITE,
         _rights_after(castling, mover, from_sq, to_sq, captured),
-        # the rule can hold only for a same-file pawn move: the others skip the call
-        _en_passant_after(ranks, mover, from_sq, to_sq, options.ep_mode)
-        if is_pawn and from_sq.file == to_sq.file else None,
+        # the rule can hold only for a pawn move: the others skip the call
+        _en_passant_after(ranks, mover, from_sq, to_sq, options.ep_mode) if is_pawn else None,
         halfmove,
         fullmove,
     ))

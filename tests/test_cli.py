@@ -152,6 +152,14 @@ class TestPlay:
         assert stdout.getvalue() == "\n".join(play_sequence(START_FEN, game)) + "\n"
         assert stdout.writes == math.ceil(len(game) / cli.PLAY_BLOCK) == 3
 
+    def test_byte_order_mark_and_crlf(self, capsys, tmp_path):
+        # editors on Windows save UTF-8 text with a byte order mark and CRLF
+        moves = tmp_path / "moves.txt"
+        moves.write_bytes("﻿e2e4\r\ne7e5\r\n".encode("utf-8"))
+        code, out, err = run(capsys, "play", START_FEN, str(moves))
+        assert (code, err) == (0, "")
+        assert out == "\n".join(play_sequence(START_FEN, ["e2e4", "e7e5"])) + "\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "play", START_FEN, str(tmp_path / "nope.txt"))
         assert code == 2

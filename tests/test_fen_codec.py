@@ -124,6 +124,26 @@ class TestSerialize:
         )
         assert serialize_fen(record) == "8/8/8/8/8/8/8/8 w KQkq e6 3 11"
 
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"ranks": ("zz",) * 8}, BadPieceLetterError),
+            ({"ranks": ("8",) * 7}, SegmentCountError),
+            ({"side": "x"}, BadSideCharError),
+            ({"halfmove": -5}, BadClockError),
+            # a square name, not a Square: the text cannot even be written
+            ({"en_passant": "e3"}, FenSyntaxError),
+        ],
+        ids=["segment", "segment-count", "side", "halfmove", "en-passant-name"],
+    )
+    def test_record_that_is_no_fen(self, fields, error):
+        # the text written must parse: a record it would not raises as
+        # parse_fen does for that text, and no text is returned
+        record = FenRecord(("8",) * 8, "w", "-", None, 0, 1)._replace(**fields)
+        with pytest.raises(error) as info:
+            serialize_fen(record)
+        assert type(info.value) is error
+
 
 class TestPieceAt:
     def test_fig1_f7_is_white_rook(self):

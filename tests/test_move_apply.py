@@ -273,6 +273,97 @@ def _castles():
             yield f"{_placement(pieces)} {side} KQkq - 0 1", move, special
 
 
+def _king_two_file_moves():
+    """(fen, move, special) for every king two-file move along ranks 1 and
+    8, by either colour, with no rook or with its own rooks on the rank's
+    free corners. Only e1g1, e1c1 and their rank-8 twins castle: a1c1 and
+    a8c8 are castle-shaped too, but their corner is the king's origin."""
+    for rank in (1, 8):
+        for side, king, rook, enemy_king in (("w", "K", "R", "k"), ("b", "k", "r", "K")):
+            for from_file in range(8):
+                for to_file in (from_file - 2, from_file + 2):
+                    if not 0 <= to_file <= 7:
+                        continue
+                    for rooks in (False, True):
+                        pieces = {f"{'abcdefgh'[from_file]}{rank}": king, "d5": enemy_king}
+                        if rooks:
+                            for corner in "ah":
+                                pieces.setdefault(f"{corner}{rank}", rook)
+                        special = None
+                        if rooks and from_file == 4:
+                            special = "castle-kingside" if to_file == 6 else "castle-queenside"
+                        move = f"{'abcdefgh'[from_file]}{rank}{'abcdefgh'[to_file]}{rank}"
+                        yield f"{_placement(pieces)} {side} KQkq - 0 1", move, special
+
+
+def _pawn_steps():
+    """(fen, move) for every same-file pawn step between ranks 2 and 4 or 5
+    and 7, forwards and backwards, by either colour, alone or with an enemy
+    pawn beside the landing square, on either side."""
+    for file in range(8):
+        for start, end in ((2, 4), (4, 2), (5, 7), (7, 5)):
+            for side, pawn, enemy in (("w", "P", "p"), ("b", "p", "P")):
+                for beside in (None, file - 1, file + 1):
+                    if beside is not None and not 0 <= beside <= 7:
+                        continue
+                    pieces = {"e1": "K", "e8": "k", f"{'abcdefgh'[file]}{start}": pawn}
+                    if beside is not None:
+                        pieces[f"{'abcdefgh'[beside]}{end}"] = enemy
+                    move = f"{'abcdefgh'[file]}{start}{'abcdefgh'[file]}{end}"
+                    yield f"{_placement(pieces)} {side} - - 0 1", move
+
+
+def _both_paths(fen, move, options):
+    """(the string path's FEN or error code, its special, the oracle's FEN
+    or error code) for one move."""
+    try:
+        outcome = apply_move(fen, move, options)
+        string, special = outcome.fen_after, outcome.special
+    except FenstringError as exc:
+        string, special = f"<{exc.code}>", None
+    try:
+        array = oracle_apply(fen, move, options)
+    except FenstringError as exc:
+        array = f"<{exc.code}>"
+    return string, special, array
+
+
+class TestSpecialShapesAgainstOracle:
+    """The castle and double-push tables, against the oracle's own rules:
+    every move of either shape and every move that only comes near one."""
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_every_king_two_file_move(self, options):
+        moves = list(_king_two_file_moves())
+        assert len(moves) == 2 * 2 * 12 * 2
+        corner_king_castles = set()
+        for fen, move, special in moves:
+            string, got_special, array = _both_paths(fen, move, options)
+            assert string == array, (fen, move)
+            assert got_special == (None if string.startswith("<") else special), (fen, move)
+            if move in ("a1c1", "a8c8"):
+                corner_king_castles.add(string)
+        # a king on the corner is castle-shaped, and raises BadCastle on both paths
+        assert corner_king_castles == {"<BadCastle>"}
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_every_pawn_step_between_ranks_2_4_and_5_7(self, options):
+        steps = list(_pawn_steps())
+        # 4 steps of 2 colours on 8 files alone and with 14 file-neighbour pairs
+        assert len(steps) == 4 * 2 * (8 + 14)
+        targets = {}
+        for fen, move in steps:
+            string, special, array = _both_paths(fen, move, options)
+            assert string == array, (fen, move)
+            assert special is None, (fen, move)
+            if not string.startswith("<"):
+                targets.setdefault(move, set()).add(string.split()[3])
+        # a backward pseudo-push passes the square of the forward one
+        if options.ep_mode == "always":
+            assert targets["e4e2"] == {"e3"}
+            assert targets["d7d5"] == {"d6"}
+
+
 class TestSpecialGeometryAgainstOracle:
     """Every en-passant capture and castle shape, against the array oracle;
     the acceptance fuzz reaches too few of them to check their writes."""
@@ -433,11 +524,21 @@ class TestApplyOptions:
                 "ep_mode",
                 "Always",
             ),
+            # the mode is checked for every move, not only for a double push
+            (
+                lambda: derive_en_passant(
+                    ("8",) * 8, Piece("N", "w"), Square.from_name("g1"),
+                    Square.from_name("f3"), "bogus",
+                ),
+                "ep_mode",
+                "bogus",
+            ),
         ],
-        ids=["parse_fen", "board_from_fen", "update_clocks", "derive_en_passant"],
+        ids=["parse_fen", "board_from_fen", "update_clocks", "derive_en_passant",
+             "derive_en_passant-knight"],
     )
     def test_unknown_argument_rejected_where_read(self, call, field, value):
-        # each function checks the option where it branches on it, with the
+        # each function checks the option it takes, with the
         # message ApplyOptions gives
         with pytest.raises(BadOptionError) as exc:
             call()

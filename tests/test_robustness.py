@@ -127,7 +127,7 @@ def test_wrongly_typed_argument_raises_typed_error(entry, value):
         assert type(value).__name__ in str(info.value)
 
 
-@pytest.mark.parametrize("value", [None, b"a", "3", ["a"], 1.5j, 1.5], ids=repr)
+@pytest.mark.parametrize("value", [None, b"a", "3", ["a"], 1.5j, 1.5, True], ids=repr)
 def test_coordinate_of_the_wrong_type_is_out_of_range(value):
     with pytest.raises(OutOfRangeError):
         segment_index(value)
@@ -147,6 +147,9 @@ _WRONG_TYPE_CALLS = {
                                   "adjacent-only"),
         FenSyntaxError,
     ),
+    # a bool is an int, but True is no coordinate: not b1
+    "Square-file-bool": (lambda: Square(True, 1), BadSquareError),
+    "Square-rank-bool": (lambda: Square(0, True), BadSquareError),
     "update_clocks-halfmove": (lambda: update_clocks(None, 1, Piece("N", "w"), False),
                                BadClockError),
     "update_clocks-fullmove": (lambda: update_clocks(0, None, Piece("N", "b"), False),
