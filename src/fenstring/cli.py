@@ -15,7 +15,7 @@ import sys
 import time
 
 from .errors import FenstringError, MoveError
-from .fen_codec import _OPTION_VALUES, Square, parse_castling, parse_fen, serialize_fen
+from .fen_codec import _OPTION_VALUES, FenRecord, Square, parse_castling, parse_fen, serialize_fen
 from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
 
 EXIT_OK = 0
@@ -173,17 +173,13 @@ def cmd_bench(args) -> int:
 def cmd_convert_forsyth(args) -> int:
     from .legacy import parse_legacy_forsyth
 
-    placement = "/".join(parse_legacy_forsyth(args.text))
-    # checked before the FEN is joined, so a field with a space in it, or an
-    # empty one, is named as a castling error and not a field-count error
-    castling = parse_castling(args.castling)
-    if args.ep != "-":
-        Square.from_name(args.ep)
-    fen = (
-        f"{placement} {args.side} {castling} {args.ep} "
-        f"{args.halfmove} {args.fullmove}"
-    )
-    print(serialize_fen(parse_fen(fen)))
+    # the castling field and the en-passant name are read before any text is
+    # joined, so one with a space in it, or an empty one, is named by its own
+    # error and not as a field count; serialize_fen checks the rest
+    record = FenRecord(parse_legacy_forsyth(args.text), args.side, parse_castling(args.castling),
+                       None if args.ep == "-" else Square.from_name(args.ep),
+                       args.halfmove, args.fullmove)
+    print(serialize_fen(record))
     return EXIT_OK
 
 

@@ -33,12 +33,12 @@ per-segment checker.
 
 A FenRecord is an immutable named tuple, built positionally once per parse
 and once per applied move; serialize_fen checks that it is given one and
-that the text it writes parses, and its unchecked core _fen_text writes the
-text of the records built here. Squares and pieces are interned slot classes:
-the 64 squares and 12 pieces are built at import, and building one again
-returns the shared instance, so they compare by identity. The module
-imports no dataclasses, which alone would cost a process more import time
-than the string path spends on a long game.
+writes the canonical text of what its fields parse to, and its unchecked
+core _fen_text writes the text of the records built here. Squares and
+pieces are interned slot classes: the 64 squares and 12 pieces are built
+at import, and building one again returns the shared instance, so they
+compare by identity. The module imports no dataclasses, which alone would
+cost a process more import time than the string path spends on a long game.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ _OPTION_VALUES = {
 }
 
 
-def _bad_option(name: str, value) -> BadOptionError:
-    return BadOptionError(f"{name} must be one of {_OPTION_VALUES[name]}, got {value!r}")
+def _check_option(name: str, value) -> None:
+    if value not in _OPTION_VALUES[name]:
+        raise BadOptionError(f"{name} must be one of {_OPTION_VALUES[name]}, got {value!r}")
 
 
 class _Value:
@@ -169,6 +170,12 @@ _SQUARE_AT = {
     for f in range(8)
 }
 SQUARES = {sq.name: sq for sq in _SQUARE_AT.values()}
+
+
+def _check_square(*squares) -> None:
+    for square in squares:
+        if not isinstance(square, Square):
+            raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
 
 
 class Piece(_Value):
@@ -422,8 +429,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
         _parse_clock(fullmove_field, 1, "fullmove number"),
     )
     if validation != "lenient":
-        if validation != "strict":
-            raise _bad_option("validation", validation)
+        _check_option("validation", validation)
         _strict_checks(record)
     return record
 
@@ -436,23 +442,22 @@ def _fen_text(record: FenRecord) -> str:
 
 
 def serialize_fen(record: FenRecord) -> str:
-    """Serialize a record back to canonical FEN text; text that would not
-    parse as a FEN raises the error parse_fen gives for it."""
+    """Serialize a record to canonical FEN text, as parse_fen reads its
+    fields (castling "qkQK" is written "KQkq"); text that would not parse
+    raises the error parse_fen gives for it."""
     if not isinstance(record, FenRecord):
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     try:
         fen = _fen_text(record)
     except (AttributeError, TypeError) as exc:
         raise FenSyntaxError(f"cannot serialize the record as FEN: {exc}") from None
-    parse_fen(fen)
-    return fen
+    return _fen_text(parse_fen(fen))
 
 
 def piece_at(record: FenRecord, square: Square) -> Piece | None:
     """Return the piece on a square, or None if it is empty."""
     if not isinstance(record, FenRecord):
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
-    if not isinstance(square, Square):
-        raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
+    _check_square(square)
     letter = expand_rank(_rank_segment(record.ranks, square.rank))[square.file]
     return None if letter == "1" else Piece.from_letter(letter)

@@ -30,7 +30,6 @@ from .errors import (
     BadMoveSyntaxError,
     BadOptionError,
     BadPromotionPieceError,
-    BadSquareError,
     EmptyOriginError,
     FenSyntaxError,
     FriendlyCaptureError,
@@ -50,7 +49,8 @@ from .fen_codec import (
     _PIECES,
     _SQUARE_AT,
     _Value,
-    _bad_option,
+    _check_option,
+    _check_square,
     _fen_text,
     _rank_segment,
     _strict_checks,
@@ -92,11 +92,7 @@ class Move(namedtuple("Move", "from_square to_square promotion")):
     __slots__ = ()
 
     def __new__(cls, from_square: Square, to_square: Square, promotion: str | None = None):
-        for square in (from_square, to_square):
-            if not isinstance(square, Square):
-                raise BadSquareError(
-                    f"a move square must be a Square, got {type(square).__name__}"
-                )
+        _check_square(from_square, to_square)
         # the rewrite writes the promotion letter as given, in the mover's case
         if promotion is not None and promotion not in _PROMOTION_KINDS:
             raise BadPromotionPieceError(
@@ -124,7 +120,7 @@ class ApplyOptions(_Value):
         # of its values and would take any unknown value for the other one
         values = (ep_mode, clock_mode, validation)
         for name, value in zip(_OPTION_VALUES, values):
-            _check_value(name, value)
+            _check_option(name, value)
         return _OPTIONS[values]
 
 
@@ -149,22 +145,15 @@ def _check_options(options) -> None:
         raise BadOptionError(f"options must be an ApplyOptions, got {type(options).__name__}")
 
 
-def _check_value(name: str, value) -> None:
-    if value not in _OPTION_VALUES[name]:
-        raise _bad_option(name, value)
-
-
 def _null_move_error(name: str) -> BadMoveSyntaxError:
     return BadMoveSyntaxError(f"origin equals destination: {name}")
 
 
-def _check_move_arguments(mover, from_square, to_square) -> None:
+def _check_move_arguments(mover, *squares) -> None:
     """Raise the typed error for a mover that is not a Piece or a square that is not a Square."""
     if not isinstance(mover, Piece):
         raise FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
-    for square in (from_square, to_square):
-        if not isinstance(square, Square):
-            raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
+    _check_square(*squares)
 
 
 def _read_move(move):
@@ -257,7 +246,7 @@ def derive_en_passant(
     in the post-move placement.
     """
     _check_move_arguments(mover, from_square, to_square)
-    _check_value("ep_mode", ep_mode)
+    _check_option("ep_mode", ep_mode)
     return _en_passant_after(placement_after, mover, from_square, to_square, ep_mode)
 
 
@@ -284,14 +273,16 @@ def update_clocks(
     """Standard: halfmove resets on pawn move/capture else +1; fullmove +1
     after a black move. Frozen: both pass through unchanged. Clocks of more
     than MAX_DIGITS digits are refused, as parse_fen refuses them."""
-    if not isinstance(mover, Piece):
-        raise FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
+    _check_move_arguments(mover)
+    # only a bool: the core takes any true value for a capture
+    if type(was_capture) is not bool:
+        raise FenSyntaxError(f"was_capture must be a bool, got {type(was_capture).__name__}")
     # type(), not isinstance(): a bool is an int, and True is no fullmove number
     if not (type(halfmove) is int and type(fullmove) is int and halfmove >= 0 and fullmove >= 1):
         raise BadClockError(f"clocks must be integers, halfmove >= 0 and fullmove >= 1, "
                             f"got {halfmove!r} and {fullmove!r}")
     _check_clocks(halfmove, fullmove)
-    _check_value("clock_mode", clock_mode)
+    _check_option("clock_mode", clock_mode)
     return _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode)
 
 

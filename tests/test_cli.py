@@ -243,6 +243,35 @@ class TestConvertForsyth:
         assert code == 2
         assert err == "BadSquare: bad square name: 'e9'\n"
 
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--ep", "e4"], "BadEnPassantField: en-passant square 'e4' not on rank 3 or 6\n"),
+            (["--halfmove", "-5"], "BadClock: bad halfmove clock: '-5'\n"),
+            (["--fullmove", "0"], "BadClock: bad fullmove number: '0'\n"),
+        ],
+        ids=["ep-rank", "halfmove", "fullmove"],
+    )
+    def test_field_the_fen_grammar_refuses(self, capsys, flags, err):
+        assert run(capsys, "convert-forsyth", BAIRD_LEGACY, *flags) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "text, flags, code",
+        [
+            ("1 X 6, 8, 8, 8, 8, 8, 8, 8", ["--castling", "K Q"], "BadToken"),
+            (BAIRD_LEGACY, ["--castling", "K Q", "--ep", "zz"], "BadCastlingField"),
+            (BAIRD_LEGACY, ["--ep", "zz", "--halfmove", "-5"], "BadSquare"),
+            (BAIRD_LEGACY, ["--ep", "e4", "--halfmove", "-5"], "BadEnPassantField"),
+        ],
+        ids=["text-before-castling", "castling-before-ep", "ep-name-before-clock",
+             "ep-rank-before-clock"],
+    )
+    def test_error_precedence(self, capsys, text, flags, code):
+        # legacy text, castling, en-passant name, en-passant rank, clocks
+        status, out, err = run(capsys, "convert-forsyth", text, *flags)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"{code}: ")
+
     def test_bad_token(self, capsys):
         code, _, err = run(capsys, "convert-forsyth", "1 X 6, 8, 8, 8, 8, 8, 8, 8")
         assert code == 2

@@ -33,7 +33,7 @@ from fenstring.errors import (
 from fenstring import fen_codec
 from fenstring.fen_codec import SQUARES, _check_segment, expand_runs
 
-from conftest import EMPTY_FEN, FIG1_FEN, fens, segments
+from conftest import EMPTY_FEN, FIG1_FEN, START_FEN, fens, segments
 
 
 class TestParse:
@@ -143,6 +143,22 @@ class TestSerialize:
         with pytest.raises(error) as info:
             serialize_fen(record)
         assert type(info.value) is error
+
+    @pytest.mark.parametrize(
+        "fields, fen",
+        [
+            ({"castling": "qkQK"}, START_FEN),
+            ({"side": "w "}, START_FEN),
+            ({"side": " b", "castling": "kK", "halfmove": 7},
+             START_FEN.replace(" w KQkq - 0 ", " b Kk - 7 ")),
+        ],
+        ids=["castling-order", "side-space", "several"],
+    )
+    def test_fields_that_parse_are_written_canonically(self, fields, fen):
+        # fields parse_fen accepts in a form that is not canonical: the
+        # text written is the canonical text of the record parsed
+        record = parse_fen(START_FEN)._replace(**fields)
+        assert serialize_fen(record) == fen
 
 
 class TestPieceAt:

@@ -179,6 +179,13 @@ _WRONG_TYPE_CALLS = {
     "update_clocks-fullmove-long": (lambda: update_clocks(0, 10**9, Piece("N", "w"), False,
                                                           "frozen"),
                                     BadClockError),
+    # any true value would count as a capture, and a false one as none
+    "update_clocks-was_capture-text": (lambda: update_clocks(5, 1, Piece("N", "w"), "no"),
+                                       FenSyntaxError),
+    "update_clocks-was_capture-int": (lambda: update_clocks(5, 1, Piece("N", "w"), 42),
+                                      FenSyntaxError),
+    "update_clocks-was_capture-None": (lambda: update_clocks(5, 1, Piece("N", "w"), None),
+                                       FenSyntaxError),
     # random.Random(None) would seed from the OS: a run nobody can repeat
     "random_pseudo_move-seed-None": (lambda: random_pseudo_move(START_FEN, None), BadOptionError),
     "fuzz_pairs-seed-None": (lambda: list(fuzz_pairs(10, None)), BadOptionError),
