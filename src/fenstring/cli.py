@@ -15,7 +15,10 @@ import sys
 import time
 
 from .errors import FenstringError, MoveError
-from .fen_codec import _OPTION_VALUES, FenRecord, Square, parse_castling, parse_fen, serialize_fen
+from .fen_codec import (
+    _OPTION_VALUES, FenRecord, Square, _en_passant_target, _parse_clock, parse_castling, parse_fen,
+    serialize_fen,
+)
 from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
 
 EXIT_OK = 0
@@ -82,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("w", "b"), default="w")
     p.add_argument("--castling", default="-")
     p.add_argument("--ep", default="-")
-    p.add_argument("--halfmove", type=int, default=0)
-    p.add_argument("--fullmove", type=int, default=1)
+    p.add_argument("--halfmove", default="0")
+    p.add_argument("--fullmove", default="1")
 
     return parser
 
@@ -173,12 +176,13 @@ def cmd_bench(args) -> int:
 def cmd_convert_forsyth(args) -> int:
     from .legacy import parse_legacy_forsyth
 
-    # the castling field and the en-passant name are read before any text is
-    # joined, so one with a space in it, or an empty one, is named by its own
-    # error and not as a field count; serialize_fen checks the rest
+    # each field is read by the FEN rule for it, in the order of the fields,
+    # before any text is joined: one with a space in it, or an empty one, is
+    # named by its own error and not as a field count
     record = FenRecord(parse_legacy_forsyth(args.text), args.side, parse_castling(args.castling),
-                       None if args.ep == "-" else Square.from_name(args.ep),
-                       args.halfmove, args.fullmove)
+                       None if args.ep == "-" else _en_passant_target(Square.from_name(args.ep)),
+                       _parse_clock(args.halfmove, 0, "halfmove clock"),
+                       _parse_clock(args.fullmove, 1, "fullmove number"))
     print(serialize_fen(record))
     return EXIT_OK
 

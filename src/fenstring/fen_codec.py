@@ -13,16 +13,17 @@ Parsing is grammar-only by default ("lenient"); "strict" additionally
 requires exactly one king per side, no pawns on ranks 1/8 and an
 en-passant square consistent with the side to move.
 
-A segment's shape is its text with every piece letter read as one mark
-("2p1p3" -> "2x1x3"), read through a 256-byte table: the text is encoded
-as ASCII with each other character replaced by '?', so a foreign
-character is never dropped, and the mark itself becomes '?' too. There
-are exactly 256 valid shapes, one per set of occupied squares. A table
-built at import from those 256 rows maps each shape to one write plan per
-file: which character covers the file, how a piece placed there splits
-its run, and how clearing it merges the runs on either side. _write_slot
-writes a square of the compact text through that plan, so a move never
-expands or contracts a segment; an unknown shape raises.
+A segment's shape is the ASCII bytes of its text with every piece letter
+read as one mark ("2p1p3" -> b"2x1x3"), read through a 256-byte table:
+the text is encoded as ASCII with each other character replaced by '?',
+so a foreign character is never dropped, and the mark itself becomes '?'
+too. The shape stays bytes; nothing decodes it. There are exactly 256
+valid shapes, one per set of occupied squares. A table built at import
+from those 256 rows maps each shape to one write plan per file: which
+character covers the file, how a piece placed there splits its run, and
+how clearing it merges the runs on either side. _write_slot writes a
+square of the compact text through that plan, so a move never expands or
+contracts a segment; an unknown shape raises.
 
 The same table is the segment grammar, and it alone accepts a segment:
 parse_fen checks the whole placement in one pass, every shape in the
@@ -31,8 +32,8 @@ rejects does the per-segment checker run, segment by segment, to name the
 first error, so the error class, message and precedence are those of the
 per-segment checker.
 
-A FenRecord is an immutable named tuple, built positionally once per parse
-and once per applied move; serialize_fen checks that it is given one and
+A FenRecord is an immutable named tuple, built with tuple.__new__ once per
+parse and once per applied move; serialize_fen checks that it is given one and
 writes the canonical text of what its fields parse to, and its unchecked
 core _fen_text writes the text of the records built here. Squares and
 pieces are interned slot classes: the 64 squares and 12 pieces are built
@@ -251,11 +252,11 @@ def contract_rank(expanded: str) -> str:
     return expanded
 
 
-def _shape(text: str) -> str:
-    """The shape of a segment or a placement ("2p1p3" -> "2x1x3"). Each
-    non-ASCII character becomes '?', one that no shape holds: replaced,
-    never dropped, so that "ppppépppp" cannot pass for "pppppppp"."""
-    return text.encode("ascii", "replace").translate(_SHAPE_BYTES).decode()
+def _shape(text: str) -> bytes:
+    """The ASCII shape of a segment or a placement ("2p1p3" -> b"2x1x3").
+    Each non-ASCII character becomes '?', one that no shape holds:
+    replaced, never dropped, so that "ppppépppp" cannot pass for "pppppppp"."""
+    return text.encode("ascii", "replace").translate(_SHAPE_BYTES)
 
 
 def _segment_plans() -> dict:
@@ -272,9 +273,9 @@ def _segment_plans() -> dict:
     """
     table = {}
     for row in map("".join, product("1P", repeat=8)):
-        shape = _shape(contract_rank(row))
-        # the squares each character of the shape covers: 0 for a piece
-        runs = [0 if ch == _PIECE_MARK else int(ch) for ch in shape] + [0]
+        segment = contract_rank(row)
+        # the squares each character of the segment covers: 0 for a piece
+        runs = [0 if ch == "P" else int(ch) for ch in segment] + [0]
         plans = []
         for at, run in enumerate(runs[:-1]):
             if not run:
@@ -285,7 +286,7 @@ def _segment_plans() -> dict:
             for k in range(run):
                 before, after = str(k) if k else "", str(run - 1 - k) if k < run - 1 else ""
                 plans.append((at, False, before, after, 0, "", 0))
-        table[shape] = tuple(plans)
+        table[_shape(segment)] = tuple(plans)
     return table
 
 
@@ -299,14 +300,15 @@ _SHAPES = frozenset(_SEGMENT_PLANS)
 def _write_slot(segment: str, file: int, letter: str):
     """Write ``letter`` ('1' clears) on slot ``file`` of a compact segment:
     (the new segment, the letter that was there, '1' if it was empty)."""
-    plans = _SEGMENT_PLANS.get(_shape(segment))
+    # _shape inline: this runs two to four times a ply
+    plans = _SEGMENT_PLANS.get(segment.encode("ascii", "replace").translate(_SHAPE_BYTES))
     if plans is None:
         raise BadExpandedRankError(f"bad rank segment: {segment!r}")
     at, occupied, before, after, clear_head, merged, clear_tail = plans[file]
     old = segment[at] if occupied else "1"
     if letter == "1":
         return segment[:clear_head] + merged + segment[clear_tail:], old
-    return segment[:at] + before + letter + after + segment[at + 1 :], old
+    return f"{segment[:at]}{before}{letter}{after}{segment[at + 1:]}", old
 
 
 def segment_index(rank: int) -> int:
@@ -377,6 +379,13 @@ def parse_castling(field: str) -> str:
     return rights
 
 
+def _en_passant_target(square: Square) -> Square:
+    """``square``, if an en-passant target may stand there: rank 3 or 6."""
+    if square.rank not in (3, 6):
+        raise BadEnPassantFieldError(f"en-passant square {square.name!r} not on rank 3 or 6")
+    return square
+
+
 def _parse_clock(field: str, minimum: int, what: str) -> int:
     if field.isascii() and field.isdigit() and len(field) <= MAX_DIGITS:
         value = int(field)
@@ -401,7 +410,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     segments = placement.split("/")
     if len(segments) != 8:
         raise SegmentCountError(f"expected 8 rank segments, got {len(segments)}")
-    if not _SHAPES.issuperset(_shape(placement).split("/")):
+    if not _SHAPES.issuperset(_shape(placement).split(b"/")):
         # the bulk check only tells that the placement is bad; this names why
         for segment in segments:
             _check_segment(segment)
@@ -417,17 +426,17 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
         en_passant = SQUARES.get(ep_field)
         if en_passant is None:
             raise BadEnPassantFieldError(f"bad en-passant field: {ep_field!r}")
-        if en_passant.rank not in (3, 6):
-            raise BadEnPassantFieldError(f"en-passant square {ep_field!r} not on rank 3 or 6")
+        _en_passant_target(en_passant)
 
-    record = FenRecord(
+    # tuple.__new__, not FenRecord(...): the generated __new__ is one more Python call
+    record = tuple.__new__(FenRecord, (
         tuple(segments),
         side,
         castling,
         en_passant,
         _parse_clock(halfmove_field, 0, "halfmove clock"),
         _parse_clock(fullmove_field, 1, "fullmove number"),
-    )
+    ))
     if validation != "lenient":
         _check_option("validation", validation)
         _strict_checks(record)
@@ -437,8 +446,8 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
 def _fen_text(record: FenRecord) -> str:
     """serialize_fen without the argument check, for a record built here."""
     ranks, side, castling, en_passant, halfmove, fullmove = record
-    return " ".join(("/".join(ranks), side, castling, en_passant.name if en_passant else "-",
-                     str(halfmove), str(fullmove)))
+    return (f"{'/'.join(ranks)} {side} {castling} {en_passant.name if en_passant else '-'} "
+            f"{halfmove} {fullmove}")
 
 
 def serialize_fen(record: FenRecord) -> str:

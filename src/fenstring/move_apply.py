@@ -14,12 +14,13 @@ update_castling_rights, derive_en_passant and serialize_fen. Each rule is
 written once, in its core, and each special-move shape once, in _CASTLES or
 _PASSED; the public functions check their arguments and call the same
 cores. _read_move reads every move argument, text or a Move, into its
-squares and promotion kind; only parse_move builds a Move.
+squares and promotion kind; only parse_move builds a Move. Text is read
+with no regular expression: two slices looked up among the square names,
+and the rest among the nine promotion suffixes.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from itertools import product
 
@@ -59,8 +60,10 @@ from .fen_codec import (
     parse_fen,
 )
 
-_MOVE_RE = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN])?")
 _PROMOTION_KINDS = ("Q", "R", "B", "N")
+# the text after a move's two squares -> its promotion kind: none, or one letter in either case
+_PROMOTION_SUFFIXES = {"": None, **{letter: kind for kind in _PROMOTION_KINDS
+                                     for letter in (kind, kind.lower())}}
 _CLOCK_LIMIT = 10**MAX_DIGITS
 
 # king color -> the two rights it holds
@@ -160,13 +163,19 @@ def _read_move(move):
     """The one reader of a move argument, text or a Move: (origin,
     destination, promotion kind or None); anything else is bad move syntax."""
     if isinstance(move, str):
-        m = _MOVE_RE.fullmatch(move)
-        if not m:
+        # square, optional '-', square, optional suffix: a '-' is never
+        # part of a square name, so a dashed move misses the first reading
+        from_sq = SQUARES.get(move[:2])
+        to_sq = SQUARES.get(move[2:4])
+        suffix = move[4:]
+        if to_sq is None and move[2:3] == "-":
+            to_sq = SQUARES.get(move[3:5])
+            suffix = move[5:]
+        if from_sq is None or to_sq is None or suffix not in _PROMOTION_SUFFIXES:
             raise BadMoveSyntaxError(f"bad move syntax: {move!r}")
-        from_name, to_name, promotion = m.groups()
-        if from_name == to_name:
-            raise _null_move_error(from_name)
-        return SQUARES[from_name], SQUARES[to_name], promotion and promotion.upper()
+        if from_sq is to_sq:
+            raise _null_move_error(from_sq.name)
+        return from_sq, to_sq, _PROMOTION_SUFFIXES[suffix]
     if isinstance(move, Move):
         return move
     raise BadMoveSyntaxError(f"a move must be text or a Move, got {type(move).__name__}")
@@ -352,7 +361,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         special = "en-passant-capture"
 
     halfmove, fullmove = _clocks_after(halfmove, fullmove, mover, was_capture, options.clock_mode)
-    after = FenRecord._make((
+    # tuple.__new__ skips _make's Python frame and length check: six fields by construction
+    after = tuple.__new__(FenRecord, (
         tuple(ranks),
         BLACK if side == WHITE else WHITE,
         _rights_after(castling, mover, from_sq, to_sq, captured),
@@ -368,8 +378,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         _check_clocks(halfmove, fullmove)
         _strict_checks(after)
 
-    return after, ApplyOutcome._make(
-        (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)
+    return after, tuple.__new__(
+        ApplyOutcome, (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)
     )
 
 

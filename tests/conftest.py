@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -76,6 +77,32 @@ def fens(draw):
     halfmove = draw(st.integers(0, 300))
     fullmove = draw(st.integers(1, 999))
     return f"{placement} {side} {castling} {ep} {halfmove} {fullmove}"
+
+
+# the move grammar, written from its definition and not from the reader:
+# square, optional '-', square, optional promotion letter in either case;
+# text is a move when the whole of it matches
+MOVE_GRAMMAR = re.compile(r"([a-h][1-8])-?([a-h][1-8])([qrbnQRBN]?)")
+
+# what turns a move into nearly a move: separators, whitespace, non-ASCII
+# digits and fullwidth letters that look like ASCII ones, a doubled suffix
+_MOVE_NOISE = "- \n\t٨８ｅＱqQx"
+
+
+@st.composite
+def nearly_moves(draw):
+    """Move text by the grammar, with up to three characters inserted,
+    deleted or replaced."""
+    text = draw(st.from_regex(MOVE_GRAMMAR, fullmatch=True))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        ch = draw(st.sampled_from(_MOVE_NOISE + "abcdefgh12345678"))
+        text = text[:at] + ("" if edit == "delete" else ch) + text[at + (edit != "insert"):]
+    return text
+
+
+move_texts = st.one_of(st.text(max_size=8), nearly_moves())
 
 
 def reference_pseudo_move(fen, seed):

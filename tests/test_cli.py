@@ -256,6 +256,34 @@ class TestConvertForsyth:
         assert run(capsys, "convert-forsyth", BAIRD_LEGACY, *flags) == (2, "", err)
 
     @pytest.mark.parametrize(
+        "halfmove, fullmove, err",
+        [
+            ("٣", "1_0", "BadClock: bad halfmove clock: '٣'\n"),
+            ("0000000001", "1", "BadClock: bad halfmove clock: '0000000001'\n"),
+            ("0", "1_0", "BadClock: bad fullmove number: '1_0'\n"),
+            ("+3", "1", "BadClock: bad halfmove clock: '+3'\n"),
+            ("0", "２", "BadClock: bad fullmove number: '２'\n"),
+        ],
+        ids=["arabic-indic-digit", "ten-digits", "underscore", "plus-sign", "fullwidth-digit"],
+    )
+    def test_clock_follows_the_fen_clock_grammar(self, capsys, halfmove, fullmove, err):
+        # text int() reads but the FEN clock grammar refuses: the same exit
+        # status and message as validate gives for the same clock field
+        flags = ["--halfmove", halfmove, "--fullmove", fullmove]
+        assert run(capsys, "convert-forsyth", "8, 8, 8, 8, 8, 8, 8, 8", *flags) == (2, "", err)
+        fen = f"8/8/8/8/8/8/8/8 w - - {halfmove} {fullmove}"
+        assert run(capsys, "validate", fen) == (2, "", err)
+
+    @pytest.mark.parametrize("flag", ["--halfmove", "--fullmove"])
+    @pytest.mark.parametrize("field", ["", " 3", "3 4"],
+                             ids=["empty", "leading-space", "two-fields"])
+    def test_clock_is_one_field(self, capsys, flag, field):
+        # read before any text is joined, so not reported as a field count
+        status, out, err = run(capsys, "convert-forsyth", "8, 8, 8, 8, 8, 8, 8, 8", flag, field)
+        assert (status, out) == (2, "")
+        assert err.startswith("BadClock: ")
+
+    @pytest.mark.parametrize(
         "text, flags, code",
         [
             ("1 X 6, 8, 8, 8, 8, 8, 8, 8", ["--castling", "K Q"], "BadToken"),

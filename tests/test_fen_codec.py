@@ -133,8 +133,10 @@ class TestSerialize:
             ({"halfmove": -5}, BadClockError),
             # a square name, not a Square: the text cannot even be written
             ({"en_passant": "e3"}, FenSyntaxError),
+            # a side that is not text is written as its text, which parse_fen names
+            ({"side": 5}, BadSideCharError),
         ],
-        ids=["segment", "segment-count", "side", "halfmove", "en-passant-name"],
+        ids=["segment", "segment-count", "side", "halfmove", "en-passant-name", "side-int"],
     )
     def test_record_that_is_no_fen(self, fields, error):
         # the text written must parse: a record it would not raises as
@@ -348,6 +350,8 @@ def test_only_a_segment_the_table_rejects_reaches_the_segment_checker(monkeypatc
         ("８", BadPieceLetterError, "bad character '８' in segment '８'"),
         ("?7", BadPieceLetterError, "bad character '?' in segment '?7'"),
         ("ppppépppp", BadPieceLetterError, "bad character 'é' in segment 'ppppépppp'"),
+        # a non-ASCII digit: not read as the run "8"
+        ("٨", BadPieceLetterError, "bad character '٨' in segment '٨'"),
     ]:
         for call in (expand_rank, lambda s: parse_fen(f"{s}/8/8/8/8/8/8/8 w - - 0 1"),
                      lambda s: emit_legacy_forsyth((s,) + ("8",) * 7)):

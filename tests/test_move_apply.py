@@ -39,7 +39,7 @@ from fenstring.errors import (
     WrongColorError,
 )
 
-from conftest import ALL_OPTIONS, FIG1_FEN
+from conftest import ALL_OPTIONS, FIG1_FEN, MOVE_GRAMMAR, move_texts
 
 FROZEN = ApplyOptions(clock_mode="frozen")
 # a legal opening, so strict validation holds at every ply
@@ -145,6 +145,52 @@ def test_string_move_matches_parsed_move(text):
             assert _result(apply_move, fen, text, options) == _result(
                 apply_move, fen, move, options
             )
+
+
+def _code(apply, *args):
+    """A call's typed error code, or its FEN."""
+    try:
+        result = apply(*args)
+    except FenstringError as exc:
+        return exc.code
+    return getattr(result, "fen_after", result)
+
+
+@settings(max_examples=500)
+@given(move_texts)
+@example("e2--e4")
+@example("e2e4\n")
+@example("e2e4 ")
+@example(" e2e4")
+@example("٨")
+@example("e٨e4")
+@example("ｅ2ｅ4")
+@example("e7e8Ｑ")
+@example("e7e8qq")
+@example("e2e2")
+@example("e2-e2")
+@example("e2e2x")
+def test_parse_move_reads_exactly_the_move_grammar(text):
+    """parse_move against the reference grammar in conftest: it accepts
+    exactly the text the grammar matches whole, except the null move; a
+    rejection is bad move syntax, and both apply paths give its code."""
+    match = MOVE_GRAMMAR.fullmatch(text)
+    try:
+        move = parse_move(text)
+    except FenstringError as exc:
+        assert type(exc) is BadMoveSyntaxError
+        # syntax first, then the null move
+        if match is None:
+            assert str(exc) == f"bad move syntax: {text!r}"
+        else:
+            assert match[1] == match[2] and str(exc) == f"origin equals destination: {match[1]}"
+        for fen in STRING_MOVE_FENS:
+            assert _code(apply_move, fen, text) == _code(oracle_apply, fen, text) == exc.code
+        return
+    assert match is not None and match[1] != match[2]
+    assert move == (SQUARES[match[1]], SQUARES[match[2]], match[3].upper() or None)
+    for fen in STRING_MOVE_FENS:
+        assert _code(apply_move, fen, text) == _code(oracle_apply, fen, text) != "BadMoveSyntax"
 
 
 class TestApply:
