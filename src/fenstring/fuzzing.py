@@ -80,7 +80,10 @@ def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
 
 
 def _seeded(seed) -> random.Random:
-    # random.Random(None) would seed from the OS: a chain nobody can repeat
+    # random.Random(None) would seed from the OS, and a NaN from its hash,
+    # which follows the object's identity: chains nobody can repeat
+    if isinstance(seed, float) and seed != seed:
+        raise BadOptionError("a seed must not be NaN")
     if seed is not None:
         try:
             return random.Random(seed)
@@ -111,12 +114,16 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     leaves a position that fails strict validation.
     """
     _check_options(options)
+    if type(iterations) is bool:  # a bool is an int, but True is no count
+        raise BadOptionError("iterations must be an integer, got bool")
     try:
         pairs = range(iterations)
     except TypeError:
         raise BadOptionError(
             f"iterations must be an integer, got {type(iterations).__name__}"
         ) from None
+    if pairs.stop < 0:
+        raise BadOptionError(f"iterations must not be negative, got {pairs.stop}")
     rng = _seeded(seed)
     draw = random.Random()  # reseeded for each draw, as random_pseudo_move seeds its own
     start = parse_fen(START_FEN, options.validation)

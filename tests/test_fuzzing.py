@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fenstring import (
@@ -105,6 +105,30 @@ def test_error_codes_agree_on_arbitrary_moves():
         "BadCastle", "BadMoveSyntax", "BadPromotionPiece", "EmptyOrigin", "FriendlyCapture",
         "MissingPromotion", "Validation", "WrongColor",
     }
+
+
+@settings(max_examples=100)
+@given(fens().filter(lambda fen: fen.split()[3] != "-"))
+def test_pawn_moves_onto_the_en_passant_target_agree(fen):
+    """The fuzz chains almost never capture en passant, so on arbitrary
+    positions that carry a target, every pawn's move onto it gives the same
+    FEN or the same error code on the string path and the oracle, under
+    every option combination. A pawn diagonally beside the target of the
+    side to move captures, and its victim leaves the board."""
+    target = fen.split()[3]
+    cells = board_from_fen(fen).cells
+    moves = [_CELL_NAMES[i] + target for i, piece in enumerate(cells)
+             if piece and piece.kind == "P"]
+    for options in ALL_OPTIONS:
+        for move in moves:
+            string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
+            assert string == _fen_or_code(oracle_apply, fen, move, options), (fen, move, options)
+
+
+def test_zero_iterations_compare_nothing():
+    assert list(fuzz_pairs(0, 0)) == []
+    report = differential_fuzz(0, 0)
+    assert (report.iterations, report.positions, report.mismatches) == (0, 0, 0)
 
 
 @pytest.mark.parametrize(

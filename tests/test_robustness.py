@@ -156,6 +156,11 @@ _WRONG_TYPE_CALLS = {
                                BadClockError),
     "differential_fuzz-iterations": (lambda: differential_fuzz(None, 0), BadOptionError),
     "fuzz_pairs-iterations": (lambda: list(fuzz_pairs(None, 0)), BadOptionError),
+    # a negative count would check nothing and report a pass; True is no count
+    "differential_fuzz-iterations-negative": (lambda: differential_fuzz(-1, 0), BadOptionError),
+    "fuzz_pairs-iterations-negative": (lambda: list(fuzz_pairs(-1, 0)), BadOptionError),
+    "differential_fuzz-iterations-bool": (lambda: differential_fuzz(True, 0), BadOptionError),
+    "fuzz_pairs-iterations-bool": (lambda: list(fuzz_pairs(True, 0)), BadOptionError),
     "differential_fuzz-seed": (lambda: differential_fuzz(10, [1]), BadOptionError),
     "random_pseudo_move-seed": (lambda: random_pseudo_move(START_FEN, [1]), BadOptionError),
     "piece_at-ranks": (lambda: piece_at(FenRecord(None, "w", "-", None, 0, 1), SQUARES["e2"]),
@@ -190,6 +195,11 @@ _WRONG_TYPE_CALLS = {
     "random_pseudo_move-seed-None": (lambda: random_pseudo_move(START_FEN, None), BadOptionError),
     "fuzz_pairs-seed-None": (lambda: list(fuzz_pairs(10, None)), BadOptionError),
     "differential_fuzz-seed-None": (lambda: differential_fuzz(10, None), BadOptionError),
+    # a NaN seeds from its hash, which follows the object's identity
+    "random_pseudo_move-seed-NaN": (lambda: random_pseudo_move(START_FEN, float("nan")),
+                                    BadOptionError),
+    "fuzz_pairs-seed-NaN": (lambda: list(fuzz_pairs(10, float("nan"))), BadOptionError),
+    "differential_fuzz-seed-NaN": (lambda: differential_fuzz(10, float("nan")), BadOptionError),
 }
 
 
