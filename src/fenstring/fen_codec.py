@@ -397,8 +397,11 @@ def _parse_clock(field: str, minimum: int, what: str) -> int:
 def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     """Parse FEN text into a FenRecord, or raise a typed syntax error.
 
-    Repeated/leading/trailing whitespace between fields is tolerated;
-    everything else follows the grammar exactly.
+    Fields are apart by runs of whitespace, which may also lead and trail:
+    every character str.isspace() accepts, the ASCII separators 0x1c-0x1f
+    and Unicode spaces such as U+00A0 and U+2003 included. No field may
+    hold one, so no text reads two ways. Everything else follows the
+    grammar exactly.
     """
     if not isinstance(text, str):
         raise FenSyntaxError(f"a FEN must be text, got {type(text).__name__}")

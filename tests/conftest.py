@@ -105,6 +105,114 @@ def nearly_moves(draw):
 move_texts = st.one_of(st.text(max_size=8), nearly_moves())
 
 
+# the FEN grammar, written from the format's definition and not from the
+# parser: one pattern per field, fields apart by runs of whitespace, which
+# may also lead and trail. Whitespace is every character str.isspace()
+# accepts, listed here: the ASCII space, tab, line feed, vertical tab, form
+# feed and carriage return, the ASCII separators 0x1c-0x1f, and the Unicode
+# spaces and line breaks. No field holds any of them, so no text reads two
+# ways.
+FEN_WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                  "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+                  "\u2028\u2029\u202f\u205f\u3000")
+# a rank segment: pieces and run digits 1-8, no two digits side by side;
+# that it spans exactly 8 squares is checked beside the pattern
+_SEGMENT = r"(?:[1-8]?[KQRBNPkqrbnp])*[1-8]?"
+FEN_FIELDS = {
+    "placement": rf"{_SEGMENT}(?:/{_SEGMENT}){{7}}",
+    "side": r"[wb]",
+    # each right at most once, in any order (checked beside the pattern)
+    "castling": r"-|[KQkq]{1,4}",
+    "en_passant": r"-|[a-h][36]",
+    # 1 to 9 ASCII digits; the fullmove number is 1 or more
+    "halfmove": r"[0-9]{1,9}",
+    "fullmove": r"[0-9]{1,9}",
+}
+_SPACE = f"[{re.escape(FEN_WHITESPACE)}]"
+FEN_GRAMMAR = re.compile(
+    f"{_SPACE}*" + f"{_SPACE}+".join(f"(?P<{name}>{pattern})" for name, pattern in FEN_FIELDS.items())
+    + f"{_SPACE}*"
+)
+
+
+def reference_fen(text, validation="lenient"):
+    """The canonical text of a FEN by the reference grammar (single spaces,
+    castling in "KQkq" order, clocks as integers), or None when the grammar
+    refuses it; "strict" also requires one king a side, no pawn on ranks 1
+    and 8, and an en-passant square on the side to move's sixth rank."""
+    match = FEN_GRAMMAR.fullmatch(text)
+    if match is None:
+        return None
+    placement, side, castling, ep, halfmove, fullmove = match.groups()
+    segments = placement.split("/")
+    if any(sum(int(ch) if ch.isdigit() else 1 for ch in segment) != 8 for segment in segments):
+        return None
+    if len(set(castling)) != len(castling) or int(fullmove) < 1:
+        return None
+    if validation == "strict" and not (
+        placement.count("K") == placement.count("k") == 1
+        and not set("Pp") & set(segments[0] + segments[7])
+        and ep in ("-", f"{ep[0]}{'6' if side == 'w' else '3'}")
+    ):
+        return None
+    castling = "".join(right for right in "KQkq" if right in castling) or "-"
+    return f"{placement} {side} {castling} {ep} {int(halfmove)} {int(fullmove)}"
+
+
+# what turns a FEN into nearly a FEN: whitespace of every kind, characters
+# that look like whitespace and are not, digits the grammar refuses, and
+# letters of each field in the wrong place
+_FEN_NOISE = "/ -\t\n\x1c\x1f\xa0\u2003\u3000\u200b\ufeff0129\u0663\uff57KkQqPpRrNxwb36e"
+# field texts just inside or just outside each field's grammar
+_FIELD_VARIANTS = {
+    1: ("w", "b", "W", "ww", "-"),
+    2: ("qkQK", "kK", "KK", "KQkqK", "K-", "--", "Kx", "kqQ"),
+    3: ("e3", "h6", "e4", "i3", "a0", "e", "--"),
+    4: ("00", "000000001", "0000000001", "999999999", "-1", "+1", "\u0663", "1_0", "0x1"),
+    5: ("0", "01", "000000001", "1000000000", "-1", "+1", "\u0663"),
+}
+
+
+@st.composite
+def _fens_strict_may_pass(draw):
+    """FEN text by the grammar with one king a side, no pawn on ranks 1
+    and 8 but now and then, and an en-passant square mostly on the side to
+    move's sixth rank: text that strict validation often accepts."""
+    slots = [list(draw(st.text(alphabet="QRBNPqrbnp1", min_size=8, max_size=8))) for _ in range(8)]
+    if draw(st.integers(0, 3)):
+        for row in slots[0], slots[7]:
+            row[:] = ["1" if slot in "Pp" else slot for slot in row]
+    white_king, black_king = draw(st.lists(st.integers(0, 63), min_size=2, max_size=2, unique=True))
+    slots[white_king // 8][white_king % 8] = "K"
+    slots[black_king // 8][black_king % 8] = "k"
+    placement = "/".join(contract_rank("".join(row)) for row in slots)
+    side = draw(st.sampled_from("wb"))
+    ep = draw(st.sampled_from(("-", "-", f"e{'6' if side == 'w' else '3'}", "c3", "h6")))
+    return f"{placement} {side} {draw(_castling_fields)} {ep} 0 {draw(st.integers(1, 99))}"
+
+
+@st.composite
+def nearly_fens(draw):
+    """FEN text by the grammar with one field swapped for a near variant,
+    its fields apart by runs of other whitespace, and up to three characters
+    inserted, deleted or replaced: any, all or none of these."""
+    fields = draw(st.one_of(fens(), _fens_strict_may_pass())).split(" ")
+    if draw(st.booleans()):
+        at = draw(st.sampled_from(sorted(_FIELD_VARIANTS)))
+        fields[at] = draw(st.sampled_from(_FIELD_VARIANTS[at]))
+    text = " ".join(fields)
+    if draw(st.booleans()):
+        # a run before each field, the first one leading
+        runs = st.text(FEN_WHITESPACE, min_size=1, max_size=2)
+        text = "".join(draw(runs) + field for field in fields)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        ch = draw(st.sampled_from(_FEN_NOISE))
+        text = text[:at] + ("" if edit == "delete" else ch) + text[at + (edit != "insert"):]
+    return text
+
+
 def reference_pseudo_move(fen, seed):
     """The pseudo-move generator written on the mailbox board: the reference
     that random_pseudo_move must draw the same moves as."""

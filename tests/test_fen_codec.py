@@ -33,7 +33,16 @@ from fenstring.errors import (
 from fenstring import fen_codec
 from fenstring.fen_codec import SQUARES, _check_segment, expand_runs
 
-from conftest import EMPTY_FEN, FIG1_FEN, START_FEN, fens, segments
+from conftest import (
+    EMPTY_FEN,
+    FEN_WHITESPACE,
+    FIG1_FEN,
+    START_FEN,
+    fens,
+    nearly_fens,
+    reference_fen,
+    segments,
+)
 
 
 class TestParse:
@@ -62,6 +71,23 @@ class TestParse:
 
     def test_repeated_spaces_tolerated(self):
         assert serialize_fen(parse_fen("8/8/8/8/8/8/8/8  w  -  -  0  1 ")) == EMPTY_FEN
+
+    @pytest.mark.parametrize("space", FEN_WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_fields_apart_by_any_whitespace(self, space):
+        # every character str.isspace() accepts separates fields, alone or in
+        # a run, and may lead and trail; the text written is canonical
+        fen = space.join(START_FEN.split(" ")).replace("w", f"{space}w{space}")
+        assert serialize_fen(parse_fen(f"{space}{fen}{space}")) == START_FEN
+
+    @pytest.mark.parametrize("lookalike", ["\u200b", "\ufeff", "\u180e", "\x00", "_"],
+                             ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_no_other_character_separates_fields(self, lookalike):
+        # a zero-width space, a byte order mark, the Mongolian vowel
+        # separator, NUL, an underscore: none is whitespace, so the text
+        # holds five fields
+        with pytest.raises(SegmentCountError) as info:
+            parse_fen(START_FEN.replace(" w ", f"{lookalike}w "))
+        assert str(info.value) == "expected 6 space-separated fields, got 5"
 
     def test_castling_any_input_order(self):
         record = parse_fen("8/8/8/8/8/8/8/8 w qK - 0 1")
@@ -312,6 +338,36 @@ def test_bulk_placement_check_matches_segment_loop(placement):
     # expand_rank, which accepts by the shape table, judges each segment the same way
     for segment in placement.split("/"):
         assert _verdict(expand_rank, segment) == _verdict(_check_segment, segment)
+
+
+@settings(max_examples=600)
+@given(st.one_of(st.text(max_size=80), nearly_fens()))
+@example("8/8/8/8/8/8/8/k6K\x1cw - - 0 1")
+@example("8/8/8/8/8/8/8/k6K\xa0w\u2003-\u3000- 0 1\n")
+@example("8/8/8/8/8/8/8/k6K\u200bw - - 0 1")
+@example("8/8/8/8/8/8/8/k6K w qkQK - 0 1")
+@example("8/8/8/8/8/8/8/k6K w KQkqK - 0 1")
+@example("8/8/8/8/8/8/8/k6K w - - 000000001 000000001")
+@example("8/8/8/8/8/8/8/k6K w - - 0000000001 1")
+@example("8/8/8/8/8/8/8/k6K w - - 0 \u0663")
+@example("8/8/8/8/8/8/8/k6K b - e3 0 1")
+@example("8/8/8/8/8/8/8/k6K w - e3 0 1")
+@example("8/8/8/8/8/8/8/kK4K1 w - - 0 1")
+@example("P6k/8/8/8/8/8/8/7K w - - 0 1")
+@example("8/8/8/8/8/8/8/8/ w - - 0 1")
+def test_parse_fen_reads_exactly_the_fen_grammar(text):
+    """parse_fen against the reference grammar in conftest, under both
+    validations: it accepts exactly the text the reference accepts, and
+    serialize_fen writes the reference's canonical text; every rejection is
+    a typed syntax error."""
+    for validation in ("lenient", "strict"):
+        expected = reference_fen(text, validation)
+        try:
+            record = parse_fen(text, validation)
+        except FenSyntaxError:
+            assert expected is None, (text, validation)
+        else:
+            assert serialize_fen(record) == expected, (text, validation)
 
 
 @given(st.text())

@@ -433,6 +433,95 @@ class TestSpecialGeometryAgainstOracle:
             assert outcome.fen_after == oracle_apply(fen, move, options), (fen, move)
 
 
+def _row_end_moves():
+    """(fen, move) for every move between an h-file square and an a-file
+    square one rank up or down, either way: the squares that follow each
+    other across a row's end in a row-major board. Each of the 12 pieces
+    moves onto an empty square, an enemy rook or its own rook, with every
+    castling right on the board, so that a corner the move leaves or takes
+    drops its right; a pawn reaching rank 1 or 8 promotes to a queen. One
+    king a side (the mover, when it is one), so strict validation holds
+    unless a pawn starts on rank 1 or 8."""
+    for h_rank in range(1, 9):
+        for a_rank in (h_rank - 1, h_rank + 1):
+            if not 1 <= a_rank <= 8:
+                continue
+            for origin, target in ((f"h{h_rank}", f"a{a_rank}"), (f"a{a_rank}", f"h{h_rank}")):
+                for mover in "KQRBNPkqrbnp":
+                    white = mover.isupper()
+                    for on_target in ("", "r" if white else "R", "R" if white else "r"):
+                        pieces = {"d4": "K", "d5": "k", origin: mover}
+                        if on_target:
+                            pieces[target] = on_target
+                        promotion = "q" if mover in "Pp" and target[1] in "18" else ""
+                        fen = f"{_placement(pieces)} {'w' if white else 'b'} KQkq - 0 1"
+                        yield fen, f"{origin}{target}{promotion}"
+
+
+def _en_passant_at_row_ends():
+    """(fen, move, pawn beside) for each en-passant capture onto the a or h
+    file, and each double push onto those files, with or without pawns of
+    the other colour on the squares just across the landing or victim
+    square's row end, which a capture must leave and an adjacent-only
+    target must not count as beside it. ``pawn beside`` tells whether an
+    enemy pawn stands next to a push's landing square, on its rank."""
+    for side, move, target, victim, across in (
+        ("w", "b5a6", "a6", "a5", "h6"),
+        ("w", "g5h6", "h6", "h5", "a4"),
+        ("b", "b4a3", "a3", "a4", "h5"),
+        ("b", "g4h3", "h3", "h4", "a3"),
+    ):
+        own, enemy = ("P", "p") if side == "w" else ("p", "P")
+        for pawns_across in (False, True):
+            pieces = {"e1": "K", "e8": "k", move[:2]: own, victim: enemy}
+            if pawns_across:
+                pieces[across] = enemy
+            yield f"{_placement(pieces)} {side} - {target} 0 1", move, None
+    for side, move, beside, across in (
+        ("w", "a2a4", "b4", "h5"),
+        ("w", "h2h4", "g4", "a3"),
+        ("b", "a7a5", "b5", "h6"),
+        ("b", "h7h5", "g5", "a4"),
+    ):
+        own, enemy = ("P", "p") if side == "w" else ("p", "P")
+        for others in ((), (beside,), (across,), (beside, across)):
+            pieces = {"e1": "K", "e8": "k", move[:2]: own}
+            pieces.update(dict.fromkeys(others, enemy))
+            yield f"{_placement(pieces)} {side} - - 0 1", move, beside in others
+
+
+class TestRowEndsAgainstOracle:
+    """The moves that cross a row's end, where a flat array's neighbouring
+    cells lie on different ranks, against the array oracle."""
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_every_move_between_the_h_and_a_files_of_neighbouring_ranks(self, options):
+        moves = list(_row_end_moves())
+        # 14 pairs of squares, both ways, 12 movers, 3 target cells
+        assert len(moves) == 14 * 2 * 12 * 3
+        rights = set()
+        for fen, move in moves:
+            string, _, array = _both_paths(fen, move, options)
+            assert string == array, (fen, move)
+            if not string.startswith("<"):
+                rights.add(string.split()[2])
+        # each corner's right is dropped by some move that leaves or takes it
+        assert {"Qkq", "Kkq", "KQq", "KQk"} <= rights
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_every_en_passant_move_onto_the_a_and_h_files(self, options):
+        moves = list(_en_passant_at_row_ends())
+        assert len(moves) == 4 * 2 + 4 * 4
+        for fen, move, pawn_beside in moves:
+            string, special, array = _both_paths(fen, move, options)
+            assert string == array, (fen, move)
+            if pawn_beside is None:
+                assert special == "en-passant-capture", (fen, move)
+            elif options.ep_mode == "adjacent-only":
+                # a pawn across the row end is no neighbour
+                assert (string.split()[3] != "-") == pawn_beside, (fen, move)
+
+
 class TestPromotion:
     def test_promotion_replaces_pawn(self):
         outcome = apply_move("8/4P3/8/8/8/8/8/8 w - - 0 1", "e7e8q")

@@ -56,6 +56,28 @@ class TestFenFromBoard:
     def test_round_trip(self, fen):
         assert fen_from_board(board_from_fen(fen)) == fen
 
+    @pytest.mark.parametrize("castling, canonical", [
+        ("qkQK", "KQkq"), ("kK", "Kk"), ("qQ", "Qq"), ("qk", "kq"), ("KQkq", "KQkq"), ("-", "-"),
+    ])
+    def test_writes_the_canonical_castling_field(self, castling, canonical):
+        board = board_from_fen(START_FEN)
+        board.castling = castling
+        fen = fen_from_board(board)
+        assert fen == START_FEN.replace("KQkq", canonical)
+        # as the string path's writer writes the same fields
+        assert fen == serialize_fen(parse_fen(START_FEN)._replace(castling=castling))
+
+    def test_side_is_checked_before_castling(self):
+        board = board_from_fen(START_FEN)
+        board.side, board.castling = "x", "qkQK"
+        with pytest.raises(FenSyntaxError) as info:
+            fen_from_board(board)
+        assert info.value.code == "BadSideChar"
+        board.side, board.castling = "b", "KK"
+        with pytest.raises(FenSyntaxError) as info:
+            fen_from_board(board)
+        assert info.value.code == "BadCastlingField"
+
     def test_hand_built_board_with_fresh_pieces(self):
         # pieces built here, as oracle_apply builds a promoted piece, not the
         # shared ones that parsing hands out
