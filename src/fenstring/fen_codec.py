@@ -44,7 +44,6 @@ cost a process more import time than the string path spends on a long game.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from itertools import combinations, permutations, product
 
@@ -82,9 +81,6 @@ START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 _RUN_EXPANSIONS = tuple((str(n), "1" * n) for n in range(2, 9))
 # the inverse, longest run first, so that each run is contracted whole
 _RUN_CONTRACTIONS = tuple((run, digit) for digit, run in reversed(_RUN_EXPANSIONS))
-# one slot of an expanded rank: a piece letter, or '1' for an empty square
-_SLOT = f"[{PIECE_LETTERS}1]"
-_SLOT_RANK = re.compile(_SLOT + "{8}")
 
 # a segment's shape: each piece letter read as one mark; the mark itself is
 # read as a character no shape holds, so it cannot pass for a piece
@@ -245,7 +241,8 @@ def contract_rank(expanded: str) -> str:
     """Contract an 8-slot rank back to compact form ("11111R1k" -> "5R1k")."""
     if not isinstance(expanded, str):
         raise BadExpandedRankError(f"an expanded rank must be text, got {type(expanded).__name__}")
-    if _SLOT_RANK.fullmatch(expanded) is None:
+    # 8 slots, each a piece letter or '1': strip leaves nothing of such text
+    if len(expanded) != 8 or expanded.strip(PIECE_LETTERS + "1"):
         raise BadExpandedRankError(f"bad expanded rank: {expanded!r}")
     for run, digit in _RUN_CONTRACTIONS:
         expanded = expanded.replace(run, digit)
@@ -472,4 +469,4 @@ def piece_at(record: FenRecord, square: Square) -> Piece | None:
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     _check_square(square)
     letter = expand_rank(_rank_segment(record.ranks, square.rank))[square.file]
-    return None if letter == "1" else Piece.from_letter(letter)
+    return _PIECES.get(letter)

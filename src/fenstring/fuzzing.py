@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from .errors import (
     BadOptionError, FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
@@ -25,7 +24,7 @@ class FuzzReport:
     iterations: int
     positions: int
     mismatches: int
-    first_counterexample: Optional[Tuple[str, str, str, str]] = None  # fen, move, string, array
+    first_counterexample: tuple[str, str, str, str] | None = None  # fen, move, string, array
 
     def format(self) -> str:
         lines = [
@@ -108,10 +107,11 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     """Yield (fen, move, outcome) along a deterministic pseudo-move chain.
 
     Each move is drawn from and applied to the record carried from the
-    previous pair. The chain restarts from the start position, and draws
-    again for the same pair, when the side to move has no pieces left or,
-    under strict validation, when the drawn move captures an own piece or
-    leaves a position that fails strict validation.
+    previous pair. Under strict validation a drawn move that captures an
+    own piece is drawn again from the same record. The chain restarts from
+    the start position, and draws again for the same pair, when the side
+    to move has no pieces left or, under strict validation, when the drawn
+    move leaves a position that fails it (a king captured).
     """
     _check_options(options)
     if type(iterations) is bool:  # a bool is an int, but True is no count
@@ -135,7 +135,9 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
                 move = _pseudo_move(record, draw)
                 record, outcome = _apply(record, move, options)
                 break
-            except (NoPiecesError, FriendlyCaptureError, ValidationError):
+            except FriendlyCaptureError:
+                pass  # draw again from the same record
+            except (NoPiecesError, ValidationError):
                 fen, record = START_FEN, start
         yield fen, move, outcome
         fen = outcome.fen_after
@@ -146,7 +148,8 @@ def fuzz_pairs(iterations: int, seed: int, options: ApplyOptions = ApplyOptions(
 
     The chain restarts from the start position when the side to move has
     no pieces left, and under strict validation also when a drawn move
-    fails it.
+    leaves a position that fails it; a drawn move that captures an own
+    piece is drawn again.
     """
     for fen, move, _ in _chain(iterations, seed, options):
         yield fen, move
@@ -158,8 +161,8 @@ def differential_fuzz(iterations: int, seed: int,
 
     A pair mismatches when the two paths return different FENs or the
     oracle raises an error. The string path's result is the one that
-    advanced the chain; an error there that does not restart the chain
-    ends it and is raised.
+    advanced the chain; an error there that the chain does not draw again
+    for ends it and is raised.
     """
     mismatches = 0
     positions = 0

@@ -2,8 +2,10 @@
 
 Each square the move changes is written straight into the compact text
 of its rank segment, through the codec's table of segment shapes; every
-other segment is carried over character-for-character. No board array,
-and no expanded row, is built at any point. Moves are applied as written:
+other segment is carried over character-for-character. No board array
+is built, and the only row ever expanded is a double push's landing
+segment under ep_mode "adjacent-only", read through expand_rank to find
+an enemy pawn beside the pawn. Moves are applied as written:
 chess legality (checks, pins, blocked paths) is deliberately not
 enforced, so the result is a faithful transcription of the move.
 

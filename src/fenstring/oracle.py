@@ -20,7 +20,6 @@ move with _read_move, as the string path does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from .errors import (
     BadCastleError,
@@ -34,10 +33,10 @@ from .errors import (
 )
 from .fen_codec import (
     BLACK,
-    PIECE_LETTERS,
     WHITE,
     Piece,
     Square,
+    _PIECES,
     parse_fen,
 )
 from .move_apply import ApplyOptions, _check_options, _read_move
@@ -45,24 +44,19 @@ from .move_apply import ApplyOptions, _check_options, _read_move
 
 @dataclass
 class BoardArray:
-    cells: List[Optional[Piece]]  # 64 entries, 0 = a8 ... 63 = h1
+    cells: list[Piece | None]  # 64 entries, 0 = a8 ... 63 = h1
     side: str
     castling: str  # canonical "KQkq" order, or "-"
-    en_passant: Optional[Square]
+    en_passant: Square | None
     halfmove: int
     fullmove: int
 
 
 # each run digit and its empty cells, '.' per cell
 _RUN_CELLS = tuple((str(n), "." * n) for n in range(1, 9))
-# each cell's letter -> its shared Piece; '.' (an empty cell) is absent
-_PIECE_OF_LETTER = {letter: Piece.from_letter(letter) for letter in PIECE_LETTERS}
 # each run of empty cells ('.' per cell) and its digit, longest run first,
 # so that each run is contracted whole
 _EMPTY_RUNS = tuple(("." * n, str(n)) for n in range(8, 0, -1))
-# where the '/' cells go into a row-major list of 64 letters, last row first
-# so that each insert leaves the positions of the ones before it as they are
-_ROW_ENDS = range(56, 0, -8)
 # what a cell may hold, checked over all 64 by one issuperset(map(type, ...))
 _CELL_TYPES = frozenset((Piece, type(None)))
 # the corner cells of the 71-cell text and the castling right each hosts
@@ -97,7 +91,7 @@ def _contracted(text: str) -> str:
 def board_from_fen(fen: str, validation: str = "lenient") -> BoardArray:
     """Build the mailbox array from a FEN string."""
     record = parse_fen(fen, validation)
-    cells = list(map(_PIECE_OF_LETTER.get, _expanded(record.ranks).replace("/", "")))
+    cells = list(map(_PIECES.get, _expanded(record.ranks).replace("/", "")))
     return BoardArray(
         cells, record.side, record.castling, record.en_passant, record.halfmove, record.fullmove
     )
@@ -120,10 +114,8 @@ def fen_from_board(board: BoardArray) -> str:
             f"a board's en-passant square must be a Square or None, "
             f"got {type(board.en_passant).__name__}"
         )
-    letters = ["." if piece is None else piece.letter for piece in cells]
-    for row_end in _ROW_ENDS:
-        letters.insert(row_end, "/")
-    placement = _contracted("".join(letters))
+    letters = "".join(["." if piece is None else piece.letter for piece in cells])
+    placement = _contracted("/".join(letters[i:i + 8] for i in range(0, 64, 8)))
     ep = board.en_passant.name if board.en_passant else "-"
     # the trailer fields, as text, must pass the FEN grammar; what it reads
     # from them is written back

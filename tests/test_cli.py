@@ -319,17 +319,23 @@ _NOT_FOR_PLAY = ("dataclasses", "typing", "json", "fenstring.oracle", "fenstring
 _PLAY_IMPORTS = """
 import sys
 
+import fenstring
+
+# the package alone uses no regular expression; the CLI's argparse loads re
+assert "re" not in sys.modules
+
 from fenstring import cli
 
 start, moves, not_for_play = sys.argv[1], sys.argv[2], sys.argv[3].split()
 assert cli.main(["play", start, moves]) == 0
 print("loaded:", " ".join(sorted(set(not_for_play) & set(sys.modules))))
 
-import fenstring
 from fenstring import oracle
 
 assert all(getattr(fenstring, name) is not None for name in fenstring.__all__)
 assert fenstring.oracle_apply is oracle.oracle_apply
+# the oracle, the fuzzer and the legacy codec are loaded now, and none imports typing
+assert "typing" not in sys.modules
 """
 
 

@@ -169,6 +169,16 @@ def test_strict_chains_restart_and_agree(ep_mode, clock_mode):
     assert sum(fen == START_FEN for fen, _ in pairs) > 1
 
 
+@pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
+@pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
+def test_strict_chains_draw_again_on_a_friendly_capture(ep_mode, clock_mode):
+    # a friendly capture is drawn again from the same record, not restarted,
+    # so a strict chain runs deep: a restart on each would put some 700 of
+    # these pairs on the start position
+    options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
+    assert sum(fen == START_FEN for fen, _ in fuzz_pairs(3000, 0, options)) < 300
+
+
 def _draw(generator, fen, seed):
     try:
         return generator(fen, seed)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -47,6 +48,11 @@ class TestExpand:
         assert str(info.value) == message
 
 
+# characters that are no slot: other digits, a piece mark, the rank
+# separator, whitespace and a non-ASCII digit
+_NOT_SLOTS = "023456789x/ \t\n٣"
+
+
 class TestContract:
     @pytest.mark.parametrize(
         "expanded,segment",
@@ -64,6 +70,25 @@ class TestContract:
     def test_rejections(self, expanded):
         with pytest.raises(BadExpandedRankError):
             contract_rank(expanded)
+
+    @given(st.one_of(
+        st.text(alphabet=PIECE_LETTERS + "1" + _NOT_SLOTS, max_size=10),
+        st.text(alphabet=PIECE_LETTERS + "1", min_size=7, max_size=9),
+        # 8 slots, one written over by a character that is no slot
+        st.builds(lambda slots, i, ch: slots[:i] + ch + slots[i + 1:],
+                  st.text(alphabet=PIECE_LETTERS + "1", min_size=8, max_size=8),
+                  st.integers(0, 7), st.sampled_from(_NOT_SLOTS)),
+    ))
+    @example("11111111\n")
+    @example("1111111٣")
+    def test_accepts_exactly_eight_slots(self, text):
+        # the accept set, stated here as a regular expression the codec does not use
+        if re.fullmatch("[KQRBNPkqrbnp1]{8}", text):
+            assert expand_rank(contract_rank(text)) == text
+        else:
+            with pytest.raises(BadExpandedRankError) as info:
+                contract_rank(text)
+            assert str(info.value) == f"bad expanded rank: {text!r}"
 
 
 class TestIndexing:
