@@ -14,7 +14,11 @@ Piece cells. The specials logic (castling, en passant, promotion, rights,
 clocks) is intentionally written out again here instead of calling the
 string-path helpers, so the two implementations share no placement code
 and can check each other. The oracle reads a FEN with parse_fen and a
-move with _read_move, as the string path does.
+move with _read_move, as the string path does, but oracle_apply asks
+parse_fen for the grammar only: the strict rules are the oracle's own
+too. _check_strict checks the parsed input's segments before the mailbox
+is built and the result's 71-cell text before it is contracted, so a
+strict call parses one FEN, not two.
 """
 
 from __future__ import annotations
@@ -23,16 +27,19 @@ from dataclasses import dataclass
 
 from .errors import (
     BadCastleError,
+    BadClockError,
     BadPromotionPieceError,
     BadSquareError,
     EmptyOriginError,
     FenSyntaxError,
     FriendlyCaptureError,
     MissingPromotionError,
+    ValidationError,
     WrongColorError,
 )
 from .fen_codec import (
     BLACK,
+    MAX_DIGITS,
     WHITE,
     Piece,
     Square,
@@ -63,6 +70,8 @@ _CELL_TYPES = frozenset((Piece, type(None)))
 _CORNER_RIGHTS = {70: "K", 63: "Q", 7: "k", 0: "q"}
 # (from rank, to rank) of each pawn double step, either way
 _DOUBLE_STEPS = frozenset(((2, 4), (4, 2), (5, 7), (7, 5)))
+# the least clock the FEN grammar refuses: the first of MAX_DIGITS + 1 digits
+_CLOCK_LIMIT = 10**MAX_DIGITS
 
 
 def cell_index(square: Square) -> int:
@@ -86,6 +95,21 @@ def _contracted(text: str) -> str:
     for run, digit in _EMPTY_RUNS:
         text = text.replace(run, digit)
     return text
+
+
+def _check_strict(placement: str, edge_rows: str, side: str, ep: str) -> None:
+    """Raise ValidationError unless a position passes strict validation:
+    one 'K' and one 'k' in its placement text, no pawn in its edge rows
+    (rank 8 and rank 1), and an en-passant target ('-' for none) on rank 6
+    with white to move or on rank 3 with black to move."""
+    for king in "Kk":
+        count = placement.count(king)
+        if count != 1:
+            raise ValidationError(f"{count} {king!r} on the board, not exactly one")
+    if "P" in edge_rows or "p" in edge_rows:
+        raise ValidationError("a pawn stands on rank 8 or rank 1")
+    if ep != "-" and ep[1] != ("6" if side == WHITE else "3"):
+        raise ValidationError(f"an en-passant target on {ep} with {side!r} to move")
 
 
 def board_from_fen(fen: str, validation: str = "lenient") -> BoardArray:
@@ -130,9 +154,17 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
 
     Same semantics and error taxonomy as move_apply.apply_move, computed
     entirely on the mailbox: a list of the expanded placement's 71 cells.
+    Under strict validation the input's segments are checked before the
+    move is read and the result's text before it is written back, each by
+    the oracle's own rules; the result is never parsed again.
     """
     _check_options(options)
-    ranks, side, castling, en_passant, halfmove, fullmove = parse_fen(fen, options.validation)
+    ranks, side, castling, en_passant, halfmove, fullmove = parse_fen(fen)
+    strict = options.validation == "strict"
+    if strict:
+        # before the move is read, as parse_fen's strict checks come before it
+        _check_strict("".join(ranks), ranks[0] + ranks[7], side,
+                      en_passant.name if en_passant else "-")
     from_sq, to_sq, promotion = _read_move(move)
     from_file, from_rank, to_file, to_rank = from_sq.file, from_sq.rank, to_sq.file, to_sq.rank
     from_i, to_i = (8 - from_rank) * 9 + from_file, (8 - to_rank) * 9 + to_file
@@ -148,7 +180,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
 
     captured = cells[to_i]
     was_capture = captured != "."
-    if was_capture and options.validation == "strict" and captured.isupper() == white:
+    if was_capture and strict and captured.isupper() == white:
         raise FriendlyCaptureError(f"own piece on {to_sq.name}")
 
     is_pawn = kind == "P"
@@ -219,8 +251,12 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         if not white:
             fullmove += 1
 
-    fen_after = (f"{_contracted(''.join(cells))} {BLACK if white else WHITE} {castling or '-'} "
-                 f"{ep} {halfmove} {fullmove}")
-    if options.validation == "strict":
-        parse_fen(fen_after, "strict")
-    return fen_after
+    text = "".join(cells)
+    to_move = BLACK if white else WHITE
+    if strict:
+        # the result must pass strict validation itself; of its grammar only
+        # a clock grown one digit too long can fail, and it is checked first
+        if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
+            raise BadClockError(f"a clock grows past {MAX_DIGITS} digits: {halfmove} {fullmove}")
+        _check_strict(text, text[:8] + text[63:], to_move, ep)
+    return f"{_contracted(text)} {to_move} {castling or '-'} {ep} {halfmove} {fullmove}"

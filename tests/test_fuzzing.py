@@ -125,6 +125,62 @@ def test_pawn_moves_onto_the_en_passant_target_agree(fen):
             assert string == _fen_or_code(oracle_apply, fen, move, options), (fen, move, options)
 
 
+_STRICT_OPTIONS = [options for options in ALL_OPTIONS if options.validation == "strict"]
+_SQUARE_PAIRS = st.tuples(st.sampled_from(_CELL_NAMES), st.sampled_from(_CELL_NAMES)).map("".join)
+
+
+@given(fens(), st.lists(_SQUARE_PAIRS, min_size=1, max_size=6))
+# inputs that fail strict validation by one rule each, with a move from an
+# empty square: an input check that misses gives EmptyOrigin instead
+@example("4k3/8/8/8/8/8/8/8 w - - 0 1", ["d4d5"])  # no white king
+@example("4k3/8/8/8/8/8/8/2k1K3 w - - 0 1", ["d4d5"])  # two black kings
+@example("4k3/8/8/8/8/8/8/P3K3 w - - 0 1", ["d4d5"])  # a white pawn on rank 1
+@example("p3k3/8/8/8/8/8/8/4K3 b - - 0 1", ["d4d5"])  # a black pawn on rank 8
+@example("4k3/8/8/8/8/8/8/4K3 w - e3 0 1", ["d4d5"])  # a target on rank 3, white to move
+@example("4k3/8/8/8/8/8/8/4K3 b - e6 0 1", ["d4d5"])  # a target on rank 6, black to move
+def test_strict_results_agree_on_arbitrary_positions(fen, moves):
+    """Under strict validation, on arbitrary positions (most fail it) and
+    arbitrary square pairs, the string path and the oracle give the same FEN
+    or the same error code: each checks the input and the result with its
+    own rules."""
+    for options in _STRICT_OPTIONS:
+        for move in moves:
+            string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
+            assert string == _fen_or_code(oracle_apply, fen, move, options), (fen, move, options)
+
+
+@pytest.mark.parametrize("fen, move, standard, frozen", [
+    pytest.param("4k3/8/8/8/8/8/8/4RK2 w - - 0 1", "e1e8", "Validation", "Validation",
+                 id="white-captures-the-black-king"),
+    pytest.param("4rk2/8/8/8/8/8/8/4K3 b - - 0 1", "e8e1", "Validation", "Validation",
+                 id="black-captures-the-white-king"),
+    # a white pawn's step from rank 5 to rank 7 passes e6, and black is to move
+    pytest.param("4k3/3p4/8/4P3/8/8/8/4K3 w - - 0 1", "e5e7", "Validation", "Validation",
+                 id="target-e6-with-black-to-move"),
+    pytest.param("4k3/8/8/8/8/8/8/4K3 b - - 0 999999999", "e8d8", "BadClock", None,
+                 id="fullmove-of-10-digits"),
+    pytest.param("4k3/8/8/8/8/8/8/4K3 w - - 999999999 1", "e1d1", "BadClock", None,
+                 id="halfmove-of-10-digits"),
+    # the clock is checked first, so it names the error when both fail
+    pytest.param("4rk2/8/8/8/8/8/8/4K3 b - - 0 999999999", "e8e1", "BadClock", "Validation",
+                 id="long-clock-and-king-captured"),
+])
+@pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
+def test_strict_results_fail_alike(fen, move, standard, frozen, ep_mode):
+    # each way the result of a position that passes strict validation can
+    # fail it, by its error code on both paths under clock_mode standard and
+    # frozen; None where the result is a FEN
+    parse_fen(fen, "strict")
+    for clock_mode, code in (("standard", standard), ("frozen", frozen)):
+        options = ApplyOptions(ep_mode, clock_mode, "strict")
+        string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
+        assert string == _fen_or_code(oracle_apply, fen, move, options)
+        if code is None:
+            assert " " in string
+        else:
+            assert string == code
+
+
 def test_zero_iterations_compare_nothing():
     assert list(fuzz_pairs(0, 0)) == []
     report = differential_fuzz(0, 0)
@@ -156,9 +212,9 @@ def test_acceptance_chains_are_pinned(i, ep_mode, clock_mode, digest):
 @pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
 @pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
 def test_strict_chains_restart_and_agree(ep_mode, clock_mode):
-    # a strict chain restarts on a friendly capture or a position that fails
-    # strict validation, so it yields every pair and each starts from a
-    # position that passes strict validation
+    # a strict chain draws again on a friendly capture and restarts only on
+    # NoPieces or a position that fails strict validation, so it yields
+    # every pair and each starts from a position that passes strict validation
     options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
     report = differential_fuzz(3000, 0, options)
     assert (report.positions, report.mismatches) == (3000, 0)

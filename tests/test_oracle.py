@@ -159,6 +159,15 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
     assert from_move_apply and from_move_apply <= _FROM_MOVE_APPLY
     # the oracle reads its FEN with the string path's parser, not its own
     assert "parse_fen" in used
+    # but it checks strict validation with its own rules: neither the
+    # string path's strict checks nor its clock check, and oracle_apply asks
+    # parse_fen for the grammar only
+    assert not used & {"_strict_checks", "_check_clocks"}
+    apply_nodes = ast.walk(next(node for node in nodes if isinstance(node, ast.FunctionDef)
+                                and node.name == "oracle_apply"))
+    parses = [node for node in apply_nodes if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "parse_fen"]
+    assert parses and all(len(node.args) == 1 and not node.keywords for node in parses)
 
 
 class TestOracleApply:
