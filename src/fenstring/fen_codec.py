@@ -38,8 +38,7 @@ writes the canonical text of what its fields parse to, and its unchecked
 core _fen_text writes the text of the records built here. Squares and
 pieces are interned slot classes: the 64 squares and 12 pieces are built
 at import, and building one again returns the shared instance, so they
-compare by identity. The module imports no dataclasses, which alone would
-cost a process more import time than the string path spends on a long game.
+compare by identity.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BadOptionError, FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
@@ -18,13 +18,13 @@ _SLOT_SQUARES = tuple(SQUARES[f + r] for r in "87654321" for f in "abcdefgh")
 _OWN_MARKS = {WHITE: str.maketrans("KQRBNP", "******"), BLACK: str.maketrans("kqrbnp", "******")}
 
 
-@dataclass
-class FuzzReport:
-    seed: int
-    iterations: int
-    positions: int
-    mismatches: int
-    first_counterexample: tuple[str, str, str, str] | None = None  # fen, move, string, array
+class FuzzReport(namedtuple(
+    "FuzzReport", "seed iterations positions mismatches first_counterexample",
+    defaults=(None,),
+)):
+    """``first_counterexample`` is the first mismatch's (fen, move, string, array), or None."""
+
+    __slots__ = ()
 
     def format(self) -> str:
         lines = [

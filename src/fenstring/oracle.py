@@ -10,20 +10,22 @@ conversion is in bulk, through two helpers: _expanded writes the parsed
 placement's segments out with the oracle's own run table, and _contracted
 folds each run of '.' back into its digit with its own replace table;
 board_from_fen and fen_from_board map the same text to and from the 64
-Piece cells. The specials logic (castling, en passant, promotion, rights,
+Piece cells of a BoardArray, a named tuple whose trailer fields change by
+_replace. The specials logic (castling, en passant, promotion, rights,
 clocks) is intentionally written out again here instead of calling the
 string-path helpers, so the two implementations share no placement code
 and can check each other. The oracle reads a FEN with parse_fen and a
-move with _read_move, as the string path does, but oracle_apply asks
-parse_fen for the grammar only: the strict rules are the oracle's own
-too. _check_strict checks the parsed input's segments before the mailbox
-is built and the result's 71-cell text before it is contracted, so a
-strict call parses one FEN, not two.
+move with _read_move, as the string path does, but every call asks
+parse_fen for the grammar only: the strict rules are the oracle's own.
+board_from_fen takes a FEN only, and under strict validation oracle_apply's
+_check_strict checks the parsed input's segments before the mailbox is
+built and the result's 71-cell text before it is contracted, so a strict
+call parses one FEN, not two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BadCastleError,
@@ -49,14 +51,10 @@ from .fen_codec import (
 from .move_apply import ApplyOptions, _check_options, _read_move
 
 
-@dataclass
-class BoardArray:
-    cells: list[Piece | None]  # 64 entries, 0 = a8 ... 63 = h1
-    side: str
-    castling: str  # canonical "KQkq" order, or "-"
-    en_passant: Square | None
-    halfmove: int
-    fullmove: int
+class BoardArray(namedtuple("BoardArray", "cells side castling en_passant halfmove fullmove")):
+    """The mailbox array: ``cells`` is a list of 64 Piece/None, 0 = a8 ... 63 = h1."""
+
+    __slots__ = ()
 
 
 # each run digit and its empty cells, '.' per cell
@@ -112,13 +110,10 @@ def _check_strict(placement: str, edge_rows: str, side: str, ep: str) -> None:
         raise ValidationError(f"an en-passant target on {ep} with {side!r} to move")
 
 
-def board_from_fen(fen: str, validation: str = "lenient") -> BoardArray:
-    """Build the mailbox array from a FEN string."""
-    record = parse_fen(fen, validation)
-    cells = list(map(_PIECES.get, _expanded(record.ranks).replace("/", "")))
-    return BoardArray(
-        cells, record.side, record.castling, record.en_passant, record.halfmove, record.fullmove
-    )
+def board_from_fen(fen: str) -> BoardArray:
+    """Build the mailbox array from a FEN string, read by the FEN grammar."""
+    ranks, *trailer = parse_fen(fen)
+    return BoardArray(list(map(_PIECES.get, _expanded(ranks).replace("/", ""))), *trailer)
 
 
 def fen_from_board(board: BoardArray) -> str:

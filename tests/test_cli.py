@@ -334,8 +334,9 @@ from fenstring import oracle
 
 assert all(getattr(fenstring, name) is not None for name in fenstring.__all__)
 assert fenstring.oracle_apply is oracle.oracle_apply
-# the oracle, the fuzzer and the legacy codec are loaded now, and none imports typing
-assert "typing" not in sys.modules
+# the oracle, the fuzzer and the legacy codec are loaded now, and none
+# imports typing, dataclasses or inspect
+assert not {"typing", "dataclasses", "inspect"} & set(sys.modules)
 """
 
 

@@ -117,6 +117,22 @@ class TestParse:
         with pytest.raises(error):
             parse_fen(fen)
 
+    @pytest.mark.parametrize("validation", ["lenient", "strict"])
+    @pytest.mark.parametrize("fen, code, message", [
+        ("8/8/8/8/8/8/8/8 x KK - 0 1", "BadSideChar", "side field must be 'w' or 'b', got 'x'"),
+        ("8/8/8/8/8/8/8/8 w KK e4 0 1", "BadCastlingField", "bad castling field: 'KK'"),
+        ("8/8/8/8/8/8/8/8 w - e4 -1 1", "BadEnPassantField",
+         "en-passant square 'e4' not on rank 3 or 6"),
+        ("9/8/8/8/8/8/8/8 x - - 0 1", "RankWidth", "segment '9' spans 9 squares, expected 8"),
+        ("8/8/8/8/8/8/8/8 w - - -1 0", "BadClock", "bad halfmove clock: '-1'"),
+    ], ids=["side-castling", "castling-ep", "ep-halfmove", "placement-side", "halfmove-fullmove"])
+    def test_two_broken_fields_raise_the_earlier_field_s_error(self, fen, code, message,
+                                                                validation):
+        # fields are checked in FEN order, and the grammar before strict rules
+        with pytest.raises(FenSyntaxError) as info:
+            parse_fen(fen, validation)
+        assert (info.value.code, str(info.value)) == (code, message)
+
     @pytest.mark.parametrize(
         "halfmove,fullmove",
         [("²", "1"), ("0", "٣"), ("9" * 5000, "1"), ("0", "1" * 5000), ("1000000000", "1")],

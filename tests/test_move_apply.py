@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from fenstring import (
     ApplyOptions,
     ApplyOutcome,
+    BoardArray,
     FenRecord,
+    FuzzReport,
     Move,
     Piece,
     Square,
@@ -13,6 +15,7 @@ from fenstring import (
     board_from_fen,
     contract_rank,
     derive_en_passant,
+    differential_fuzz,
     oracle_apply,
     parse_fen,
     parse_move,
@@ -649,7 +652,6 @@ class TestApplyOptions:
         "call, field, value",
         [
             (lambda: parse_fen(START_FEN, "Strict"), "validation", "Strict"),
-            (lambda: board_from_fen(START_FEN, "strict "), "validation", "strict "),
             (lambda: update_clocks(0, 1, Piece("R", "w"), False, "Frozen"), "clock_mode", "Frozen"),
             (
                 lambda: derive_en_passant(
@@ -669,8 +671,7 @@ class TestApplyOptions:
                 "bogus",
             ),
         ],
-        ids=["parse_fen", "board_from_fen", "update_clocks", "derive_en_passant",
-             "derive_en_passant-knight"],
+        ids=["parse_fen", "update_clocks", "derive_en_passant", "derive_en_passant-knight"],
     )
     def test_unknown_argument_rejected_where_read(self, call, field, value):
         # each function checks the option it takes, with the
@@ -927,16 +928,23 @@ class TestKernelAndPublicRules:
 
 
 class TestRecordContract:
-    """FenRecord and ApplyOutcome are immutable, hashable records with named
-    fields, built by keyword or by position."""
+    """FenRecord, ApplyOutcome, BoardArray and FuzzReport are immutable
+    records with named fields, built by keyword or by position; FenRecord
+    and ApplyOutcome are hashable."""
 
     def test_fields_cannot_be_assigned(self):
         record = parse_fen(START_FEN)
         outcome = apply_move(START_FEN, "e2e4")
+        board = board_from_fen(START_FEN)
+        report = differential_fuzz(3, 0)
         with pytest.raises(AttributeError):
             record.side = "b"
         with pytest.raises(AttributeError):
             outcome.fen_after = START_FEN
+        with pytest.raises(AttributeError):
+            board.castling = "-"
+        with pytest.raises(AttributeError):
+            report.mismatches = 1
 
     def test_hashable(self):
         record = parse_fen(FIG1_FEN)
@@ -964,6 +972,18 @@ class TestRecordContract:
         )
         assert outcome == apply_move(START_FEN, "e2e4")
         assert outcome.special is None
+        board = BoardArray(
+            cells=board_from_fen(fen).cells,
+            side="b",
+            castling="KQkq",
+            en_passant=Square.from_name("e3"),
+            halfmove=0,
+            fullmove=1,
+        )
+        assert board == board_from_fen(fen)
+        report = FuzzReport(seed=0, iterations=3, positions=3, mismatches=0)
+        assert report == differential_fuzz(3, 0)
+        assert report.first_counterexample is None
 
     def test_segments_touched_is_a_frozenset(self):
         assert type(apply_move(START_FEN, "e2e4").segments_touched) is frozenset

@@ -60,22 +60,18 @@ class TestFenFromBoard:
         ("qkQK", "KQkq"), ("kK", "Kk"), ("qQ", "Qq"), ("qk", "kq"), ("KQkq", "KQkq"), ("-", "-"),
     ])
     def test_writes_the_canonical_castling_field(self, castling, canonical):
-        board = board_from_fen(START_FEN)
-        board.castling = castling
-        fen = fen_from_board(board)
+        fen = fen_from_board(board_from_fen(START_FEN)._replace(castling=castling))
         assert fen == START_FEN.replace("KQkq", canonical)
         # as the string path's writer writes the same fields
         assert fen == serialize_fen(parse_fen(START_FEN)._replace(castling=castling))
 
     def test_side_is_checked_before_castling(self):
         board = board_from_fen(START_FEN)
-        board.side, board.castling = "x", "qkQK"
         with pytest.raises(FenSyntaxError) as info:
-            fen_from_board(board)
+            fen_from_board(board._replace(side="x", castling="qkQK"))
         assert info.value.code == "BadSideChar"
-        board.side, board.castling = "b", "KK"
         with pytest.raises(FenSyntaxError) as info:
-            fen_from_board(board)
+            fen_from_board(board._replace(side="b", castling="KK"))
         assert info.value.code == "BadCastlingField"
 
     def test_hand_built_board_with_fresh_pieces(self):
@@ -116,8 +112,7 @@ class TestFenFromBoard:
         ("fullmove", 10**9, "BadClock"),
     ])
     def test_rejects_trailer_fields_the_parser_rejects(self, field, value, code):
-        board = board_from_fen(START_FEN)
-        setattr(board, field, value)
+        board = board_from_fen(START_FEN)._replace(**{field: value})
         with pytest.raises(FenSyntaxError) as info:
             fen_from_board(board)
         assert info.value.code == code
@@ -160,12 +155,10 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
     # the oracle reads its FEN with the string path's parser, not its own
     assert "parse_fen" in used
     # but it checks strict validation with its own rules: neither the
-    # string path's strict checks nor its clock check, and oracle_apply asks
+    # string path's strict checks nor its clock check, and every call asks
     # parse_fen for the grammar only
     assert not used & {"_strict_checks", "_check_clocks"}
-    apply_nodes = ast.walk(next(node for node in nodes if isinstance(node, ast.FunctionDef)
-                                and node.name == "oracle_apply"))
-    parses = [node for node in apply_nodes if isinstance(node, ast.Call)
+    parses = [node for node in nodes if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Name) and node.func.id == "parse_fen"]
     assert parses and all(len(node.args) == 1 and not node.keywords for node in parses)
 

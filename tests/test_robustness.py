@@ -224,7 +224,7 @@ _BASE_ARGUMENTS = {
     "Piece": ("P", "w"),
     "Square": (4, 2),
     "apply_move": (START_FEN, "e2e4", ApplyOptions()),
-    "board_from_fen": (START_FEN, "strict"),
+    "board_from_fen": (START_FEN,),
     "cell_index": (SQUARES["e2"],),
     "contract_rank": ("11111R1k",),
     # a double push under adjacent-only reads the placement
