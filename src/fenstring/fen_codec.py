@@ -346,13 +346,13 @@ def _check_segment(segment: str) -> None:
         raise RankWidthError(f"segment {segment!r} spans {width} squares, expected 8")
 
 
-def _strict_checks(record: FenRecord) -> None:
+def _strict_checks(record: FenRecord, edge_rows) -> None:
     placement = "".join(record.ranks)
     for king in "Kk":
         n = placement.count(king)
         if n != 1:
             raise ValidationError(f"expected exactly one {king!r}, found {n}")
-    for edge in (record.ranks[0], record.ranks[7]):
+    for edge in edge_rows:
         if "P" in edge or "p" in edge:
             raise ValidationError(f"pawn on first/last rank in segment {edge!r}")
     if record.en_passant is not None:
@@ -438,7 +438,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     ))
     if validation != "lenient":
         _check_option("validation", validation)
-        _strict_checks(record)
+        _strict_checks(record, (segments[0], segments[7]))
     return record
 
 

@@ -108,10 +108,10 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
 
     Each move is drawn from and applied to the record carried from the
     previous pair. Under strict validation a drawn move that captures an
-    own piece is drawn again from the same record. The chain restarts from
-    the start position, and draws again for the same pair, when the side
-    to move has no pieces left or, under strict validation, when the drawn
-    move leaves a position that fails it (a king captured).
+    own piece or leaves a position that fails it (a king captured) is drawn
+    again from the same record; a king move to an empty square applies, so
+    the draws end. The chain restarts from the start position, and draws
+    again for the same pair, only when the side to move has no pieces left.
     """
     _check_options(options)
     if type(iterations) is bool:  # a bool is an int, but True is no count
@@ -135,9 +135,9 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
                 move = _pseudo_move(record, draw)
                 record, outcome = _apply(record, move, options)
                 break
-            except FriendlyCaptureError:
+            except (FriendlyCaptureError, ValidationError):
                 pass  # draw again from the same record
-            except (NoPiecesError, ValidationError):
+            except NoPiecesError:
                 fen, record = START_FEN, start
         yield fen, move, outcome
         fen = outcome.fen_after
@@ -146,10 +146,9 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
 def fuzz_pairs(iterations: int, seed: int, options: ApplyOptions = ApplyOptions()):
     """Yield (fen, move) pairs along a deterministic pseudo-move chain.
 
-    The chain restarts from the start position when the side to move has
-    no pieces left, and under strict validation also when a drawn move
-    leaves a position that fails it; a drawn move that captures an own
-    piece is drawn again.
+    The chain restarts from the start position only when the side to move
+    has no pieces left: never under strict validation, where a drawn move
+    that captures an own piece or leaves a position failing it is drawn again.
     """
     for fen, move, _ in _chain(iterations, seed, options):
         yield fen, move

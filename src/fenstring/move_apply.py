@@ -18,7 +18,9 @@ _PASSED; the public functions check their arguments and call the same
 cores. _read_move reads every move argument, text or a Move, into its
 squares and promotion kind; only parse_move builds a Move. Text is read
 with no regular expression: two slices looked up among the square names,
-and the rest among the nine promotion suffixes.
+and the rest among the nine promotion suffixes. A result is checked only
+for what a ply can break: its clocks in every mode, and under strict
+validation its kings and en-passant square, never its edge rows.
 """
 
 from __future__ import annotations
@@ -282,8 +284,8 @@ def update_clocks(
     clock_mode: str = "standard",
 ):
     """Standard: halfmove resets on pawn move/capture else +1; fullmove +1
-    after a black move. Frozen: both pass through unchanged. Clocks of more
-    than MAX_DIGITS digits are refused, as parse_fen refuses them."""
+    after a black move. Frozen: both pass through unchanged. Clocks given or
+    returned with more than MAX_DIGITS digits are refused, as by parse_fen."""
     _check_move_arguments(mover)
     # only a bool: the core takes any true value for a capture
     if type(was_capture) is not bool:
@@ -294,7 +296,9 @@ def update_clocks(
                             f"got {halfmove!r} and {fullmove!r}")
     _check_clocks(halfmove, fullmove)
     _check_option("clock_mode", clock_mode)
-    return _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode)
+    halfmove, fullmove = _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode)
+    _check_clocks(halfmove, fullmove)
+    return halfmove, fullmove
 
 
 def _apply(record: FenRecord, move, options: ApplyOptions):
@@ -309,9 +313,6 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     cores of the public rules, in the same pass.
     """
     ranks, side, castling, en_passant, halfmove, fullmove = record
-    # a carried clock can outgrow what parse_fen accepts; the FEN text of
-    # that ply would then fail to parse here, so the record fails instead
-    _check_clocks(halfmove, fullmove)
     from_sq, to_sq, promotion = _read_move(move)
 
     ranks = list(ranks)
@@ -363,6 +364,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         special = "en-passant-capture"
 
     halfmove, fullmove = _clocks_after(halfmove, fullmove, mover, was_capture, options.clock_mode)
+    # in every mode, so the result parses: the rest of its grammar holds by construction
+    _check_clocks(halfmove, fullmove)
     # tuple.__new__ skips _make's Python frame and length check: six fields by construction
     after = tuple.__new__(FenRecord, (
         tuple(ranks),
@@ -374,11 +377,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         fullmove,
     ))
     if options.validation == "strict":
-        # closure: the result must itself pass strict validation. Its
-        # grammar holds by construction (rows written by plan, canonical rights,
-        # en passant on rank 3/6), except for a clock grown one digit too long
-        _check_clocks(halfmove, fullmove)
-        _strict_checks(after)
+        # no edge rows: a strict input has no pawn there, and one that arrives must promote
+        _strict_checks(after, ())
 
     return after, tuple.__new__(
         ApplyOutcome, (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)

@@ -18,9 +18,9 @@ and can check each other. The oracle reads a FEN with parse_fen and a
 move with _read_move, as the string path does, but every call asks
 parse_fen for the grammar only: the strict rules are the oracle's own.
 board_from_fen takes a FEN only, and under strict validation oracle_apply's
-_check_strict checks the parsed input's segments before the mailbox is
-built and the result's 71-cell text before it is contracted, so a strict
-call parses one FEN, not two.
+_check_strict checks the parsed input's segments before the mailbox is built
+and the result's text, edge rows aside, before it is contracted, so a strict
+call parses one FEN, not two; a result's clocks are checked in every mode.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
 
     Same semantics and error taxonomy as move_apply.apply_move, computed
     entirely on the mailbox: a list of the expanded placement's 71 cells.
-    Under strict validation the input's segments are checked before the
-    move is read and the result's text before it is written back, each by
-    the oracle's own rules; the result is never parsed again.
+    The result's clocks are checked in every mode, and under strict validation
+    the input's segments before the move is read and the result's text before
+    it is written back, each by the oracle's own rules: no FEN is parsed twice.
     """
     _check_options(options)
     ranks, side, castling, en_passant, halfmove, fullmove = parse_fen(fen)
@@ -245,13 +245,13 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         halfmove = 0 if (is_pawn or was_capture) else halfmove + 1
         if not white:
             fullmove += 1
+    # in every mode, so the result parses: the rest of its grammar holds by construction
+    if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
+        raise BadClockError(f"a clock grows past {MAX_DIGITS} digits: {halfmove} {fullmove}")
 
     text = "".join(cells)
     to_move = BLACK if white else WHITE
     if strict:
-        # the result must pass strict validation itself; of its grammar only
-        # a clock grown one digit too long can fail, and it is checked first
-        if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
-            raise BadClockError(f"a clock grows past {MAX_DIGITS} digits: {halfmove} {fullmove}")
-        _check_strict(text, text[:8] + text[63:], to_move, ep)
+        # no edge rows: a strict input has no pawn there, and one that arrives must promote
+        _check_strict(text, "", to_move, ep)
     return f"{_contracted(text)} {to_move} {castling or '-'} {ep} {halfmove} {fullmove}"

@@ -184,6 +184,11 @@ _WRONG_TYPE_CALLS = {
     "update_clocks-fullmove-long": (lambda: update_clocks(0, 10**9, Piece("N", "w"), False,
                                                           "frozen"),
                                     BadClockError),
+    # each clock a FEN may carry, grown by the move past what one may carry
+    "update_clocks-halfmove-grows-long": (
+        lambda: update_clocks(999999999, 1, Piece("N", "w"), False), BadClockError),
+    "update_clocks-fullmove-grows-long": (
+        lambda: update_clocks(0, 999999999, Piece("N", "b"), False), BadClockError),
     # any true value would count as a capture, and a false one as none
     "update_clocks-was_capture-text": (lambda: update_clocks(5, 1, Piece("N", "w"), "no"),
                                        FenSyntaxError),
