@@ -28,9 +28,9 @@ contracts a segment; an unknown shape raises.
 The same table is the segment grammar, and it alone accepts a segment:
 parse_fen checks the whole placement in one pass, every shape in the
 table, and expand_rank checks its segment's shape. Only when the table
-rejects does the per-segment checker run, segment by segment, to name the
-first error, so the error class, message and precedence are those of the
-per-segment checker.
+rejects does the per-segment checker run, on the first segment the table
+refuses and only on it, to name the error; both accept the same segments,
+so the error class, message and precedence are the checker's.
 
 A FenRecord is an immutable named tuple, built with tuple.__new__ once per
 parse and once per applied move; serialize_fen checks that it is given one and
@@ -398,6 +398,12 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     and Unicode spaces such as U+00A0 and U+2003 included. No field may
     hold one, so no text reads two ways. Everything else follows the
     grammar exactly.
+
+    Checks fail in this order: the text's type; the field count; the
+    segment count; the first segment the shape table refuses, scanned from
+    the left, width last; side, castling, the en-passant name, its rank;
+    halfmove, then fullmove; the validation value, and under strict
+    validation the kings, edge-row pawns, then the en-passant rank.
     """
     if not isinstance(text, str):
         raise FenSyntaxError(f"a FEN must be text, got {type(text).__name__}")
@@ -409,10 +415,12 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     segments = placement.split("/")
     if len(segments) != 8:
         raise SegmentCountError(f"expected 8 rank segments, got {len(segments)}")
-    if not _SHAPES.issuperset(_shape(placement).split(b"/")):
-        # the bulk check only tells that the placement is bad; this names why
-        for segment in segments:
-            _check_segment(segment)
+    shapes = _shape(placement).split(b"/")
+    if not _SHAPES.issuperset(shapes):
+        # the bulk check only tells that the placement is bad; its first refused segment says why
+        for segment, shape in zip(segments, shapes):
+            if shape not in _SHAPES:
+                _check_segment(segment)
 
     if side not in (WHITE, BLACK):
         raise BadSideCharError(f"side field must be 'w' or 'b', got {side!r}")

@@ -347,6 +347,9 @@ def _check_segments(placement):
 @example("/".join(["8"] * 7 + ["PPPPPPPPP"]))
 @example("/".join(["8"] * 7 + ["1b3RN2"]))
 @example("/".join(["44"] + ["8"] * 6 + ["9"]))
+@example("/".join(["8"] * 2 + ["44"] + ["8"] * 2 + ["x7"] + ["8"] * 2))
+@example("/".join(["8"] * 2 + ["x7"] + ["8"] * 2 + ["44"] + ["8"] * 2))
+@example("/".join(["8"] * 6 + ["7", "é7"]))
 @example("/".join(["8"] * 8))
 def test_bulk_placement_check_matches_segment_loop(placement):
     expected = _verdict(_check_segments, placement)
@@ -430,3 +433,34 @@ def test_only_a_segment_the_table_rejects_reaches_the_segment_checker(monkeypatc
             with pytest.raises(error) as info:
                 call(segment)
             assert type(info.value) is error and str(info.value) == message
+
+
+def test_the_segment_checker_runs_once_on_the_first_segment_the_table_refuses(monkeypatch):
+    calls = []
+
+    def recording_checker(segment):
+        calls.append(segment)
+        _check_segment(segment)
+
+    monkeypatch.setattr(fen_codec, "_check_segment", recording_checker)
+    good = START_FEN.split()[0].split("/")
+    bad_segments = [
+        ("9", RankWidthError, "segment '9' spans 9 squares, expected 8"),
+        ("44", AdjacentDigitsError, "adjacent digits in segment '44'"),
+        ("x7", BadPieceLetterError, "bad character 'x' in segment 'x7'"),
+    ]
+    for index in range(8):
+        for bad, error, message in bad_segments:
+            calls.clear()
+            with pytest.raises(error) as info:
+                parse_fen("/".join(good[:index] + [bad] + good[index + 1:]) + " w - - 0 1")
+            assert calls == [bad], index
+            assert type(info.value) is error and str(info.value) == message
+
+    # two refused segments of different kinds: only the first is checked
+    for placement, first, error in [("8/8/44/8/8/x7/8/8", "44", AdjacentDigitsError),
+                                    ("8/8/x7/8/8/44/8/8", "x7", BadPieceLetterError)]:
+        calls.clear()
+        with pytest.raises(error):
+            parse_fen(placement + " w - - 0 1")
+        assert calls == [first]
