@@ -16,7 +16,7 @@ import time
 
 from .errors import FenstringError, MoveError
 from .fen_codec import (
-    _OPTION_VALUES, FenRecord, Square, _en_passant_target, _parse_clock, parse_castling, parse_fen,
+    _OPTION_VALUES, FenRecord, _en_passant_field, _parse_clock, parse_castling, parse_fen,
     serialize_fen,
 )
 from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
@@ -126,6 +126,8 @@ def cmd_play(args) -> int:
     except UnicodeDecodeError as exc:
         print(f"{args.moves_file}: not UTF-8 text: {exc.reason}", file=sys.stderr)
         return EXIT_INPUT
+    if not moves:  # the sequence reads its FEN at the first move: with none, read it here
+        parse_fen(args.fen, args.validation)
     block = []
     try:
         for fen in _iter_sequence(args.fen, moves, _options_from(args)):
@@ -180,7 +182,7 @@ def cmd_convert_forsyth(args) -> int:
     # before any text is joined: one with a space in it, or an empty one, is
     # named by its own error and not as a field count
     record = FenRecord(parse_legacy_forsyth(args.text), args.side, parse_castling(args.castling),
-                       None if args.ep == "-" else _en_passant_target(Square.from_name(args.ep)),
+                       _en_passant_field(args.ep),
                        _parse_clock(args.halfmove, 0, "halfmove clock"),
                        _parse_clock(args.fullmove, 1, "fullmove number"))
     print(serialize_fen(record))

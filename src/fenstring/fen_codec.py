@@ -166,6 +166,8 @@ _SQUARE_AT = {
     for f in range(8)
 }
 SQUARES = {sq.name: sq for sq in _SQUARE_AT.values()}
+# every valid en-passant field: "-" or a square name on rank 3 or 6
+_EN_PASSANT_FIELDS = frozenset(["-", *(name for name in SQUARES if name[1] in "36")])
 
 
 def _check_square(*squares) -> None:
@@ -217,7 +219,7 @@ _CASTLING_FIELDS = {
 
 class FenRecord(namedtuple("FenRecord", "ranks side castling en_passant halfmove fullmove")):
     """Fully parsed FEN; ranks[0] is rank 8, ranks[7] is rank 1. ``castling``
-    is in canonical "KQkq" order, or "-"; ``en_passant`` is a Square or None."""
+    is in canonical "KQkq" order, or "-"; ``en_passant`` is its text, "e3" or "-"."""
 
     __slots__ = ()
 
@@ -355,13 +357,11 @@ def _strict_checks(record: FenRecord, edge_rows) -> None:
     for edge in edge_rows:
         if "P" in edge or "p" in edge:
             raise ValidationError(f"pawn on first/last rank in segment {edge!r}")
-    if record.en_passant is not None:
-        expected_rank = 6 if record.side == WHITE else 3
-        if record.en_passant.rank != expected_rank:
-            raise ValidationError(
-                f"en-passant square {record.en_passant.name} inconsistent with "
-                f"side {record.side!r} to move"
-            )
+    en_passant = record.en_passant
+    if en_passant != "-" and en_passant[1] != ("6" if record.side == WHITE else "3"):
+        raise ValidationError(
+            f"en-passant square {en_passant} inconsistent with side {record.side!r} to move"
+        )
 
 
 def parse_castling(field: str) -> str:
@@ -375,11 +375,13 @@ def parse_castling(field: str) -> str:
     return rights
 
 
-def _en_passant_target(square: Square) -> Square:
-    """``square``, if an en-passant target may stand there: rank 3 or 6."""
-    if square.rank not in (3, 6):
-        raise BadEnPassantFieldError(f"en-passant square {square.name!r} not on rank 3 or 6")
-    return square
+def _en_passant_field(field: str) -> str:
+    """``field``, if it is an en-passant field: "-" or a square name on rank 3 or 6."""
+    if field in _EN_PASSANT_FIELDS:
+        return field
+    if field in SQUARES:
+        raise BadEnPassantFieldError(f"en-passant square {field!r} not on rank 3 or 6")
+    raise BadEnPassantFieldError(f"bad en-passant field: {field!r}")
 
 
 def _parse_clock(field: str, minimum: int, what: str) -> int:
@@ -427,20 +429,15 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
 
     castling = parse_castling(castling_field)
 
-    if ep_field == "-":
-        en_passant = None
-    else:
-        en_passant = SQUARES.get(ep_field)
-        if en_passant is None:
-            raise BadEnPassantFieldError(f"bad en-passant field: {ep_field!r}")
-        _en_passant_target(en_passant)
+    if ep_field not in _EN_PASSANT_FIELDS:
+        _en_passant_field(ep_field)  # the set only tells that the field is bad; this names why
 
     # tuple.__new__, not FenRecord(...): the generated __new__ is one more Python call
     record = tuple.__new__(FenRecord, (
         tuple(segments),
         side,
         castling,
-        en_passant,
+        ep_field,
         _parse_clock(halfmove_field, 0, "halfmove clock"),
         _parse_clock(fullmove_field, 1, "fullmove number"),
     ))
@@ -453,8 +450,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
 def _fen_text(record: FenRecord) -> str:
     """serialize_fen without the argument check, for a record built here."""
     ranks, side, castling, en_passant, halfmove, fullmove = record
-    return (f"{'/'.join(ranks)} {side} {castling} {en_passant.name if en_passant else '-'} "
-            f"{halfmove} {fullmove}")
+    return f"{'/'.join(ranks)} {side} {castling} {en_passant} {halfmove} {fullmove}"
 
 
 def serialize_fen(record: FenRecord) -> str:
@@ -465,7 +461,7 @@ def serialize_fen(record: FenRecord) -> str:
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     try:
         fen = _fen_text(record)
-    except (AttributeError, TypeError) as exc:
+    except TypeError as exc:
         raise FenSyntaxError(f"cannot serialize the record as FEN: {exc}") from None
     return _fen_text(parse_fen(fen))
 

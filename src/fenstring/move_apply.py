@@ -84,9 +84,9 @@ _CASTLES = {
     for from_file in (to_file - 2, to_file + 2) if 0 <= from_file <= 7
     for rank in (1, 8)
 }
-# each same-file step between ranks 2 and 4 or 5 and 7, either way -> the square it passes
+# each same-file step between ranks 2 and 4 or 5 and 7, either way -> the passed square's name
 _PASSED = {
-    (_SQUARE_AT[file, start], _SQUARE_AT[file, end]): _SQUARE_AT[file, (start + end) // 2]
+    (_SQUARE_AT[file, start], _SQUARE_AT[file, end]): _SQUARE_AT[file, (start + end) // 2].name
     for file in range(8)
     for start, end in ((2, 4), (4, 2), (5, 7), (7, 5))
 }
@@ -232,15 +232,15 @@ def _en_passant_after(ranks, mover, from_square, to_square, ep_mode):
     """derive_en_passant without the argument checks."""
     # only a step in _PASSED puts its target on rank 3/6; other two-rank
     # pseudo-pushes would put it on a rank no FEN allows
-    target = _PASSED.get((from_square, to_square)) if mover.kind == "P" else None
-    if target is None or ep_mode == "always":
+    target = _PASSED.get((from_square, to_square), "-") if mover.kind == "P" else "-"
+    if target == "-" or ep_mode == "always":
         return target
     enemy_pawn = "p" if mover.color == WHITE else "P"
     row = expand_rank(_rank_segment(ranks, to_square.rank))
     for f in (to_square.file - 1, to_square.file + 1):
         if 0 <= f <= 7 and row[f] == enemy_pawn:
             return target
-    return None
+    return "-"
 
 
 def derive_en_passant(
@@ -249,8 +249,8 @@ def derive_en_passant(
     from_square: Square,
     to_square: Square,
     ep_mode: str = "always",
-) -> Square | None:
-    """En-passant target created by the move, if any.
+) -> str:
+    """The en-passant field after the move: the passed square's name, or "-".
 
     Only a same-file pawn move between ranks 2 and 4 or 5 and 7, either
     way, qualifies. Mode "always" records the square the pawn passes
@@ -354,7 +354,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         ranks[to_i] = _write_slot(row, rook_file, rook_letter)[0]
     elif (
         is_pawn
-        and to_sq is en_passant
+        and to_sq.name == en_passant
         and abs(from_sq.file - to_sq.file) == 1
         and abs(from_i - to_i) == 1
     ):
@@ -372,7 +372,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         BLACK if side == WHITE else WHITE,
         _rights_after(castling, mover, from_sq, to_sq, captured),
         # the rule can hold only for a pawn move: the others skip the call
-        _en_passant_after(ranks, mover, from_sq, to_sq, options.ep_mode) if is_pawn else None,
+        _en_passant_after(ranks, mover, from_sq, to_sq, options.ep_mode) if is_pawn else "-",
         halfmove,
         fullmove,
     ))

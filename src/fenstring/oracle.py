@@ -11,16 +11,18 @@ placement's segments out with the oracle's own run table, and _contracted
 folds each run of '.' back into its digit with its own replace table;
 board_from_fen and fen_from_board map the same text to and from the 64
 Piece cells of a BoardArray, a named tuple whose trailer fields change by
-_replace. The specials logic (castling, en passant, promotion, rights,
-clocks) is intentionally written out again here instead of calling the
-string-path helpers, so the two implementations share no placement code
-and can check each other. The oracle reads a FEN with parse_fen and a
-move with _read_move, as the string path does, but every call asks
-parse_fen for the grammar only: the strict rules are the oracle's own.
-board_from_fen takes a FEN only, and under strict validation oracle_apply's
-_check_strict checks the parsed input's segments before the mailbox is built
-and the result's text, edge rows aside, before it is contracted, so a strict
-call parses one FEN, not two; a result's clocks are checked in every mode.
+_replace. Both carry the trailer as parse_fen reads it, en passant as its
+text ("e3" or "-"), and write each field back as its text. The specials
+logic (castling, en passant, promotion, rights, clocks) is intentionally
+written out again here instead of calling the string-path helpers, so the
+two implementations share no placement code and can check each other. The
+oracle reads a FEN with parse_fen and a move with _read_move, as the
+string path does, but every call asks parse_fen for the grammar only: the
+strict rules are the oracle's own. board_from_fen takes a FEN only, and
+under strict validation oracle_apply's _check_strict checks the parsed
+input's segments before the mailbox is built and the result's text, edge
+rows aside, before it is contracted, so a strict call parses one FEN, not
+two; a result's clocks are checked in every mode.
 """
 
 from __future__ import annotations
@@ -128,20 +130,12 @@ def fen_from_board(board: BoardArray) -> str:
         raise FenSyntaxError(f"a board must have 64 cells, got {len(cells)}")
     if not _CELL_TYPES.issuperset(map(type, cells)):
         raise FenSyntaxError("a board's cells must each hold a Piece or None")
-    if not isinstance(board.en_passant, (Square, type(None))):
-        raise FenSyntaxError(
-            f"a board's en-passant square must be a Square or None, "
-            f"got {type(board.en_passant).__name__}"
-        )
     letters = "".join(["." if piece is None else piece.letter for piece in cells])
     placement = _contracted("/".join(letters[i:i + 8] for i in range(0, 64, 8)))
-    ep = board.en_passant.name if board.en_passant else "-"
     # the trailer fields, as text, must pass the FEN grammar; what it reads
     # from them is written back
-    _, side, castling, _, halfmove, fullmove = parse_fen(
-        f"{placement} {board.side} {board.castling} {ep} {board.halfmove} {board.fullmove}"
-    )
-    return f"{placement} {side} {castling} {ep} {halfmove} {fullmove}"
+    _, *trailer = parse_fen(" ".join(map(str, (placement, *board[1:]))))
+    return " ".join(map(str, (placement, *trailer)))
 
 
 def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
@@ -158,8 +152,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     strict = options.validation == "strict"
     if strict:
         # before the move is read, as parse_fen's strict checks come before it
-        _check_strict("".join(ranks), ranks[0] + ranks[7], side,
-                      en_passant.name if en_passant else "-")
+        _check_strict("".join(ranks), ranks[0] + ranks[7], side, en_passant)
     from_sq, to_sq, promotion = _read_move(move)
     from_file, from_rank, to_file, to_rank = from_sq.file, from_sq.rank, to_sq.file, to_sq.rank
     from_i, to_i = (8 - from_rank) * 9 + from_file, (8 - to_rank) * 9 + to_file
@@ -209,8 +202,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         cells[rook_to_i] = rook
     elif (
         is_pawn
-        and en_passant is not None
-        and to_sq == en_passant
+        and to_sq.name == en_passant
         and abs(from_file - to_file) == 1
         and abs(from_rank - to_rank) == 1
     ):

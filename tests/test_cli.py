@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fenstring import ApplyOptions, cli, play_sequence
 from fenstring.cli import main
+from fenstring.fen_codec import SQUARES
 
 from conftest import BAIRD_LEGACY, BAIRD_PLACEMENT, FIG1_FEN, START_FEN
 
@@ -123,6 +126,20 @@ class TestPlay:
         code, out, _ = run(capsys, "play", START_FEN, str(moves))
         assert code == 0
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "fen, flags, code",
+        [("garbage", [], "SegmentCount"),
+         ("8/8/8/8/8/8/8/8 w - - 0 1", ["--validation", "strict"], "Validation")],
+        ids=["malformed", "strict-failing"],
+    )
+    def test_fen_is_read_without_moves(self, capsys, tmp_path, fen, flags, code):
+        # a file with no move still has its FEN read, under the given validation
+        moves = tmp_path / "moves.txt"
+        moves.write_text("# only a comment\n")
+        status, out, err = run(capsys, "play", fen, str(moves), *flags)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"{code}: ")
 
     def test_error_reports_ply(self, capsys, tmp_path):
         moves = tmp_path / "moves.txt"
@@ -238,10 +255,24 @@ class TestConvertForsyth:
         assert code == 0
         assert out.strip() == f"{BAIRD_PLACEMENT} w - e3 0 1"
 
+    # no capsys state is carried between examples: each run reads it out
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.just("-"),
+        st.sampled_from(sorted(SQUARES)),
+        st.sampled_from(sorted(SQUARES)).map(str.upper),
+        st.sampled_from(["zz", "e", "a9", "e33", "٣"]),
+    ))
+    def test_ep_is_read_as_validate_reads_it(self, capsys, field):
+        # one reader for the field: the same FEN, or the same status and message
+        converted = run(capsys, "convert-forsyth", "8, 8, 8, 8, 8, 8, 8, 8", "--ep", field)
+        assert converted == run(capsys, "validate", f"8/8/8/8/8/8/8/8 w - {field} 0 1")
+
     def test_bad_ep_square(self, capsys):
         code, _, err = run(capsys, "convert-forsyth", BAIRD_LEGACY, "--ep", "e9")
         assert code == 2
-        assert err == "BadSquare: bad square name: 'e9'\n"
+        # read by the FEN rule for the field: the error validate gives
+        assert err == "BadEnPassantField: bad en-passant field: 'e9'\n"
 
     @pytest.mark.parametrize(
         "flags, err",
@@ -288,7 +319,7 @@ class TestConvertForsyth:
         [
             ("1 X 6, 8, 8, 8, 8, 8, 8, 8", ["--castling", "K Q"], "BadToken"),
             (BAIRD_LEGACY, ["--castling", "K Q", "--ep", "zz"], "BadCastlingField"),
-            (BAIRD_LEGACY, ["--ep", "zz", "--halfmove", "-5"], "BadSquare"),
+            (BAIRD_LEGACY, ["--ep", "zz", "--halfmove", "-5"], "BadEnPassantField"),
             (BAIRD_LEGACY, ["--ep", "e4", "--halfmove", "-5"], "BadEnPassantField"),
         ],
         ids=["text-before-castling", "castling-before-ep", "ep-name-before-clock",

@@ -51,7 +51,7 @@ class TestParse:
         assert record.ranks == ("7N", "1b3RN1", "7k", "6b1", "KBp4p", "5q2", "6Q1", "7n")
         assert record.side == "w"
         assert record.castling == "-"
-        assert record.en_passant is None
+        assert record.en_passant == "-"
         assert record.halfmove == 0
         assert record.fullmove == 1
 
@@ -160,7 +160,7 @@ class TestSerialize:
             ranks=("8",) * 8,
             side="w",
             castling="KQkq",
-            en_passant=Square.from_name("e6"),
+            en_passant="e6",
             halfmove=3,
             fullmove=11,
         )
@@ -173,17 +173,17 @@ class TestSerialize:
             ({"ranks": ("8",) * 7}, SegmentCountError),
             ({"side": "x"}, BadSideCharError),
             ({"halfmove": -5}, BadClockError),
-            # a square name, not a Square: the text cannot even be written
-            ({"en_passant": "e3"}, FenSyntaxError),
+            # a Square, not a square name, is written as its text, which parse_fen names
+            ({"en_passant": SQUARES["e3"]}, SegmentCountError),
             # a side that is not text is written as its text, which parse_fen names
             ({"side": 5}, BadSideCharError),
         ],
-        ids=["segment", "segment-count", "side", "halfmove", "en-passant-name", "side-int"],
+        ids=["segment", "segment-count", "side", "halfmove", "en-passant-square", "side-int"],
     )
     def test_record_that_is_no_fen(self, fields, error):
         # the text written must parse: a record it would not raises as
         # parse_fen does for that text, and no text is returned
-        record = FenRecord(("8",) * 8, "w", "-", None, 0, 1)._replace(**fields)
+        record = FenRecord(("8",) * 8, "w", "-", "-", 0, 1)._replace(**fields)
         with pytest.raises(error) as info:
             serialize_fen(record)
         assert type(info.value) is error

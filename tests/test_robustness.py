@@ -219,8 +219,8 @@ def test_wrongly_typed_argument_read_late_raises_typed_error(call, error):
 _BASE_ARGUMENTS = {
     "ApplyOptions": ("adjacent-only", "frozen", "strict"),
     "ApplyOutcome": (START_FEN, frozenset((6,)), False, True, None),
-    "BoardArray": ([None] * 64, "w", "-", None, 0, 1),
-    "FenRecord": (("8",) * 8, "w", "-", None, 0, 1),
+    "BoardArray": ([None] * 64, "w", "-", "-", 0, 1),
+    "FenRecord": (("8",) * 8, "w", "-", "-", 0, 1),
     "FenSyntaxError": ("message",),
     "FenstringError": ("message",),
     "FuzzReport": (0, 3, 3, 0, None),
@@ -238,7 +238,7 @@ _BASE_ARGUMENTS = {
     "differential_fuzz": (3, 0, ApplyOptions()),
     "emit_legacy_forsyth": (("8",) * 8,),
     "expand_rank": ("1b3RN1",),
-    "fen_from_board": (BoardArray([None] * 64, "w", "-", None, 0, 1),),
+    "fen_from_board": (BoardArray([None] * 64, "w", "-", "-", 0, 1),),
     "fuzz_pairs": (3, 0, ApplyOptions()),
     "oracle_apply": (START_FEN, "e2e4", ApplyOptions()),
     "parse_castling": ("KQkq",),
