@@ -45,8 +45,8 @@ _LAZY = {
     **dict.fromkeys(("FuzzReport", "differential_fuzz", "fuzz_pairs", "random_pseudo_move"),
                     "fuzzing"),
     **dict.fromkeys(("emit_legacy_forsyth", "parse_legacy_forsyth"), "legacy"),
-    **dict.fromkeys(("BoardArray", "board_from_fen", "cell_index", "fen_from_board",
-                     "oracle_apply"), "oracle"),
+    **dict.fromkeys(("BoardArray", "board_from_fen", "fen_from_board", "oracle_apply"),
+                    "oracle"),
 }
 
 
@@ -81,7 +81,6 @@ __all__ = [
     "WHITE",
     "apply_move",
     "board_from_fen",
-    "cell_index",
     "contract_rank",
     "derive_en_passant",
     "differential_fuzz",

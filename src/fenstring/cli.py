@@ -116,6 +116,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_play(args) -> int:
+    options = _options_from(args)
+    record = parse_fen(args.fen, options.validation)
     try:
         with open(args.moves_file, encoding="utf-8-sig") as handle:
             moves = []
@@ -126,11 +128,9 @@ def cmd_play(args) -> int:
     except UnicodeDecodeError as exc:
         print(f"{args.moves_file}: not UTF-8 text: {exc.reason}", file=sys.stderr)
         return EXIT_INPUT
-    if not moves:  # the sequence reads its FEN at the first move: with none, read it here
-        parse_fen(args.fen, args.validation)
     block = []
     try:
-        for fen in _iter_sequence(args.fen, moves, _options_from(args)):
+        for fen in _iter_sequence(record, moves, options):
             block.append(fen)
             if len(block) == PLAY_BLOCK:
                 sys.stdout.write("\n".join(block) + "\n")

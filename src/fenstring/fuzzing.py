@@ -83,7 +83,8 @@ def _seeded(seed) -> random.Random:
     # which follows the object's identity: chains nobody can repeat
     if isinstance(seed, float) and seed != seed:
         raise BadOptionError("a seed must not be NaN")
-    if seed is not None:
+    # a bool is an int, but True is no seed: it would run seed 1's chain
+    if seed is not None and type(seed) is not bool:
         try:
             return random.Random(seed)
         except TypeError:

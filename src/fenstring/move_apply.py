@@ -396,23 +396,20 @@ def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyO
     return _apply(parse_fen(fen, options.validation), move, options)[1]
 
 
-def _iter_sequence(fen: str, moves, options: ApplyOptions):
-    """Yield the FEN after each move; ``fen`` is parsed at the first move.
+def _iter_sequence(record: FenRecord, moves, options: ApplyOptions):
+    """Yield the FEN after each move, played from ``record``, a FEN that
+    parse_fen has read under ``options.validation``.
 
     The failing ply's error is re-raised with a ``ply`` attribute (1-based).
     """
-    _check_options(options)
     try:
         moves = iter(moves)
     except TypeError:
         raise BadMoveSyntaxError(
             f"moves must be an iterable of moves, got {type(moves).__name__}"
         ) from None
-    record = None
     for ply, move in enumerate(moves, start=1):
         try:
-            if record is None:
-                record = parse_fen(fen, options.validation)
             record, outcome = _apply(record, move, options)
         except Exception as exc:
             exc.ply = ply
@@ -423,7 +420,9 @@ def _iter_sequence(fen: str, moves, options: ApplyOptions):
 def play_sequence(fen: str, moves, options: ApplyOptions = ApplyOptions()):
     """Apply moves in order; returns one FEN per ply.
 
-    On failure the first failing ply's error is re-raised with a ``ply``
-    attribute (1-based) attached.
+    ``fen`` is read before the first ply, with or without moves, and its
+    error carries no ``ply``. On a failing ply its error is re-raised with
+    a ``ply`` attribute (1-based) attached.
     """
-    return list(_iter_sequence(fen, moves, options))
+    _check_options(options)
+    return list(_iter_sequence(parse_fen(fen, options.validation), moves, options))

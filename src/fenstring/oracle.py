@@ -33,7 +33,6 @@ from .errors import (
     BadCastleError,
     BadClockError,
     BadPromotionPieceError,
-    BadSquareError,
     EmptyOriginError,
     FenSyntaxError,
     FriendlyCaptureError,
@@ -46,7 +45,6 @@ from .fen_codec import (
     MAX_DIGITS,
     WHITE,
     Piece,
-    Square,
     _PIECES,
     parse_fen,
 )
@@ -72,12 +70,6 @@ _CORNER_RIGHTS = {70: "K", 63: "Q", 7: "k", 0: "q"}
 _DOUBLE_STEPS = frozenset(((2, 4), (4, 2), (5, 7), (7, 5)))
 # the least clock the FEN grammar refuses: the first of MAX_DIGITS + 1 digits
 _CLOCK_LIMIT = 10**MAX_DIGITS
-
-
-def cell_index(square: Square) -> int:
-    if not isinstance(square, Square):
-        raise BadSquareError(f"a square must be a Square, got {type(square).__name__}")
-    return (8 - square.rank) * 8 + square.file
 
 
 def _expanded(ranks) -> str:

@@ -10,7 +10,6 @@ from fenstring import (
     Square,
     apply_move,
     board_from_fen,
-    cell_index,
     contract_rank,
 )
 from fenstring.errors import NoPiecesError
@@ -241,7 +240,7 @@ def reference_pseudo_move(fen, seed):
             and to_sq.file in (2, 6)
         ):
             corner = Square(7 if to_sq.file == 6 else 0, to_sq.rank)
-            rook = board.cells[cell_index(corner)]
+            rook = board.cells[(8 - corner.rank) * 8 + corner.file]
             if rook is None or rook.kind != "R" or rook.color != mover.color:
                 continue
 

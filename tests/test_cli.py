@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fenstring import ApplyOptions, cli, play_sequence
+from fenstring import ApplyOptions, FenstringError, cli, parse_fen, play_sequence
 from fenstring.cli import main
 from fenstring.fen_codec import SQUARES
 
@@ -127,19 +127,21 @@ class TestPlay:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize("text", ["# only a comment\n", "e2e4\n"], ids=["no-move", "e2e4"])
     @pytest.mark.parametrize(
-        "fen, flags, code",
-        [("garbage", [], "SegmentCount"),
-         ("8/8/8/8/8/8/8/8 w - - 0 1", ["--validation", "strict"], "Validation")],
+        "fen, validation",
+        [("garbage", "lenient"), ("8/8/8/8/8/8/8/8 w - - 0 1", "strict")],
         ids=["malformed", "strict-failing"],
     )
-    def test_fen_is_read_without_moves(self, capsys, tmp_path, fen, flags, code):
-        # a file with no move still has its FEN read, under the given validation
+    def test_fen_is_read_without_moves(self, capsys, tmp_path, fen, validation, text):
+        # the FEN is read before the first ply, under the given validation:
+        # its error is the one parse_fen gives, with no ply, whatever the file holds
+        with pytest.raises(FenstringError) as info:
+            parse_fen(fen, validation)
         moves = tmp_path / "moves.txt"
-        moves.write_text("# only a comment\n")
-        status, out, err = run(capsys, "play", fen, str(moves), *flags)
-        assert (status, out) == (2, "")
-        assert err.startswith(f"{code}: ")
+        moves.write_text(text)
+        status, out, err = run(capsys, "play", fen, str(moves), "--validation", validation)
+        assert (status, out, err) == (2, "", f"{info.value.code}: {info.value}\n")
 
     def test_error_reports_ply(self, capsys, tmp_path):
         moves = tmp_path / "moves.txt"

@@ -9,7 +9,6 @@ from fenstring import (
     Piece,
     Square,
     board_from_fen,
-    cell_index,
     emit_legacy_forsyth,
     expand_rank,
     parse_castling,
@@ -177,8 +176,12 @@ class TestSerialize:
             ({"en_passant": SQUARES["e3"]}, SegmentCountError),
             # a side that is not text is written as its text, which parse_fen names
             ({"side": 5}, BadSideCharError),
+            # ranks that cannot be joined into a placement are no FEN text at all
+            ({"ranks": None}, FenSyntaxError),
+            ({"ranks": (8,) * 8}, FenSyntaxError),
         ],
-        ids=["segment", "segment-count", "side", "halfmove", "en-passant-square", "side-int"],
+        ids=["segment", "segment-count", "side", "halfmove", "en-passant-square", "side-int",
+             "ranks-None", "ranks-int"],
     )
     def test_record_that_is_no_fen(self, fields, error):
         # the text written must parse: a record it would not raises as
@@ -303,7 +306,7 @@ def test_piece_at_matches_full_expansion(fen):
     for rank in range(1, 9):
         for file in range(8):
             square = Square(file, rank)
-            assert piece_at(record, square) == cells[cell_index(square)]
+            assert piece_at(record, square) == cells[(8 - rank) * 8 + file]
 
 
 # placement text the bulk check must judge exactly as the per-segment checker

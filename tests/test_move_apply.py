@@ -42,7 +42,7 @@ from fenstring.errors import (
     WrongColorError,
 )
 
-from conftest import ALL_OPTIONS, FIG1_FEN, MOVE_GRAMMAR, move_texts
+from conftest import ALL_OPTIONS, FIG1_FEN, MOVE_GRAMMAR, move_texts, nearly_fens
 
 FROZEN = ApplyOptions(clock_mode="frozen")
 # a legal opening, so strict validation holds at every ply
@@ -802,12 +802,32 @@ class TestPlaySequence:
         assert play_sequence(fen, RUY_LOPEZ) == play_sequence(START_FEN, RUY_LOPEZ)
 
     def test_bad_fen_without_moves(self):
-        assert play_sequence("garbage", []) == []
+        with pytest.raises(SegmentCountError) as info:
+            play_sequence("garbage", [])
+        assert not hasattr(info.value, "ply")
 
     def test_bad_fen_fails_at_first_ply(self):
         with pytest.raises(SegmentCountError) as info:
             play_sequence("garbage", ["e2e4"])
-        assert info.value.ply == 1
+        assert not hasattr(info.value, "ply")
+
+    @given(nearly_fens(), st.lists(move_texts, max_size=3), st.sampled_from(("lenient", "strict")))
+    def test_fen_is_read_before_the_first_ply(self, fen, moves, validation):
+        # a refused FEN raises what parse_fen raises, with no ply, whatever
+        # the moves; an accepted one plays as iterated apply_move does
+        options = ApplyOptions(validation=validation)
+        ply, expected, after = None, [], fen
+        try:
+            parse_fen(fen, validation)
+            for ply, move in enumerate(moves, start=1):
+                after = apply_move(after, move, options).fen_after
+                expected.append(after)
+        except FenstringError as exc:
+            with pytest.raises(type(exc)) as info:
+                play_sequence(fen, moves, options)
+            assert (getattr(info.value, "ply", None), str(info.value)) == (ply, str(exc))
+        else:
+            assert play_sequence(fen, moves, options) == expected
 
     @pytest.mark.parametrize("validation", ["lenient", "strict"])
     def test_clock_grown_past_its_digits(self, validation):

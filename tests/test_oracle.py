@@ -11,7 +11,6 @@ from fenstring import (
     Square,
     apply_move,
     board_from_fen,
-    cell_index,
     fen_from_board,
     oracle,
     oracle_apply,
@@ -46,9 +45,10 @@ class TestBoardFromFen:
         assert board_from_fen(EMPTY_FEN).cells == [None] * 64
 
     def test_cell_index_layout(self):
-        assert cell_index(Square.from_name("a8")) == 0
-        assert cell_index(Square.from_name("b7")) == 9
-        assert cell_index(Square.from_name("h1")) == 63
+        # row-major from a8: cell 0 is a8, 9 is b7 and 63 is h1
+        cells = board_from_fen("q7/1n6/8/8/8/8/8/7K w - - 0 1").cells
+        assert (cells[0], cells[9], cells[63]) == (Piece("Q", "b"), Piece("N", "b"), Piece("K", "w"))
+        assert cells.count(None) == 61
 
 
 class TestFenFromBoard:
@@ -81,7 +81,8 @@ class TestFenFromBoard:
         for name, kind, color in [("g8", "N", "w"), ("e8", "K", "b"), ("a7", "P", "b"),
                                   ("h7", "R", "b"), ("d4", "P", "w"), ("e1", "K", "w"),
                                   ("b1", "Q", "b"), ("h1", "R", "w")]:
-            cells[cell_index(Square.from_name(name))] = Piece(kind, color)
+            square = Square.from_name(name)
+            cells[(8 - square.rank) * 8 + square.file] = Piece(kind, color)
         board = BoardArray(cells, "b", "K", "d3", 0, 57)
         assert fen_from_board(board) == "4k1N1/p6r/8/8/3P4/8/8/1q2K2R b K d3 0 57"
 
@@ -266,7 +267,7 @@ def test_cells_agree_with_piece_at(fen):
     for file in range(8):
         for rank in range(1, 9):
             sq = Square(file, rank)
-            assert board.cells[cell_index(sq)] == piece_at(record, sq)
+            assert board.cells[(8 - rank) * 8 + file] == piece_at(record, sq)
 
 
 def test_differential_spot_checks(fuzz_corpus):

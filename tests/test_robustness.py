@@ -18,7 +18,6 @@ from fenstring import (
     Piece,
     Square,
     apply_move,
-    cell_index,
     contract_rank,
     derive_en_passant,
     differential_fuzz,
@@ -97,7 +96,6 @@ _ENTRY_POINTS = {
         BadSquareError,
     ),
     "serialize_fen": (serialize_fen, FenSyntaxError),
-    "cell_index": (cell_index, BadSquareError),
     "fen_from_board": (fen_from_board, FenSyntaxError),
 }
 _VALUES = {"None": None, "bytes": START_FEN.encode(), "int": 42, "list": ["8"] * 8}
@@ -161,6 +159,10 @@ _WRONG_TYPE_CALLS = {
     "fuzz_pairs-iterations-negative": (lambda: list(fuzz_pairs(-1, 0)), BadOptionError),
     "differential_fuzz-iterations-bool": (lambda: differential_fuzz(True, 0), BadOptionError),
     "fuzz_pairs-iterations-bool": (lambda: list(fuzz_pairs(True, 0)), BadOptionError),
+    # True would run seed 1's chain
+    "differential_fuzz-seed-bool": (lambda: differential_fuzz(10, True), BadOptionError),
+    "fuzz_pairs-seed-bool": (lambda: list(fuzz_pairs(10, True)), BadOptionError),
+    "random_pseudo_move-seed-bool": (lambda: random_pseudo_move(START_FEN, True), BadOptionError),
     "differential_fuzz-seed": (lambda: differential_fuzz(10, [1]), BadOptionError),
     "random_pseudo_move-seed": (lambda: random_pseudo_move(START_FEN, [1]), BadOptionError),
     "piece_at-ranks": (lambda: piece_at(FenRecord(None, "w", "-", None, 0, 1), SQUARES["e2"]),
@@ -230,7 +232,6 @@ _BASE_ARGUMENTS = {
     "Square": (4, 2),
     "apply_move": (START_FEN, "e2e4", ApplyOptions()),
     "board_from_fen": (START_FEN,),
-    "cell_index": (SQUARES["e2"],),
     "contract_rank": ("11111R1k",),
     # a double push under adjacent-only reads the placement
     "derive_en_passant": (("8",) * 8, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
