@@ -45,9 +45,20 @@ class FuzzReport(namedtuple(
         return "\n".join(lines)
 
 
-def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
-    """Draw a pseudo-move for the side to move, from the parsed ranks, with
-    a generator seeded for this draw."""
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), made from ``getrandbits`` as
+    ``random.Random._randbelow`` makes it: ``randrange(n)`` and ``choice`` of
+    a length-n sequence give the same value from the same generator state."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _origins(record: FenRecord):
+    """List a position for its draws: its 64 slots, and the slots of the
+    side to move's pieces (empty when it has none)."""
     slots = expand_runs("".join(record.ranks))
     marked = slots.translate(_OWN_MARKS[record.side])
     origins = []
@@ -55,12 +66,24 @@ def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
     while i >= 0:
         origins.append(i)
         i = marked.find("*", i + 1)
-    if not origins:
-        raise NoPiecesError(f"side {record.side!r} has no pieces")
+    return slots, origins
 
+
+def _pseudo_move(slots: str, origins: list, getrandbits) -> str:
+    """Draw a pseudo-move from a listed position with at least one origin,
+    from a generator seeded for this draw."""
+    n = len(origins)
+    k = n.bit_length()
     while True:
-        from_i = rng.choice(origins)
-        to_i = rng.randrange(64)
+        # choice(origins), then randrange(64), inline as _below draws them:
+        # 64 takes 7 bits, and a draw of 64 or more is drawn again
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        from_i = origins[i]
+        to_i = getrandbits(7)
+        while to_i >= 64:
+            to_i = getrandbits(7)
         if to_i == from_i:
             continue
         mover = slots[from_i]
@@ -74,7 +97,7 @@ def _pseudo_move(record: FenRecord, rng: random.Random) -> str:
 
         text = from_sq.name + to_sq.name
         if mover in "Pp" and to_sq.rank in (1, 8):
-            text += rng.choice("qrbn")
+            text += "qrbn"[_below(getrandbits, 4)]
         return text
 
 
@@ -99,9 +122,16 @@ def random_pseudo_move(fen: str, seed: int) -> str:
     destination, adds a promotion suffix when a pawn lands on rank 1/8,
     and avoids castle-shaped king moves whose corner rook is missing.
     The move satisfies apply_move's structural preconditions but is not
-    necessarily legal chess.
+    necessarily legal chess. The draws are those of random.Random(seed):
+    choice of the origin, randrange(64) for the destination and choice of
+    the promotion letter.
     """
-    return _pseudo_move(parse_fen(fen), _seeded(seed))
+    record = parse_fen(fen)
+    getrandbits = _seeded(seed).getrandbits
+    slots, origins = _origins(record)
+    if not origins:
+        raise NoPiecesError(f"side {record.side!r} has no pieces")
+    return _pseudo_move(slots, origins, getrandbits)
 
 
 def _chain(iterations: int, seed: int, options: ApplyOptions):
@@ -113,6 +143,10 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     again from the same record; a king move to an empty square applies, so
     the draws end. The chain restarts from the start position, and draws
     again for the same pair, only when the side to move has no pieces left.
+
+    Every attempt takes the master generator's next randrange(2**32) and
+    reseeds the per-draw generator with it. A position is listed once
+    (``_origins``) for all the attempts drawn from it.
     """
     _check_options(options)
     if type(iterations) is bool:  # a bool is an int, but True is no count
@@ -125,23 +159,29 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
         ) from None
     if pairs.stop < 0:
         raise BadOptionError(f"iterations must not be negative, got {pairs.stop}")
-    rng = _seeded(seed)
-    draw = random.Random()  # reseeded for each draw, as random_pseudo_move seeds its own
+    master = _seeded(seed).getrandbits
+    # reseeded for each draw, as random_pseudo_move seeds its own, by the C
+    # base class's seed: for an int it sets the state Random.seed sets
+    draw = random.Random()
+    reseed, getrandbits = super(random.Random, draw).seed, draw.getrandbits
     start = parse_fen(START_FEN, options.validation)
-    fen, record = START_FEN, start
+    start_listing = _origins(start)
+    fen, record, (slots, origins) = START_FEN, start, start_listing
     for _ in pairs:
         while True:
+            reseed(_below(master, 2**32))
+            if not origins:  # the master draw is taken first, as for any attempt
+                fen, record, (slots, origins) = START_FEN, start, start_listing
+                continue
+            move = _pseudo_move(slots, origins, getrandbits)
             try:
-                draw.seed(rng.randrange(2**32))
-                move = _pseudo_move(record, draw)
-                record, outcome = _apply(record, move, options)
+                after, outcome = _apply(record, move, options)
                 break
             except (FriendlyCaptureError, ValidationError):
                 pass  # draw again from the same record
-            except NoPiecesError:
-                fen, record = START_FEN, start
         yield fen, move, outcome
-        fen = outcome.fen_after
+        fen, record = outcome.fen_after, after
+        slots, origins = _origins(record)
 
 
 def fuzz_pairs(iterations: int, seed: int, options: ApplyOptions = ApplyOptions()):

@@ -102,6 +102,8 @@ class TestParse:
             ("8/8/8/8/8/8/8/x7 w - - 0 1", BadPieceLetterError),
             ("8/8/8/8/8/8/8/0P7 w - - 0 1", BadPieceLetterError),
             ("8/8/8/8/8/8/8/44 w - - 0 1", AdjacentDigitsError),
+            # two runs wider than 8 squares: still adjacent digits, not the width
+            ("8/8/8/8/8/8/8/54 w - - 0 1", AdjacentDigitsError),
             ("8/8/8/8/8/8/8/8 x - - 0 1", BadSideCharError),
             ("8/8/8/8/8/8/8/8 w KK - 0 1", BadCastlingFieldError),
             ("8/8/8/8/8/8/8/8 w KQx - 0 1", BadCastlingFieldError),
@@ -242,6 +244,11 @@ class TestStrict:
         parse_fen(fen)  # lenient accepts
         with pytest.raises(ValidationError):
             parse_fen(fen, "strict")
+
+    def test_kings_are_checked_before_edge_pawns(self):
+        # two white kings and a pawn on rank 1: the king check names the error
+        with pytest.raises(ValidationError, match=r"^expected exactly one 'K', found 2$"):
+            parse_fen("KK6/8/8/8/8/8/8/P7 w - - 0 1", "strict")
 
 
 class TestPiece:
@@ -417,6 +424,7 @@ def test_only_a_segment_the_table_rejects_reaches_the_segment_checker(monkeypatc
         ("9", RankWidthError, "segment '9' spans 9 squares, expected 8"),
         ("7", RankWidthError, "segment '7' spans 7 squares, expected 8"),
         ("44", AdjacentDigitsError, "adjacent digits in segment '44'"),
+        ("54", AdjacentDigitsError, "adjacent digits in segment '54'"),
         ("x7", BadPieceLetterError, "bad character 'x' in segment 'x7'"),
         ("0P7", BadPieceLetterError, "bad character '0' in segment '0P7'"),
         # the shape table reads each non-ASCII character as '?', and its own

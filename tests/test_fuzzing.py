@@ -241,6 +241,22 @@ def test_acceptance_chains_are_pinned(i, ep_mode, clock_mode, digest):
 
 
 @pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
+@pytest.mark.parametrize("clock_mode, digest", [
+    ("standard", "984736a835cee28c6ecf59b7a9f792e2c18306cd4b3ad813ea86795ab82b4bc5"),
+    ("frozen", "5e2b0e9307cd87680ad31b4ddba34d66e4c6d51b78636759c341a98f60a973ec"),
+])
+def test_strict_chains_are_pinned(ep_mode, clock_mode, digest):
+    # the lenient digests above never draw again from the same record; these
+    # do, on every friendly capture and king capture. They make no double
+    # push, so both en-passant modes give the same chain
+    options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
+    h = hashlib.sha256()
+    for fen, move in fuzz_pairs(3000, 0, options):
+        h.update(f"{fen} {move}\n".encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
 @pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
 def test_strict_chains_restart_and_agree(ep_mode, clock_mode):
     # a strict chain draws again on a friendly capture and on a position that
@@ -266,6 +282,37 @@ def test_strict_chains_draw_again_on_a_friendly_capture(ep_mode, clock_mode):
     # these pairs on the start position, and only the first pair is there
     options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
     assert sum(fen == START_FEN for fen, _ in fuzz_pairs(3000, 0, options)) == 1
+
+
+def test_generator_draws_are_pinned():
+    # int seeds, and a str and a float seed, which Random hashes its own way
+    assert [random_pseudo_move(START_FEN, s) for s in range(8)] == [
+        "e1f2", "e2a7", "b2d7", "h2a6", "h2g4", "a1f3", "c2g1b", "c1d6",
+    ]
+    assert random_pseudo_move(START_FEN, "x") == "c1f1"
+    assert random_pseudo_move(START_FEN, 2.5) == "f1d3"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**70 + 5, "x", "fenstring", b"", b"\x00\xff"])
+def test_below_draws_as_randrange_and_choice(seed):
+    # the generator draws through _below, a copy of Random._randbelow: an
+    # interpreter that changes that method fails here, not only in a digest
+    for n in [*range(1, 71), 2**32]:
+        bits = random.Random(seed).getrandbits
+        drawn = [fuzzing._below(bits, n) for _ in range(200)]
+        by_randrange, by_choice = random.Random(seed), random.Random(seed)
+        assert drawn == [by_randrange.randrange(n) for _ in range(200)], n
+        assert drawn == [by_choice.choice(range(n)) for _ in range(200)], n
+
+
+def test_base_class_reseed_sets_the_state_random_seed_sets():
+    # the chain reseeds its per-draw generator through random.Random's C base
+    # class, which for an int seed must leave the state Random.seed leaves
+    for seed in (0, 1, 12345, 2**31, 2**32 - 1):
+        by_random, by_base = random.Random(), random.Random()
+        by_random.seed(seed)
+        super(random.Random, by_base).seed(seed)
+        assert by_base.getstate() == by_random.getstate(), seed
 
 
 def _draw(generator, fen, seed):

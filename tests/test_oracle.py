@@ -25,6 +25,7 @@ from fenstring.errors import (
     EmptyOriginError,
     FenSyntaxError,
     NoPiecesError,
+    ValidationError,
     WrongColorError,
 )
 
@@ -187,6 +188,11 @@ class TestOracleApply:
             oracle_apply(FIG1_FEN, "a3b4")
         with pytest.raises(WrongColorError):
             oracle_apply(FIG1_FEN, "h6h5")
+
+    def test_strict_kings_are_checked_before_edge_pawns(self):
+        # two white kings and a pawn on rank 1: the king check names the error
+        with pytest.raises(ValidationError, match=r"^2 'K' on the board, not exactly one$"):
+            oracle_apply("KK6/8/8/8/8/8/8/P7 w - - 0 1", "a1a2", ApplyOptions(validation="strict"))
 
 
 # a rook leaving each corner, a rook capturing on each, and each king
