@@ -56,9 +56,9 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _origins(record: FenRecord):
-    """List a position for its draws: its 64 slots, and the slots of the
-    side to move's pieces (empty when it has none)."""
+def _pseudo_move(record: FenRecord, getrandbits) -> str:
+    """Draw a pseudo-move for the side to move, from the parsed ranks, with
+    the ``getrandbits`` of a generator seeded for this draw."""
     slots = expand_runs("".join(record.ranks))
     marked = slots.translate(_OWN_MARKS[record.side])
     origins = []
@@ -66,24 +66,12 @@ def _origins(record: FenRecord):
     while i >= 0:
         origins.append(i)
         i = marked.find("*", i + 1)
-    return slots, origins
+    if not origins:
+        raise NoPiecesError(f"side {record.side!r} has no pieces")
 
-
-def _pseudo_move(slots: str, origins: list, getrandbits) -> str:
-    """Draw a pseudo-move from a listed position with at least one origin,
-    from a generator seeded for this draw."""
-    n = len(origins)
-    k = n.bit_length()
     while True:
-        # choice(origins), then randrange(64), inline as _below draws them:
-        # 64 takes 7 bits, and a draw of 64 or more is drawn again
-        i = getrandbits(k)
-        while i >= n:
-            i = getrandbits(k)
-        from_i = origins[i]
-        to_i = getrandbits(7)
-        while to_i >= 64:
-            to_i = getrandbits(7)
+        from_i = origins[_below(getrandbits, len(origins))]  # choice(origins)
+        to_i = _below(getrandbits, 64)  # randrange(64)
         if to_i == from_i:
             continue
         mover = slots[from_i]
@@ -126,12 +114,7 @@ def random_pseudo_move(fen: str, seed: int) -> str:
     choice of the origin, randrange(64) for the destination and choice of
     the promotion letter.
     """
-    record = parse_fen(fen)
-    getrandbits = _seeded(seed).getrandbits
-    slots, origins = _origins(record)
-    if not origins:
-        raise NoPiecesError(f"side {record.side!r} has no pieces")
-    return _pseudo_move(slots, origins, getrandbits)
+    return _pseudo_move(parse_fen(fen), _seeded(seed).getrandbits)
 
 
 def _chain(iterations: int, seed: int, options: ApplyOptions):
@@ -145,8 +128,7 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     again for the same pair, only when the side to move has no pieces left.
 
     Every attempt takes the master generator's next randrange(2**32) and
-    reseeds the per-draw generator with it. A position is listed once
-    (``_origins``) for all the attempts drawn from it.
+    reseeds the per-draw generator with it.
     """
     _check_options(options)
     if type(iterations) is bool:  # a bool is an int, but True is no count
@@ -165,23 +147,20 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     draw = random.Random()
     reseed, getrandbits = super(random.Random, draw).seed, draw.getrandbits
     start = parse_fen(START_FEN, options.validation)
-    start_listing = _origins(start)
-    fen, record, (slots, origins) = START_FEN, start, start_listing
+    fen, record = START_FEN, start
     for _ in pairs:
         while True:
-            reseed(_below(master, 2**32))
-            if not origins:  # the master draw is taken first, as for any attempt
-                fen, record, (slots, origins) = START_FEN, start, start_listing
-                continue
-            move = _pseudo_move(slots, origins, getrandbits)
             try:
-                after, outcome = _apply(record, move, options)
+                reseed(_below(master, 2**32))
+                move = _pseudo_move(record, getrandbits)
+                record, outcome = _apply(record, move, options)
                 break
             except (FriendlyCaptureError, ValidationError):
                 pass  # draw again from the same record
+            except NoPiecesError:
+                fen, record = START_FEN, start
         yield fen, move, outcome
-        fen, record = outcome.fen_after, after
-        slots, origins = _origins(record)
+        fen = outcome.fen_after
 
 
 def fuzz_pairs(iterations: int, seed: int, options: ApplyOptions = ApplyOptions()):
