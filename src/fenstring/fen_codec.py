@@ -348,20 +348,9 @@ def _check_segment(segment: str) -> None:
         raise RankWidthError(f"segment {segment!r} spans {width} squares, expected 8")
 
 
-def _strict_checks(record: FenRecord, edge_rows) -> None:
-    placement = "".join(record.ranks)
-    for king in "Kk":
-        n = placement.count(king)
-        if n != 1:
-            raise ValidationError(f"expected exactly one {king!r}, found {n}")
-    for edge in edge_rows:
-        if "P" in edge or "p" in edge:
-            raise ValidationError(f"pawn on first/last rank in segment {edge!r}")
-    en_passant = record.en_passant
-    if en_passant != "-" and en_passant[1] != ("6" if record.side == WHITE else "3"):
-        raise ValidationError(
-            f"en-passant square {en_passant} inconsistent with side {record.side!r} to move"
-        )
+def _check_en_passant_side(side: str, ep: str) -> None:
+    if ep != "-" and ep[1] != ("6" if side == WHITE else "3"):
+        raise ValidationError(f"en-passant square {ep} inconsistent with side {side!r} to move")
 
 
 def parse_castling(field: str) -> str:
@@ -443,7 +432,13 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     ))
     if validation != "lenient":
         _check_option("validation", validation)
-        _strict_checks(record, (segments[0], segments[7]))
+        for king in "Kk":
+            if (n := placement.count(king)) != 1:
+                raise ValidationError(f"expected exactly one {king!r}, found {n}")
+        for edge in (segments[0], segments[7]):
+            if "P" in edge or "p" in edge:
+                raise ValidationError(f"pawn on first/last rank in segment {edge!r}")
+        _check_en_passant_side(side, ep_field)
     return record
 
 

@@ -19,8 +19,8 @@ cores. _read_move reads every move argument, text or a Move, into its
 squares and promotion kind; only parse_move builds a Move. Text is read
 with no regular expression: two slices looked up among the square names,
 and the rest among the nine promotion suffixes. A result is checked only
-for what a ply can break: its clocks in every mode, and under strict
-validation its kings and en-passant square, never its edge rows.
+for what a ply can break: its clocks in every mode and, under strict
+validation, whether it captured a king, and its en-passant square.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     FenSyntaxError,
     FriendlyCaptureError,
     MissingPromotionError,
+    ValidationError,
     WrongColorError,
 )
 from .fen_codec import (
@@ -54,11 +55,11 @@ from .fen_codec import (
     _PIECES,
     _SQUARE_AT,
     _Value,
+    _check_en_passant_side,
     _check_option,
     _check_square,
     _fen_text,
     _rank_segment,
-    _strict_checks,
     _write_slot,
     expand_rank,
     parse_fen,
@@ -304,13 +305,13 @@ def update_clocks(
 def _apply(record: FenRecord, move, options: ApplyOptions):
     """The rewrite shared by every entry point: (next record, outcome).
 
-    ``record`` comes from parse_fen or from an earlier call, so a game or
-    fuzz chain is parsed once and carried from ply to ply. Each square the
+    ``record`` comes from parse_fen or an earlier ply under the same
+    validation, so a game or fuzz chain is parsed once. Each square the
     move changes is written into its compact segment by _write_slot, which
-    reads the letter that was there and checks the segment's shape on
-    every write: two writes for a ply, two more for a castle's rook and
-    one for an en-passant victim. The trailer comes from the unchecked
-    cores of the public rules, in the same pass.
+    reads the letter that was there and checks the segment's shape: two
+    writes for a ply, two more for a castle's rook and one for an
+    en-passant victim. A strict record holds one king per side and no ply
+    makes one, so a ply breaks the king rule only by writing over a king.
     """
     ranks, side, castling, en_passant, halfmove, fullmove = record
     from_sq, to_sq, promotion = _read_move(move)
@@ -343,6 +344,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         raise BadPromotionPieceError("promotion suffix only valid for a pawn reaching rank 1/8")
 
     special = None
+    erased = "1"  # what a castle's rook or an en-passant capture writes over
     if promotion is not None:
         special = "promotion"
     elif mover.kind == "K" and (from_sq, to_sq) in _CASTLES:
@@ -351,7 +353,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         row, corner = _write_slot(ranks[to_i], corner_file, "1")
         if corner != rook_letter:
             raise BadCastleError(f"no {rook_letter!r} on castling corner of rank {to_sq.rank}")
-        ranks[to_i] = _write_slot(row, rook_file, rook_letter)[0]
+        ranks[to_i], erased = _write_slot(row, rook_file, rook_letter)
     elif (
         is_pawn
         and to_sq.name == en_passant
@@ -359,7 +361,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         and abs(from_i - to_i) == 1
     ):
         # bypassed pawn sits behind the target, in the mover's origin rank
-        ranks[from_i] = _write_slot(ranks[from_i], to_sq.file, "1")[0]
+        ranks[from_i], erased = _write_slot(ranks[from_i], to_sq.file, "1")
         was_capture = True
         special = "en-passant-capture"
 
@@ -378,7 +380,10 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     ))
     if options.validation == "strict":
         # no edge rows: a strict input has no pawn there, and one that arrives must promote
-        _strict_checks(after, ())
+        for king in "Kk":
+            if king == target_letter or king == erased:
+                raise ValidationError(f"expected exactly one {king!r}, found 0")
+        _check_en_passant_side(after.side, after.en_passant)
 
     return after, tuple.__new__(
         ApplyOutcome, (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)

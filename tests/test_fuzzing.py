@@ -18,7 +18,7 @@ from fenstring import (
     random_pseudo_move,
 )
 from fenstring import fuzzing
-from fenstring.errors import EmptyOriginError, FenstringError, NoPiecesError
+from fenstring.errors import EmptyOriginError, FenstringError, NoPiecesError, ValidationError
 
 from conftest import ALL_OPTIONS, fens, pseudo_game, reference_pseudo_move
 
@@ -256,6 +256,12 @@ def test_strict_chains_are_pinned(ep_mode, clock_mode, digest):
     assert h.hexdigest() == digest
 
 
+# a strict chain never restarts, so one long chain is soon down to the two
+# kings: 12 chains of 250 pairs per option combination keep material on the
+# board (none of their pairs holds the kings alone), as CI's strict step does
+STRICT_SEEDS = range(12)
+
+
 @pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
 @pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
 def test_strict_chains_restart_and_agree(ep_mode, clock_mode):
@@ -265,23 +271,49 @@ def test_strict_chains_restart_and_agree(ep_mode, clock_mode):
     # from a position that passes strict validation, and only the first from
     # the start position
     options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
-    report = differential_fuzz(3000, 0, options)
-    assert (report.positions, report.mismatches) == (3000, 0)
-    pairs = list(fuzz_pairs(3000, 0, options))
-    assert len(pairs) == 3000
-    for fen, _ in pairs:
-        parse_fen(fen, "strict")
-    assert sum(fen == START_FEN for fen, _ in pairs) == 1
+    for seed in STRICT_SEEDS:
+        report = differential_fuzz(250, seed, options)
+        assert (report.positions, report.mismatches) == (250, 0), seed
+        pairs = list(fuzz_pairs(250, seed, options))
+        assert len(pairs) == 250
+        for fen, _ in pairs:
+            parse_fen(fen, "strict")
+            assert sum(map(str.isalpha, fen.split()[0])) > 2, (seed, fen)
+        assert sum(fen == START_FEN for fen, _ in pairs) == 1, seed
 
 
 @pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
 @pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
 def test_strict_chains_draw_again_on_a_friendly_capture(ep_mode, clock_mode):
     # a friendly capture is drawn again from the same record, not restarted,
-    # so a strict chain runs deep: a restart on each would put some 700 of
-    # these pairs on the start position, and only the first pair is there
+    # so a strict chain runs deep: a restart on each would put 47 to 75 of
+    # each chain's 250 pairs on the start position, and only the first is there
     options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
-    assert sum(fen == START_FEN for fen, _ in fuzz_pairs(3000, 0, options)) == 1
+    for seed in STRICT_SEEDS:
+        assert sum(fen == START_FEN for fen, _ in fuzz_pairs(250, seed, options)) == 1, seed
+
+
+@pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
+@pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
+def test_strict_chains_refuse_king_captures_of_both_colours(monkeypatch, ep_mode, clock_mode):
+    # the chains reach the strict king rule from both sides, so the
+    # differential tests above check it against the oracle's full count
+    refused = []
+    real_apply = fuzzing._apply
+
+    def counting_apply(record, move, options):
+        try:
+            return real_apply(record, move, options)
+        except ValidationError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(fuzzing, "_apply", counting_apply)
+    options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
+    for seed in STRICT_SEEDS:
+        assert len(list(fuzz_pairs(250, seed, options))) == 250
+    for king in "Kk":
+        assert refused.count(f"expected exactly one {king!r}, found 0") >= 10
 
 
 def test_generator_draws_are_pinned():

@@ -39,6 +39,7 @@ from fenstring.errors import (
     FriendlyCaptureError,
     MissingPromotionError,
     SegmentCountError,
+    ValidationError,
     WrongColorError,
 )
 
@@ -580,6 +581,62 @@ class TestApplyErrors:
     def test_bad_move_object(self, to_square, promotion, error):
         with pytest.raises(error):
             Move(Square(4, 7), to_square, promotion)
+
+
+STRICT = ApplyOptions(validation="strict")
+# (FEN, move, the king it removes): each write of a ply that can land on a
+# king, for either colour; a strict result is checked for these writes only
+KING_REMOVALS = [
+    ("4k3/8/8/8/8/8/8/4RK2 w - - 0 1", "e1e8", "k"),  # a capture
+    ("4k3/8/8/8/8/8/8/r4K2 b - - 0 1", "a1f1", "K"),
+    ("3k4/4P3/8/8/8/8/8/4K3 w - - 0 1", "e7d8q", "k"),  # a promotion by capture
+    ("4k3/8/8/8/8/8/3p4/4K3 b - - 0 1", "d2e1n", "K"),
+    ("8/8/8/8/8/8/8/4Kk1R w K - 0 1", "e1g1", "k"),  # the castle's rook lands on a king
+    ("r2Kk3/8/8/8/8/8/8/8 b q - 0 1", "e8c8", "K"),
+    ("8/8/8/8/3pk3/8/8/4K3 b - e3 0 1", "d4e3", "k"),  # the en-passant victim is a king
+    ("4k3/8/8/3KP3/8/8/8/8 w - d6 0 1", "e5d6", "K"),  # the mover's own
+    ("8/8/3k4/3KP3/8/8/8/8 w - d6 0 1", "e5d6", "K"),  # both kings go: 'K' is named first
+]
+
+
+class TestKingRemovedUnderStrict:
+    @pytest.mark.parametrize("fen, move, king", KING_REMOVALS)
+    def test_raises_the_king_count_error_on_both_paths(self, fen, move, king):
+        message = f"expected exactly one {king!r}, found 0"
+        with pytest.raises(ValidationError) as info:
+            apply_move(fen, move, STRICT)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            play_sequence(fen, [move], STRICT)
+        assert (info.value.ply, str(info.value)) == (1, message)
+        with pytest.raises(ValidationError):
+            oracle_apply(fen, move, STRICT)
+        # lenient validation transcribes the move
+        assert apply_move(fen, move).fen_after == oracle_apply(fen, move)
+
+    @pytest.mark.parametrize("fen, moves, king", [
+        ("4k3/8/8/8/8/8/8/4RK2 w - - 0 1", ["f1g2", "e8e7", "e1e7"], "k"),
+        ("4k3/8/8/8/8/8/8/r3K3 w - - 0 1", ["e1f1", "a1f1"], "K"),
+    ])
+    def test_names_its_ply_in_a_sequence(self, fen, moves, king):
+        with pytest.raises(ValidationError) as info:
+            play_sequence(fen, moves, STRICT)
+        assert (info.value.ply, str(info.value)) == (
+            len(moves), f"expected exactly one {king!r}, found 0")
+        assert len(play_sequence(fen, moves)) == len(moves)
+
+    @pytest.mark.parametrize("fen, move, code", [
+        # a pawn that takes a king on the last rank must still promote first
+        ("3k4/4P3/8/8/8/8/8/4K3 w - - 0 1", "e7d8", "MissingPromotion"),
+        ("4k3/8/8/8/8/8/3p4/4K3 b - - 0 1", "d2e1", "MissingPromotion"),
+        ("3k4/4P3/8/8/8/8/8/4K3 w - - 0 1", "e7d8r", "Validation"),
+        # the castle's corner and the clocks are checked before the kings
+        ("8/8/8/8/8/8/8/4K1k1 w K - 0 1", "e1g1", "BadCastle"),
+        ("4k3/8/8/8/8/8/8/r4K2 b - - 0 999999999", "a1f1", "BadClock"),
+    ])
+    def test_earlier_errors_come_first(self, fen, move, code):
+        string, _, array = _both_paths(fen, move, STRICT)
+        assert string == array == f"<{code}>"
 
 
 class TestCastlingRights:

@@ -160,7 +160,7 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
     # but it checks strict validation with its own rules: neither the
     # string path's strict checks nor its clock check, and every call asks
     # parse_fen for the grammar only
-    assert not used & {"_strict_checks", "_check_clocks"}
+    assert not used & {"_check_en_passant_side", "_check_clocks"}
     parses = [node for node in nodes if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Name) and node.func.id == "parse_fen"]
     assert parses and all(len(node.args) == 1 and not node.keywords for node in parses)
