@@ -20,7 +20,8 @@ squares and promotion kind; only parse_move builds a Move. Text is read
 with no regular expression: two slices looked up among the square names,
 and the rest among the nine promotion suffixes. A result is checked only
 for what a ply can break: its clocks in every mode and, under strict
-validation, whether it captured a king, and its en-passant square.
+validation, whether it captured a king, whether a castle's rook or an
+en-passant capture wrote over an own piece, and its en-passant square.
 """
 
 from __future__ import annotations
@@ -344,7 +345,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         raise BadPromotionPieceError("promotion suffix only valid for a pawn reaching rank 1/8")
 
     special = None
-    erased = "1"  # what a castle's rook or an en-passant capture writes over
+    # what a castle's rook or an en-passant capture writes over, on erased_at
+    erased = "1"
     if promotion is not None:
         special = "promotion"
     elif mover.kind == "K" and (from_sq, to_sq) in _CASTLES:
@@ -354,6 +356,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         if corner != rook_letter:
             raise BadCastleError(f"no {rook_letter!r} on castling corner of rank {to_sq.rank}")
         ranks[to_i], erased = _write_slot(row, rook_file, rook_letter)
+        erased_at = _SQUARE_AT[rook_file, to_sq.rank]
     elif (
         is_pawn
         and to_sq.name == en_passant
@@ -362,6 +365,7 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     ):
         # bypassed pawn sits behind the target, in the mover's origin rank
         ranks[from_i], erased = _write_slot(ranks[from_i], to_sq.file, "1")
+        erased_at = _SQUARE_AT[to_sq.file, from_sq.rank]
         was_capture = True
         special = "en-passant-capture"
 
@@ -383,6 +387,8 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         for king in "Kk":
             if king == target_letter or king == erased:
                 raise ValidationError(f"expected exactly one {king!r}, found 0")
+        if erased != "1" and _PIECES[erased].color == side:
+            raise FriendlyCaptureError(f"own piece on {erased_at.name}")
         _check_en_passant_side(after.side, after.en_passant)
 
     return after, tuple.__new__(

@@ -138,6 +138,8 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     The result's clocks are checked in every mode, and under strict validation
     the input's segments before the move is read and the result's text before
     it is written back, each by the oracle's own rules: no FEN is parsed twice.
+    Strict validation also refuses a castle's rook or an en-passant capture
+    that writes over an own piece, after the king count.
     """
     _check_options(options)
     ranks, side, castling, en_passant, halfmove, fullmove = parse_fen(fen)
@@ -176,6 +178,8 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     else:
         cells[to_i] = mover
 
+    # what a castle's rook or an en-passant capture writes over, in cell erased_i
+    erased = "."
     if (
         kind == "K"
         and from_rank == to_rank
@@ -191,6 +195,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
                 f"no rook of the mover's color on {'h' if kingside else 'a'}{to_rank}"
             )
         cells[corner_i] = "."
+        erased, erased_i = cells[rook_to_i], rook_to_i
         cells[rook_to_i] = rook
     elif (
         is_pawn
@@ -199,7 +204,9 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
         and abs(from_rank - to_rank) == 1
     ):
         # the victim stands on the origin's rank, in the destination's file
-        cells[from_i - from_file + to_file] = "."
+        erased_i = from_i - from_file + to_file
+        erased = cells[erased_i]
+        cells[erased_i] = "."
         was_capture = True
 
     # castling rights, recomputed independently of the string path
@@ -238,4 +245,8 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     if strict:
         # no edge rows: a strict input has no pawn there, and one that arrives must promote
         _check_strict(text, "", to_move, ep)
+        if erased != "." and erased.isupper() == white:
+            raise FriendlyCaptureError(
+                f"own piece on {'abcdefgh'[erased_i % 9]}{8 - erased_i // 9}"
+            )
     return f"{_contracted(text)} {to_move} {castling or '-'} {ep} {halfmove} {fullmove}"

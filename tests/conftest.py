@@ -11,8 +11,9 @@ from fenstring import (
     apply_move,
     board_from_fen,
     contract_rank,
+    oracle_apply,
 )
-from fenstring.errors import NoPiecesError
+from fenstring.errors import FenstringError, NoPiecesError
 
 FIG1_FEN = "7N/1b3RN1/7k/6b1/KBp4p/5q2/6Q1/7n w - - 0 1"
 EMPTY_FEN = "8/8/8/8/8/8/8/8 w - - 0 1"
@@ -23,6 +24,22 @@ ALL_OPTIONS = [
     for clock in ("standard", "frozen")
     for validation in ("lenient", "strict")
 ]
+
+
+def both_paths(fen, move, options=ApplyOptions()):
+    """(the string path's FEN or error code, the special it names, the
+    oracle's FEN or error code) for one move: a FEN holds spaces, a code none."""
+    try:
+        outcome = apply_move(fen, move, options)
+        string, special = outcome.fen_after, outcome.special
+    except FenstringError as exc:
+        string, special = exc.code, None
+    try:
+        array = oracle_apply(fen, move, options)
+    except FenstringError as exc:
+        array = exc.code
+    return string, special, array
+
 
 BAIRD_LEGACY = (
     "1 B 6, 2 kt 5, p 1 Kt 1 P 2 R, P 1 K 3 Kt 1, "

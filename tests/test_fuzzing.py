@@ -18,9 +18,11 @@ from fenstring import (
     random_pseudo_move,
 )
 from fenstring import fuzzing
-from fenstring.errors import EmptyOriginError, FenstringError, NoPiecesError, ValidationError
+from fenstring.errors import (
+    EmptyOriginError, FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
+)
 
-from conftest import ALL_OPTIONS, fens, pseudo_game, reference_pseudo_move
+from conftest import ALL_OPTIONS, both_paths, fens, pseudo_game, reference_pseudo_move
 
 
 def test_fuzz_pairs_walk_the_pseudo_game():
@@ -74,13 +76,6 @@ _CELL_NAMES = [f + r for r in "87654321" for f in "abcdefgh"]
 _CASTLE_SHAPES = {"w": ["e1g1", "e1c1"], "b": ["e8g8", "e8c8"]}
 
 
-def _fen_or_code(apply, fen, move, options):
-    try:
-        return apply(fen, move, options)
-    except FenstringError as exc:
-        return exc.code
-
-
 def test_error_codes_agree_on_arbitrary_moves():
     """On fuzz-chain positions, under every option combination, arbitrary
     square pairs (with and without a promotion suffix) give the same FEN or
@@ -98,8 +93,8 @@ def test_error_codes_agree_on_arbitrary_moves():
                 suffix = rng.choice(("", "", "", "q", "R", "b", "n"))
                 moves.append(_CELL_NAMES[origin] + _CELL_NAMES[rng.randrange(64)] + suffix)
             for move in moves:
-                string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
-                assert string == _fen_or_code(oracle_apply, fen, move, options), (fen, move, options)
+                string, _, array = both_paths(fen, move, options)
+                assert string == array, (fen, move, options)
                 if " " not in string:
                     codes.add(string)
     assert codes == {
@@ -122,8 +117,8 @@ def test_pawn_moves_onto_the_en_passant_target_agree(fen):
              if piece and piece.kind == "P"]
     for options in ALL_OPTIONS:
         for move in moves:
-            string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
-            assert string == _fen_or_code(oracle_apply, fen, move, options), (fen, move, options)
+            string, _, array = both_paths(fen, move, options)
+            assert string == array, (fen, move, options)
 
 
 _STRICT_OPTIONS = [options for options in ALL_OPTIONS if options.validation == "strict"]
@@ -146,8 +141,8 @@ def test_strict_results_agree_on_arbitrary_positions(fen, moves):
     own rules."""
     for options in _STRICT_OPTIONS:
         for move in moves:
-            string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
-            assert string == _fen_or_code(oracle_apply, fen, move, options), (fen, move, options)
+            string, _, array = both_paths(fen, move, options)
+            assert string == array, (fen, move, options)
 
 
 @given(fens(), st.lists(_SQUARE_PAIRS, min_size=1, max_size=6))
@@ -204,8 +199,8 @@ def test_strict_results_fail_alike(fen, move, standard, frozen, ep_mode, validat
         if validation == "lenient" and code == "Validation":
             code = None
         options = ApplyOptions(ep_mode, clock_mode, validation)
-        string = _fen_or_code(lambda *a: apply_move(*a).fen_after, fen, move, options)
-        assert string == _fen_or_code(oracle_apply, fen, move, options)
+        string, _, array = both_paths(fen, move, options)
+        assert string == array
         if code is None:
             assert " " in string
         else:
@@ -284,20 +279,10 @@ def test_strict_chains_restart_and_agree(ep_mode, clock_mode):
 
 @pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
 @pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
-def test_strict_chains_draw_again_on_a_friendly_capture(ep_mode, clock_mode):
-    # a friendly capture is drawn again from the same record, not restarted,
-    # so a strict chain runs deep: a restart on each would put 47 to 75 of
-    # each chain's 250 pairs on the start position, and only the first is there
-    options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
-    for seed in STRICT_SEEDS:
-        assert sum(fen == START_FEN for fen, _ in fuzz_pairs(250, seed, options)) == 1, seed
-
-
-@pytest.mark.parametrize("ep_mode", ["always", "adjacent-only"])
-@pytest.mark.parametrize("clock_mode", ["standard", "frozen"])
 def test_strict_chains_refuse_king_captures_of_both_colours(monkeypatch, ep_mode, clock_mode):
-    # the chains reach the strict king rule from both sides, so the
-    # differential tests above check it against the oracle's full count
+    # the chains reach the strict king rule and the friendly-capture rule
+    # from both sides, so the differential tests above check them against
+    # the oracle's full count; each refused draw is drawn again
     refused = []
     real_apply = fuzzing._apply
 
@@ -307,13 +292,17 @@ def test_strict_chains_refuse_king_captures_of_both_colours(monkeypatch, ep_mode
         except ValidationError as exc:
             refused.append(str(exc))
             raise
+        except FriendlyCaptureError:
+            refused.append(f"FriendlyCapture by {record.side!r}")
+            raise
 
     monkeypatch.setattr(fuzzing, "_apply", counting_apply)
     options = ApplyOptions(ep_mode=ep_mode, clock_mode=clock_mode, validation="strict")
     for seed in STRICT_SEEDS:
         assert len(list(fuzz_pairs(250, seed, options))) == 250
-    for king in "Kk":
+    for king, side in ("K", "w"), ("k", "b"):
         assert refused.count(f"expected exactly one {king!r}, found 0") >= 10
+        assert refused.count(f"FriendlyCapture by {side!r}") >= 10
 
 
 def test_generator_draws_are_pinned():

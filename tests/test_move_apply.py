@@ -13,7 +13,6 @@ from fenstring import (
     Square,
     apply_move,
     board_from_fen,
-    contract_rank,
     derive_en_passant,
     differential_fuzz,
     oracle_apply,
@@ -43,7 +42,7 @@ from fenstring.errors import (
     WrongColorError,
 )
 
-from conftest import ALL_OPTIONS, FIG1_FEN, MOVE_GRAMMAR, move_texts, nearly_fens
+from conftest import ALL_OPTIONS, FIG1_FEN, MOVE_GRAMMAR, both_paths, move_texts, nearly_fens
 
 FROZEN = ApplyOptions(clock_mode="frozen")
 # a legal opening, so strict validation holds at every ply
@@ -151,15 +150,6 @@ def test_string_move_matches_parsed_move(text):
             )
 
 
-def _code(apply, *args):
-    """A call's typed error code, or its FEN."""
-    try:
-        result = apply(*args)
-    except FenstringError as exc:
-        return exc.code
-    return getattr(result, "fen_after", result)
-
-
 @settings(max_examples=500)
 @given(move_texts)
 @example("e2--e4")
@@ -189,12 +179,14 @@ def test_parse_move_reads_exactly_the_move_grammar(text):
         else:
             assert match[1] == match[2] and str(exc) == f"origin equals destination: {match[1]}"
         for fen in STRING_MOVE_FENS:
-            assert _code(apply_move, fen, text) == _code(oracle_apply, fen, text) == exc.code
+            string, _, array = both_paths(fen, text)
+            assert string == array == exc.code
         return
     assert match is not None and match[1] != match[2]
     assert move == (SQUARES[match[1]], SQUARES[match[2]], match[3].upper() or None)
     for fen in STRING_MOVE_FENS:
-        assert _code(apply_move, fen, text) == _code(oracle_apply, fen, text) != "BadMoveSyntax"
+        string, _, array = both_paths(fen, text)
+        assert string == array != "BadMoveSyntax"
 
 
 class TestApply:
@@ -272,260 +264,6 @@ class TestEnPassantCapture:
         assert parse_fen(outcome.fen_after).ranks[4] == "4P3"
 
 
-def _placement(pieces):
-    """The placement with {square name: letter} on it and every other square empty."""
-    return "/".join(
-        contract_rank("".join(pieces.get(f"{f}{rank}", "1") for f in "abcdefgh"))
-        for rank in range(8, 0, -1)
-    )
-
-
-def _en_passant_captures():
-    """(fen, move) for every en-passant capture: each target file, both
-    colours, from either side, with the other squares of the victim's rank
-    empty, all taken, or taken on every other file. One king a side, so
-    strict validation holds."""
-    for side, rank, target_rank, own, victim, fillers in (
-        ("w", 5, 6, "P", "p", "Nb"),
-        ("b", 4, 3, "p", "P", "nB"),
-    ):
-        for target in range(8):
-            for origin in (target - 1, target + 1):
-                if not 0 <= origin <= 7:
-                    continue
-                for fill in ("empty", "full", "even", "odd"):
-                    pieces = {"e1": "K", "e8": "k"}
-                    for f in set(range(8)) - {target, origin}:
-                        if fill == "full" or fill == ("even", "odd")[f % 2]:
-                            pieces[f"{'abcdefgh'[f]}{rank}"] = fillers[f % 2]
-                    pieces[f"{'abcdefgh'[target]}{rank}"] = victim
-                    pieces[f"{'abcdefgh'[origin]}{rank}"] = own
-                    target_name = f"{'abcdefgh'[target]}{target_rank}"
-                    fen = f"{_placement(pieces)} {side} - {target_name} 0 1"
-                    yield fen, f"{'abcdefgh'[origin]}{rank}{target_name}"
-
-
-def _castles():
-    """(fen, move, special) for each of the 4 castles under every occupancy,
-    by enemy pieces, of the squares between the king and the rook."""
-    for side, move, corner, between, special in (
-        ("w", "e1g1", "h1", ("f1", "g1"), "castle-kingside"),
-        ("w", "e1c1", "a1", ("b1", "c1", "d1"), "castle-queenside"),
-        ("b", "e8g8", "h8", ("f8", "g8"), "castle-kingside"),
-        ("b", "e8c8", "a8", ("b8", "c8", "d8"), "castle-queenside"),
-    ):
-        rook, enemies = ("R", "nbq") if side == "w" else ("r", "NBQ")
-        for mask in range(2 ** len(between)):
-            pieces = {"e1": "K", "e8": "k", corner: rook}
-            for i, square in enumerate(between):
-                if mask >> i & 1:
-                    pieces[square] = enemies[i]
-            yield f"{_placement(pieces)} {side} KQkq - 0 1", move, special
-
-
-def _king_two_file_moves():
-    """(fen, move, special) for every king two-file move along ranks 1 and
-    8, by either colour, with no rook or with its own rooks on the rank's
-    free corners. Only e1g1, e1c1 and their rank-8 twins castle: a1c1 and
-    a8c8 are castle-shaped too, but their corner is the king's origin."""
-    for rank in (1, 8):
-        for side, king, rook, enemy_king in (("w", "K", "R", "k"), ("b", "k", "r", "K")):
-            for from_file in range(8):
-                for to_file in (from_file - 2, from_file + 2):
-                    if not 0 <= to_file <= 7:
-                        continue
-                    for rooks in (False, True):
-                        pieces = {f"{'abcdefgh'[from_file]}{rank}": king, "d5": enemy_king}
-                        if rooks:
-                            for corner in "ah":
-                                pieces.setdefault(f"{corner}{rank}", rook)
-                        special = None
-                        if rooks and from_file == 4:
-                            special = "castle-kingside" if to_file == 6 else "castle-queenside"
-                        move = f"{'abcdefgh'[from_file]}{rank}{'abcdefgh'[to_file]}{rank}"
-                        yield f"{_placement(pieces)} {side} KQkq - 0 1", move, special
-
-
-def _pawn_steps():
-    """(fen, move) for every same-file pawn step between ranks 2 and 4 or 5
-    and 7, forwards and backwards, by either colour, alone or with an enemy
-    pawn beside the landing square, on either side."""
-    for file in range(8):
-        for start, end in ((2, 4), (4, 2), (5, 7), (7, 5)):
-            for side, pawn, enemy in (("w", "P", "p"), ("b", "p", "P")):
-                for beside in (None, file - 1, file + 1):
-                    if beside is not None and not 0 <= beside <= 7:
-                        continue
-                    pieces = {"e1": "K", "e8": "k", f"{'abcdefgh'[file]}{start}": pawn}
-                    if beside is not None:
-                        pieces[f"{'abcdefgh'[beside]}{end}"] = enemy
-                    move = f"{'abcdefgh'[file]}{start}{'abcdefgh'[file]}{end}"
-                    yield f"{_placement(pieces)} {side} - - 0 1", move
-
-
-def _both_paths(fen, move, options):
-    """(the string path's FEN or error code, its special, the oracle's FEN
-    or error code) for one move."""
-    try:
-        outcome = apply_move(fen, move, options)
-        string, special = outcome.fen_after, outcome.special
-    except FenstringError as exc:
-        string, special = f"<{exc.code}>", None
-    try:
-        array = oracle_apply(fen, move, options)
-    except FenstringError as exc:
-        array = f"<{exc.code}>"
-    return string, special, array
-
-
-class TestSpecialShapesAgainstOracle:
-    """The castle and double-push tables, against the oracle's own rules:
-    every move of either shape and every move that only comes near one."""
-
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
-    def test_every_king_two_file_move(self, options):
-        moves = list(_king_two_file_moves())
-        assert len(moves) == 2 * 2 * 12 * 2
-        corner_king_castles = set()
-        for fen, move, special in moves:
-            string, got_special, array = _both_paths(fen, move, options)
-            assert string == array, (fen, move)
-            assert got_special == (None if string.startswith("<") else special), (fen, move)
-            if move in ("a1c1", "a8c8"):
-                corner_king_castles.add(string)
-        # a king on the corner is castle-shaped, and raises BadCastle on both paths
-        assert corner_king_castles == {"<BadCastle>"}
-
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
-    def test_every_pawn_step_between_ranks_2_4_and_5_7(self, options):
-        steps = list(_pawn_steps())
-        # 4 steps of 2 colours on 8 files alone and with 14 file-neighbour pairs
-        assert len(steps) == 4 * 2 * (8 + 14)
-        targets = {}
-        for fen, move in steps:
-            string, special, array = _both_paths(fen, move, options)
-            assert string == array, (fen, move)
-            assert special is None, (fen, move)
-            if not string.startswith("<"):
-                targets.setdefault(move, set()).add(string.split()[3])
-        # a backward pseudo-push passes the square of the forward one
-        if options.ep_mode == "always":
-            assert targets["e4e2"] == {"e3"}
-            assert targets["d7d5"] == {"d6"}
-
-
-class TestSpecialGeometryAgainstOracle:
-    """Every en-passant capture and castle shape, against the array oracle;
-    the acceptance fuzz reaches too few of them to check their writes."""
-
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
-    def test_every_en_passant_capture(self, options):
-        captures = list(_en_passant_captures())
-        assert len(captures) == 2 * 14 * 4
-        for fen, move in captures:
-            outcome = apply_move(fen, move, options)
-            assert outcome.special == "en-passant-capture", (fen, move)
-            assert outcome.fen_after == oracle_apply(fen, move, options), (fen, move)
-
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
-    def test_every_castle_occupancy(self, options):
-        castles = list(_castles())
-        assert len(castles) == 2 * (4 + 8)
-        for fen, move, special in castles:
-            outcome = apply_move(fen, move, options)
-            assert outcome.special == special, (fen, move)
-            assert outcome.fen_after == oracle_apply(fen, move, options), (fen, move)
-
-
-def _row_end_moves():
-    """(fen, move) for every move between an h-file square and an a-file
-    square one rank up or down, either way: the squares that follow each
-    other across a row's end in a row-major board. Each of the 12 pieces
-    moves onto an empty square, an enemy rook or its own rook, with every
-    castling right on the board, so that a corner the move leaves or takes
-    drops its right; a pawn reaching rank 1 or 8 promotes to a queen. One
-    king a side (the mover, when it is one), so strict validation holds
-    unless a pawn starts on rank 1 or 8."""
-    for h_rank in range(1, 9):
-        for a_rank in (h_rank - 1, h_rank + 1):
-            if not 1 <= a_rank <= 8:
-                continue
-            for origin, target in ((f"h{h_rank}", f"a{a_rank}"), (f"a{a_rank}", f"h{h_rank}")):
-                for mover in "KQRBNPkqrbnp":
-                    white = mover.isupper()
-                    for on_target in ("", "r" if white else "R", "R" if white else "r"):
-                        pieces = {"d4": "K", "d5": "k", origin: mover}
-                        if on_target:
-                            pieces[target] = on_target
-                        promotion = "q" if mover in "Pp" and target[1] in "18" else ""
-                        fen = f"{_placement(pieces)} {'w' if white else 'b'} KQkq - 0 1"
-                        yield fen, f"{origin}{target}{promotion}"
-
-
-def _en_passant_at_row_ends():
-    """(fen, move, pawn beside) for each en-passant capture onto the a or h
-    file, and each double push onto those files, with or without pawns of
-    the other colour on the squares just across the landing or victim
-    square's row end, which a capture must leave and an adjacent-only
-    target must not count as beside it. ``pawn beside`` tells whether an
-    enemy pawn stands next to a push's landing square, on its rank."""
-    for side, move, target, victim, across in (
-        ("w", "b5a6", "a6", "a5", "h6"),
-        ("w", "g5h6", "h6", "h5", "a4"),
-        ("b", "b4a3", "a3", "a4", "h5"),
-        ("b", "g4h3", "h3", "h4", "a3"),
-    ):
-        own, enemy = ("P", "p") if side == "w" else ("p", "P")
-        for pawns_across in (False, True):
-            pieces = {"e1": "K", "e8": "k", move[:2]: own, victim: enemy}
-            if pawns_across:
-                pieces[across] = enemy
-            yield f"{_placement(pieces)} {side} - {target} 0 1", move, None
-    for side, move, beside, across in (
-        ("w", "a2a4", "b4", "h5"),
-        ("w", "h2h4", "g4", "a3"),
-        ("b", "a7a5", "b5", "h6"),
-        ("b", "h7h5", "g5", "a4"),
-    ):
-        own, enemy = ("P", "p") if side == "w" else ("p", "P")
-        for others in ((), (beside,), (across,), (beside, across)):
-            pieces = {"e1": "K", "e8": "k", move[:2]: own}
-            pieces.update(dict.fromkeys(others, enemy))
-            yield f"{_placement(pieces)} {side} - - 0 1", move, beside in others
-
-
-class TestRowEndsAgainstOracle:
-    """The moves that cross a row's end, where a flat array's neighbouring
-    cells lie on different ranks, against the array oracle."""
-
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
-    def test_every_move_between_the_h_and_a_files_of_neighbouring_ranks(self, options):
-        moves = list(_row_end_moves())
-        # 14 pairs of squares, both ways, 12 movers, 3 target cells
-        assert len(moves) == 14 * 2 * 12 * 3
-        rights = set()
-        for fen, move in moves:
-            string, _, array = _both_paths(fen, move, options)
-            assert string == array, (fen, move)
-            if not string.startswith("<"):
-                rights.add(string.split()[2])
-        # each corner's right is dropped by some move that leaves or takes it
-        assert {"Qkq", "Kkq", "KQq", "KQk"} <= rights
-
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
-    def test_every_en_passant_move_onto_the_a_and_h_files(self, options):
-        moves = list(_en_passant_at_row_ends())
-        assert len(moves) == 4 * 2 + 4 * 4
-        for fen, move, pawn_beside in moves:
-            string, special, array = _both_paths(fen, move, options)
-            assert string == array, (fen, move)
-            if pawn_beside is None:
-                assert special == "en-passant-capture", (fen, move)
-            elif options.ep_mode == "adjacent-only":
-                # a pawn across the row end is no neighbour
-                assert (string.split()[3] != "-") == pawn_beside, (fen, move)
-
-
 class TestPromotion:
     def test_promotion_replaces_pawn(self):
         outcome = apply_move("8/4P3/8/8/8/8/8/8 w - - 0 1", "e7e8q")
@@ -555,11 +293,19 @@ class TestApplyErrors:
         with pytest.raises(WrongColorError):
             apply_move(FIG1_FEN, "h6h5")  # black king, white to move
 
-    def test_friendly_capture_strict_only(self):
-        fen = "4k3/8/8/8/8/8/8/4K2R w - - 0 1"
-        assert apply_move(fen, "e1h1").was_capture  # lenient transcription
-        with pytest.raises(FriendlyCaptureError):
-            apply_move(fen, "e1h1", ApplyOptions(validation="strict"))
+    @pytest.mark.parametrize("fen, move, square", [
+        ("4k3/8/8/8/8/8/8/4K2R w - - 0 1", "e1h1", "h1"),
+        # a castle's rook and an en-passant capture write over a second square
+        ("4k3/8/8/8/8/8/8/4KB1R w K - 5 1", "e1g1", "f1"),
+        ("4k3/8/8/3NP3/8/8/8/4K3 w - d6 5 1", "e5d6", "d5"),
+    ])
+    def test_friendly_capture_strict_only(self, fen, move, square):
+        # lenient validation transcribes the move
+        assert apply_move(fen, move).fen_after == oracle_apply(fen, move)
+        for apply in (apply_move, oracle_apply):
+            with pytest.raises(FriendlyCaptureError) as info:
+                apply(fen, move, ApplyOptions(validation="strict"))
+            assert str(info.value) == f"own piece on {square}"
 
     def test_bad_square_in_move_object(self):
         with pytest.raises(BadSquareError):
@@ -635,8 +381,8 @@ class TestKingRemovedUnderStrict:
         ("4k3/8/8/8/8/8/8/r4K2 b - - 0 999999999", "a1f1", "BadClock"),
     ])
     def test_earlier_errors_come_first(self, fen, move, code):
-        string, _, array = _both_paths(fen, move, STRICT)
-        assert string == array == f"<{code}>"
+        string, _, array = both_paths(fen, move, STRICT)
+        assert string == array == code
 
 
 class TestCastlingRights:
