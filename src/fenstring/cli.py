@@ -16,8 +16,8 @@ import time
 
 from .errors import FenstringError, MoveError
 from .fen_codec import (
-    _OPTION_VALUES, FenRecord, _en_passant_field, _parse_clock, parse_castling, parse_fen,
-    serialize_fen,
+    _OPTION_VALUES, FenRecord, _en_passant_field, _fen_text, _parse_clock, parse_castling,
+    parse_fen,
 )
 from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    print(serialize_fen(parse_fen(args.fen, args.validation)))
+    print(_fen_text(parse_fen(args.fen, args.validation)))
     return EXIT_OK
 
 
@@ -185,7 +185,7 @@ def cmd_convert_forsyth(args) -> int:
                        _en_passant_field(args.ep),
                        _parse_clock(args.halfmove, 0, "halfmove clock"),
                        _parse_clock(args.fullmove, 1, "fullmove number"))
-    print(serialize_fen(record))
+    print(_fen_text(record))
     return EXIT_OK
 
 

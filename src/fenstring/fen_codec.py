@@ -35,10 +35,11 @@ so the error class, message and precedence are the checker's.
 A FenRecord is an immutable named tuple, built with tuple.__new__ once per
 parse and once per applied move; serialize_fen checks that it is given one and
 writes the canonical text of what its fields parse to, and its unchecked
-core _fen_text writes the text of the records built here. Squares and
-pieces are interned slot classes: the 64 squares and 12 pieces are built
-at import, and building one again returns the shared instance, so they
-compare by identity.
+core _fen_text writes the text of a record whose fields are canonical
+already: one that parse_fen or a ply built, or that the CLI built from
+checked fields. Squares and pieces are interned slot classes: the 64
+squares and 12 pieces are built at import, and building one again returns
+the shared instance, so they compare by identity.
 """
 
 from __future__ import annotations
@@ -327,6 +328,28 @@ def _rank_segment(ranks, rank: int) -> str:
         ) from None
 
 
+def _check_placement(ranks) -> None:
+    """Raise the typed error unless ``ranks`` is 8 segments of the segment
+    grammar, rank 8 first: their shapes are checked in one pass, as
+    parse_fen checks a placement's, and only when one is refused are the
+    segments read again, to name the first refused one."""
+    try:
+        count = len(ranks)
+    except TypeError:
+        raise FenSyntaxError(
+            f"a placement must be a sequence of 8 rank segments, got {type(ranks).__name__}"
+        ) from None
+    if count != 8:
+        raise SegmentCountError(f"expected 8 rank segments, got {count}")
+    try:
+        shapes = _shape("/".join(ranks)).split(b"/")
+    except TypeError:  # a segment that is not text: the checker names it
+        shapes = []
+    if len(shapes) != 8 or not _SHAPES.issuperset(shapes):
+        for segment in ranks:
+            _check_segment(segment)
+
+
 def _check_segment(segment: str) -> None:
     """Validate one rank segment: legal characters, width 8, canonical runs."""
     if not isinstance(segment, str):
@@ -466,5 +489,6 @@ def piece_at(record: FenRecord, square: Square) -> Piece | None:
     if not isinstance(record, FenRecord):
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     _check_square(square)
-    letter = expand_rank(_rank_segment(record.ranks, square.rank))[square.file]
+    _check_placement(record.ranks)
+    letter = expand_runs(_rank_segment(record.ranks, square.rank))[square.file]
     return _PIECES.get(letter)

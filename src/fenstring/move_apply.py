@@ -58,6 +58,7 @@ from .fen_codec import (
     _Value,
     _check_en_passant_side,
     _check_option,
+    _check_placement,
     _check_square,
     _fen_text,
     _rank_segment,
@@ -260,6 +261,7 @@ def derive_en_passant(
     sits on an adjacent file of the landing rank (the 'Pp'/'pP' pattern)
     in the post-move placement.
     """
+    _check_placement(placement_after)
     _check_move_arguments(mover, from_square, to_square)
     _check_option("ep_mode", ep_mode)
     return _en_passant_after(placement_after, mover, from_square, to_square, ep_mode)

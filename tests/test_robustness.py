@@ -44,11 +44,14 @@ from fenstring.errors import (
     BadExpandedRankError,
     BadMoveSyntaxError,
     BadOptionError,
+    BadPieceLetterError,
     BadSegmentError,
     BadSquareError,
     FenstringError,
     FenSyntaxError,
     OutOfRangeError,
+    RankWidthError,
+    SegmentCountError,
 )
 from fenstring.fen_codec import SQUARES
 
@@ -131,6 +134,8 @@ def test_coordinate_of_the_wrong_type_is_out_of_range(value):
         segment_index(value)
 
 
+_EMPTY = parse_fen("8/8/8/8/8/8/8/8 w - - 0 1")
+
 # wrongly typed arguments that a helper reads only deep in its work (rights,
 # a placement, clocks, fuzz iterations and seeds, a record's ranks), and
 # wrong values of the right type that the checked helpers refuse, each with
@@ -167,6 +172,23 @@ _WRONG_TYPE_CALLS = {
     "random_pseudo_move-seed": (lambda: random_pseudo_move(START_FEN, [1]), BadOptionError),
     "piece_at-ranks": (lambda: piece_at(FenRecord(None, "w", "-", None, 0, 1), SQUARES["e2"]),
                        FenSyntaxError),
+    # a placement that is not 8 segments of the segment grammar, refused in every
+    # mode, whatever the square or move, with the error parse_fen gives
+    "piece_at-three-segments": (lambda: piece_at(_EMPTY._replace(ranks=("8",) * 3), SQUARES["a8"]),
+                                SegmentCountError),
+    "piece_at-bad-segment": (lambda: piece_at(_EMPTY._replace(ranks=("8",) * 7 + ("9",)),
+                                              SQUARES["a8"]), RankWidthError),
+    "piece_at-segment-not-text": (lambda: piece_at(_EMPTY._replace(ranks=("8",) * 7 + (8,)),
+                                                   SQUARES["a8"]), BadSegmentError),
+    "derive_en_passant-placement-always": (
+        lambda: derive_en_passant(None, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"]),
+        FenSyntaxError),
+    "derive_en_passant-five-segments": (
+        lambda: derive_en_passant(("8",) * 5, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
+                                  "adjacent-only"), SegmentCountError),
+    "derive_en_passant-segment-with-a-slash": (
+        lambda: derive_en_passant(("8",) * 6 + ("4/4", "8"), Piece("N", "w"), SQUARES["g1"],
+                                  SQUARES["f3"]), BadPieceLetterError),
     "update_castling_rights-unknown": (
         lambda: update_castling_rights("xyz", Piece("K", "w"), SQUARES["e1"], SQUARES["e2"]),
         BadCastlingFieldError,
