@@ -7,10 +7,8 @@ Black, and the knight is "Kt"/"kt". Only the placement is encoded; the
 modern trailer fields did not exist yet.
 """
 
-from .errors import (
-    BadTokenError, FenSyntaxError, GroupCountError, RankWidthError, SegmentCountError
-)
-from .fen_codec import MAX_DIGITS, contract_rank, expand_rank
+from .errors import BadTokenError, FenSyntaxError, GroupCountError, RankWidthError
+from .fen_codec import MAX_DIGITS, _check_placement, contract_rank
 
 _PIECE_TOKENS = {
     "K": "K", "Q": "Q", "R": "R", "B": "B", "Kt": "N", "P": "P",
@@ -68,11 +66,9 @@ def emit_legacy_forsyth(placement) -> str:
             f"a placement must be an iterable of rank segments, got {type(placement).__name__}"
         ) from None
     placement = tuple(segments)
-    if len(placement) != 8:
-        raise SegmentCountError(f"expected 8 rank segments, got {len(placement)}")
+    _check_placement(placement)  # 8 segments of the segment grammar, as parse_fen checks them
     groups = []
     for segment in placement:
-        expand_rank(segment)  # the segment grammar, as parse_fen checks it
         tokens = [ch if ch.isdigit() else _LETTER_TOKENS[ch] for ch in segment]
         groups.append(" ".join(tokens))
     return ", ".join(groups)

@@ -4,7 +4,7 @@ Each square the move changes is written straight into the compact text
 of its rank segment, through the codec's table of segment shapes; every
 other segment is carried over character-for-character. No board array
 is built, and the only row ever expanded is a double push's landing
-segment under ep_mode "adjacent-only", read through expand_rank to find
+segment under ep_mode "adjacent-only", read through expand_runs to find
 an enemy pawn beside the pawn. Moves are applied as written:
 chess legality (checks, pins, blocked paths) is deliberately not
 enforced, so the result is a faithful transcription of the move.
@@ -63,7 +63,7 @@ from .fen_codec import (
     _fen_text,
     _rank_segment,
     _write_slot,
-    expand_rank,
+    expand_runs,
     parse_fen,
 )
 
@@ -239,7 +239,8 @@ def _en_passant_after(ranks, mover, from_square, to_square, ep_mode):
     if target == "-" or ep_mode == "always":
         return target
     enemy_pawn = "p" if mover.color == WHITE else "P"
-    row = expand_rank(_rank_segment(ranks, to_square.rank))
+    # both callers have checked the placement: runs alone are left to expand
+    row = expand_runs(_rank_segment(ranks, to_square.rank))
     for f in (to_square.file - 1, to_square.file + 1):
         if 0 <= f <= 7 and row[f] == enemy_pawn:
             return target

@@ -405,10 +405,12 @@ class TestFuzz:
 
 
 class TestBench:
-    def test_report_format(self, capsys):
-        code, out, _ = run(capsys, "bench", "--iterations", "500")
+    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+    def test_report_format(self, capsys, options):
+        code, out, _ = run(capsys, "bench", "--iterations", "200", "--ep-mode", options.ep_mode,
+                           "--clock-mode", options.clock_mode, "--validation", options.validation)
         assert code == 0
-        assert "iterations: 500" in out
+        assert "iterations: 200" in out
         assert out.count("ops/s") == 2
         assert "ratio" in out
 

@@ -27,7 +27,6 @@ from fenstring import (
 )
 from fenstring.fen_codec import SQUARES
 from fenstring.errors import (
-    BadCastleError,
     BadOptionError,
     BadClockError,
     BadMoveSyntaxError,
@@ -36,15 +35,16 @@ from fenstring.errors import (
     EmptyOriginError,
     FenstringError,
     FriendlyCaptureError,
-    MissingPromotionError,
     SegmentCountError,
     ValidationError,
-    WrongColorError,
 )
 
 from conftest import ALL_OPTIONS, FIG1_FEN, MOVE_GRAMMAR, both_paths, move_texts, nearly_fens
 
+DEFAULT = ApplyOptions()
 FROZEN = ApplyOptions(clock_mode="frozen")
+ADJACENT = ApplyOptions(ep_mode="adjacent-only")
+STRICT = ApplyOptions(validation="strict")
 # a legal opening, so strict validation holds at every ply
 RUY_LOPEZ = (
     "e2e4 e7e5 g1f3 b8c6 f1b5 a7a6 b5a4 g8f6 e1g1 f8e7 "
@@ -189,110 +189,130 @@ def test_parse_move_reads_exactly_the_move_grammar(text):
         assert string == array != "BadMoveSyntax"
 
 
-class TestApply:
-    def test_rank_changing_move(self):
-        outcome = apply_move(FIG1_FEN, "f7f6", FROZEN)
-        assert outcome.fen_after == "7N/1b4N1/5R1k/6b1/KBp4p/5q2/6Q1/7n b - - 0 1"
-        assert outcome.segments_touched == {1, 2}
-        assert not outcome.was_capture and not outcome.was_pawn_move
-        assert outcome.special is None
-
-    def test_same_rank_move(self):
-        outcome = apply_move(FIG1_FEN, "f7c7", FROZEN)
-        assert outcome.fen_after == "7N/1bR3N1/7k/6b1/KBp4p/5q2/6Q1/7n b - - 0 1"
-        assert outcome.segments_touched == {1}
-
-    def test_double_push_ep_modes(self):
-        after = "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3 0 1"
-        assert apply_move(START_FEN, "e2e4").fen_after == after
-        adjacent = apply_move(START_FEN, "e2e4", ApplyOptions(ep_mode="adjacent-only"))
-        assert adjacent.fen_after == after.replace(" e3 ", " - ")
-
-    def test_capture_overwrites(self):
-        outcome = apply_move(FIG1_FEN, "g2f3")  # white queen takes black queen
-        assert outcome.was_capture
-        assert parse_fen(outcome.fen_after).ranks[5] == "5Q2"
-        assert outcome.fen_after.split()[4] == "0"  # capture resets halfmove
+def _ply(fen, move, options, after, special=None, **fields):
+    """A row of _PLIES: the FEN, move and options of a ply, the exact FEN
+    after it or the error code both paths raise, and the outcome fields it
+    pins: its special, None when not given, and any other field named."""
+    return fen, move, options, after, dict(fields, special=special)
 
 
-class TestCastling:
-    def test_white_kingside(self):
-        outcome = apply_move("4k3/8/8/8/8/8/8/4K2R w K - 0 1", "e1g1")
-        assert outcome.fen_after == "4k3/8/8/8/8/8/8/5RK1 b - - 1 1"
-        assert outcome.segments_touched == {7}
-        assert outcome.special == "castle-kingside"
+_PLIES = {
+    "fig1-rank-changing": _ply(FIG1_FEN, "f7f6", FROZEN,
+                               "7N/1b4N1/5R1k/6b1/KBp4p/5q2/6Q1/7n b - - 0 1",
+                               segments_touched={1, 2}, was_capture=False, was_pawn_move=False),
+    "fig1-same-rank": _ply(FIG1_FEN, "f7c7", FROZEN, "7N/1bR3N1/7k/6b1/KBp4p/5q2/6Q1/7n b - - 0 1",
+                           segments_touched={1}),
+    "fig1-queen-takes-queen": _ply(FIG1_FEN, "g2f3", DEFAULT,
+                                   "7N/1b3RN1/7k/6b1/KBp4p/5Q2/8/7n b - - 0 1", was_capture=True),
+    "start-knight": _ply(START_FEN, "g1f3", DEFAULT,
+                         "rnbqkbnr/pppppppp/8/8/8/5N2/PPPPPPPP/RNBQKB1R b KQkq - 1 1"),
+    "start-double-push": _ply(START_FEN, "e2e4", DEFAULT,
+                              "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3 0 1"),
+    "start-double-push-adjacent-only": _ply(
+        START_FEN, "e2e4", ADJACENT, "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1"),
+    "castle-white-kingside": _ply("4k3/8/8/8/8/8/8/4K2R w K - 0 1", "e1g1", DEFAULT,
+                                  "4k3/8/8/8/8/8/8/5RK1 b - - 1 1", "castle-kingside",
+                                  segments_touched={7}),
+    "castle-white-queenside": _ply("4k3/8/8/8/8/8/8/R3K3 w Q - 0 1", "e1c1", DEFAULT,
+                                   "4k3/8/8/8/8/8/8/2KR4 b - - 1 1", "castle-queenside"),
+    "castle-black-kingside": _ply("4k2r/8/8/8/8/8/8/4K3 b k - 0 1", "e8g8", DEFAULT,
+                                  "5rk1/8/8/8/8/8/8/4K3 w - - 1 2", "castle-kingside"),
+    "king-one-file-step": _ply("4k3/8/8/8/8/8/8/4K2R w K - 0 1", "e1f1", DEFAULT,
+                               "4k3/8/8/8/8/8/8/5K1R b - - 1 1"),
+    "ep-black-capture": _ply("8/8/8/8/3pP3/8/8/8 b - e3 0 1", "d4e3", DEFAULT,
+                             "8/8/8/8/8/4p3/8/8 w - - 0 2", "en-passant-capture",
+                             was_capture=True, segments_touched={4, 5}),
+    "ep-white-capture": _ply("8/8/8/3pP3/8/8/8/8 w - d6 0 4", "e5d6", DEFAULT,
+                             "8/8/3P4/8/8/8/8/8 b - - 0 4", "en-passant-capture"),
+    "ep-no-target-is-a-plain-move": _ply("8/8/8/8/3pP3/8/8/8 b - - 0 1", "d4e3", DEFAULT,
+                                         "8/8/8/8/4P3/4p3/8/8 w - - 0 2"),
+    "promote-white-queen": _ply("8/4P3/8/8/8/8/8/8 w - - 0 1", "e7e8q", DEFAULT,
+                                "4Q3/8/8/8/8/8/8/8 b - - 0 1", "promotion", was_pawn_move=True),
+    "promote-black-knight": _ply("8/8/8/8/8/8/4p3/8 b - - 0 9", "e2e1n", DEFAULT,
+                                 "8/8/8/8/8/8/8/4n3 w - - 0 10", "promotion"),
+    # each error a ply raises
+    **{name: _ply(fen, move, DEFAULT, code) for name, fen, move, code in [
+        ("fig1-empty-origin", FIG1_FEN, "a3b4", "EmptyOrigin"),
+        ("fig1-wrong-color", FIG1_FEN, "h6h5", "WrongColor"),  # the black king, white to move
+        ("castle-no-rook", "4k3/8/8/8/8/8/8/4K3 w - - 0 1", "e1g1", "BadCastle"),
+        ("castle-enemy-rook", "4k3/8/8/8/8/8/8/4K2r w - - 0 1", "e1g1", "BadCastle"),
+        ("promote-no-suffix", "8/4P3/8/8/8/8/8/8 w - - 0 1", "e7e8", "MissingPromotion"),
+        ("promote-a-rook", "8/4R3/8/8/8/8/8/8 w - - 0 1", "e7e8q", "BadPromotionPiece"),
+    ]},
+    # under strict validation a pawn that takes a king on the last rank must
+    # still promote first, and the castle's corner and the clocks come before the kings
+    **{f"strict-{name}": _ply(fen, move, STRICT, code) for name, fen, move, code in [
+        ("onto-own-rook", "4k3/8/8/8/8/8/8/4K2R w - - 0 1", "e1h1", "FriendlyCapture"),
+        ("pawn-takes-king", "3k4/4P3/8/8/8/8/8/4K3 w - - 0 1", "e7d8", "MissingPromotion"),
+        ("pawn-takes-king-black", "4k3/8/8/8/8/8/3p4/4K3 b - - 0 1", "d2e1", "MissingPromotion"),
+        ("promotes-onto-king", "3k4/4P3/8/8/8/8/8/4K3 w - - 0 1", "e7d8r", "Validation"),
+        ("corner-before-kings", "8/8/8/8/8/8/8/4K1k1 w K - 0 1", "e1g1", "BadCastle"),
+        ("clock-before-kings", "4k3/8/8/8/8/8/8/r4K2 b - - 0 999999999", "a1f1", "BadClock"),
+    ]},
+    # from all four rights: a rook leaving each corner, a rook capturing on
+    # each, and each king stepping
+    **{f"rights-{move}": _ply(f"r3k2r/8/8/8/8/8/8/R3K2R {side} KQkq - 0 1", move, DEFAULT, after)
+       for side, move, after in [
+           ("w", "a1a2", "r3k2r/8/8/8/8/8/R7/4K2R b Kkq - 1 1"),
+           ("w", "h1h2", "r3k2r/8/8/8/8/8/7R/R3K3 b Qkq - 1 1"),
+           ("w", "a1a8", "R3k2r/8/8/8/8/8/8/4K2R b Kk - 0 1"),
+           ("w", "h1h8", "r3k2R/8/8/8/8/8/8/R3K3 b Qq - 0 1"),
+           ("b", "a8a7", "4k2r/r7/8/8/8/8/8/R3K2R w KQk - 1 2"),
+           ("b", "h8h7", "r3k3/7r/8/8/8/8/8/R3K2R w KQq - 1 2"),
+           ("b", "a8a1", "4k2r/8/8/8/8/8/8/r3K2R w Kk - 0 2"),
+           ("b", "h8h1", "r3k3/8/8/8/8/8/8/R3K2r w Qq - 0 2"),
+           ("w", "e1e2", "r3k2r/8/8/8/8/8/4K3/R6R b kq - 1 1"),
+           ("b", "e8e7", "r6r/4k3/8/8/8/8/8/R3K2R w KQ - 1 2"),
+       ]},
+    # double pushes under adjacent-only: a pawn two files off, across the
+    # row's end, an own pawn or an enemy piece beside it sets no target
+    **{f"adjacent-only-{name}": _ply(fen, move, ADJACENT, after) for name, fen, move, after in [
+        ("pawn-left", "4k3/8/8/8/3p4/8/4P3/4K3 w - - 0 1", "e2e4",
+         "4k3/8/8/8/3pP3/8/8/4K3 b - e3 0 1"),
+        ("pawn-right", "4k3/8/8/8/5p2/8/4P3/4K3 w - - 0 1", "e2e4",
+         "4k3/8/8/8/4Pp2/8/8/4K3 b - e3 0 1"),
+        ("pawns-two-files-off", "4k3/8/8/8/2p3p1/8/4P3/4K3 w - - 0 1", "e2e4",
+         "4k3/8/8/8/2p1P1p1/8/8/4K3 b - - 0 1"),
+        ("own-pawn-and-knight", "4k3/8/8/8/3P1n2/8/4P3/4K3 w - - 0 1", "e2e4",
+         "4k3/8/8/8/3PPn2/8/8/4K3 b - - 0 1"),
+        ("a-file", "4k3/8/8/8/1p6/8/P7/4K3 w - - 0 1", "a2a4",
+         "4k3/8/8/8/Pp6/8/8/4K3 b - a3 0 1"),
+        ("h-file", "4k3/8/8/8/6p1/8/7P/4K3 w - - 0 1", "h2h4",
+         "4k3/8/8/8/6pP/8/8/4K3 b - h3 0 1"),
+        ("across-the-row-end", "4k3/8/8/8/p7/8/7P/4K3 w - - 0 1", "h2h4",
+         "4k3/8/8/8/p6P/8/8/4K3 b - - 0 1"),
+        ("black-pawn-right", "4k3/3p4/8/4P3/8/8/8/4K3 b - - 0 1", "d7d5",
+         "4k3/8/8/3pP3/8/8/8/4K3 w - d6 0 2"),
+        ("black-pawns-two-files-off", "4k3/3p4/8/1P3P2/8/8/8/4K3 b - - 0 1", "d7d5",
+         "4k3/8/8/1P1p1P2/8/8/8/4K3 w - - 0 2"),
+    ]},
+}
 
-    def test_white_queenside(self):
-        outcome = apply_move("4k3/8/8/8/8/8/8/R3K3 w Q - 0 1", "e1c1")
-        assert outcome.fen_after == "4k3/8/8/8/8/8/8/2KR4 b - - 1 1"
-        assert outcome.special == "castle-queenside"
 
-    def test_black_kingside(self):
-        outcome = apply_move("4k2r/8/8/8/8/8/8/4K3 b k - 0 1", "e8g8")
-        assert outcome.fen_after == "5rk1/8/8/8/8/8/8/4K3 w - - 1 2"
-
-    def test_missing_rook(self):
-        with pytest.raises(BadCastleError):
-            apply_move("4k3/8/8/8/8/8/8/4K3 w - - 0 1", "e1g1")
-
-    def test_wrong_color_rook(self):
-        with pytest.raises(BadCastleError):
-            apply_move("4k3/8/8/8/8/8/8/4K2r w - - 0 1", "e1g1")
-
-    def test_plain_one_file_king_move_is_not_castle(self):
-        outcome = apply_move("4k3/8/8/8/8/8/8/4K2R w K - 0 1", "e1f1")
-        assert outcome.special is None
-        assert outcome.fen_after == "4k3/8/8/8/8/8/8/5K1R b - - 1 1"
+@pytest.mark.parametrize("fen, move, options, after, fields", _PLIES.values(), ids=_PLIES)
+def test_ply(fen, move, options, after, fields):
+    string, _, array = both_paths(fen, move, options)
+    assert string == array == after
+    if " " in after:
+        outcome = apply_move(fen, move, options)
+        assert {name: getattr(outcome, name) for name in fields} == fields
+        assert play_sequence(fen, [move], options) == [after]
+    else:
+        with pytest.raises(FenstringError) as info:
+            play_sequence(fen, [move], options)
+        assert (info.value.code, info.value.ply) == (after, 1)
 
 
-class TestEnPassantCapture:
-    def test_capture_removes_bypassed_pawn(self):
-        outcome = apply_move("8/8/8/8/3pP3/8/8/8 b - e3 0 1", "d4e3")
-        assert outcome.fen_after == "8/8/8/8/8/4p3/8/8 w - - 0 2"
-        assert outcome.special == "en-passant-capture"
-        assert outcome.was_capture
-        assert outcome.segments_touched == {4, 5}
-
-    def test_white_side(self):
-        outcome = apply_move("8/8/8/3pP3/8/8/8/8 w - d6 0 4", "e5d6")
-        assert outcome.fen_after == "8/8/3P4/8/8/8/8/8 b - - 0 4"
-        assert outcome.special == "en-passant-capture"
-
-    def test_diagonal_to_stale_square_is_plain_move(self):
-        outcome = apply_move("8/8/8/8/3pP3/8/8/8 b - - 0 1", "d4e3")
-        assert outcome.special is None
-        assert parse_fen(outcome.fen_after).ranks[4] == "4P3"
-
-
-class TestPromotion:
-    def test_promotion_replaces_pawn(self):
-        outcome = apply_move("8/4P3/8/8/8/8/8/8 w - - 0 1", "e7e8q")
-        assert outcome.fen_after == "4Q3/8/8/8/8/8/8/8 b - - 0 1"
-        assert outcome.special == "promotion"
-        assert outcome.was_pawn_move
-
-    def test_black_promotion_lowercase(self):
-        outcome = apply_move("8/8/8/8/8/8/4p3/8 b - - 0 9", "e2e1n")
-        assert outcome.fen_after == "8/8/8/8/8/8/8/4n3 w - - 0 10"
-
-    def test_missing_promotion(self):
-        with pytest.raises(MissingPromotionError):
-            apply_move("8/4P3/8/8/8/8/8/8 w - - 0 1", "e7e8")
-
-    def test_promotion_suffix_on_non_pawn(self):
-        with pytest.raises(BadPromotionPieceError):
-            apply_move("8/4R3/8/8/8/8/8/8 w - - 0 1", "e7e8q")
+def test_plies_hold_every_special_and_every_ply_error():
+    specials = {fields["special"] for _, _, _, after, fields in _PLIES.values() if " " in after}
+    codes = {after for _, _, _, after, _ in _PLIES.values() if " " not in after}
+    assert specials == {"castle-kingside", "castle-queenside", "en-passant-capture", "promotion",
+                        None}
+    assert codes == {"EmptyOrigin", "WrongColor", "FriendlyCapture", "MissingPromotion",
+                     "BadPromotionPiece", "BadCastle", "BadClock", "Validation"}
 
 
 class TestApplyErrors:
-    def test_empty_origin(self):
-        with pytest.raises(EmptyOriginError):
-            apply_move(FIG1_FEN, "a3b4")
-
-    def test_wrong_color(self):
-        with pytest.raises(WrongColorError):
-            apply_move(FIG1_FEN, "h6h5")  # black king, white to move
-
     @pytest.mark.parametrize("fen, move, square", [
         ("4k3/8/8/8/8/8/8/4K2R w - - 0 1", "e1h1", "h1"),
         # a castle's rook and an en-passant capture write over a second square
@@ -329,7 +349,6 @@ class TestApplyErrors:
             Move(Square(4, 7), to_square, promotion)
 
 
-STRICT = ApplyOptions(validation="strict")
 # (FEN, move, the king it removes): each write of a ply that can land on a
 # king, for either colour; a strict result is checked for these writes only
 KING_REMOVALS = [
@@ -370,19 +389,6 @@ class TestKingRemovedUnderStrict:
         assert (info.value.ply, str(info.value)) == (
             len(moves), f"expected exactly one {king!r}, found 0")
         assert len(play_sequence(fen, moves)) == len(moves)
-
-    @pytest.mark.parametrize("fen, move, code", [
-        # a pawn that takes a king on the last rank must still promote first
-        ("3k4/4P3/8/8/8/8/8/4K3 w - - 0 1", "e7d8", "MissingPromotion"),
-        ("4k3/8/8/8/8/8/3p4/4K3 b - - 0 1", "d2e1", "MissingPromotion"),
-        ("3k4/4P3/8/8/8/8/8/4K3 w - - 0 1", "e7d8r", "Validation"),
-        # the castle's corner and the clocks are checked before the kings
-        ("8/8/8/8/8/8/8/4K1k1 w K - 0 1", "e1g1", "BadCastle"),
-        ("4k3/8/8/8/8/8/8/r4K2 b - - 0 999999999", "a1f1", "BadClock"),
-    ])
-    def test_earlier_errors_come_first(self, fen, move, code):
-        string, _, array = both_paths(fen, move, STRICT)
-        assert string == array == code
 
 
 class TestCastlingRights:

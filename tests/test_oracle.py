@@ -9,7 +9,6 @@ from fenstring import (
     BoardArray,
     Piece,
     Square,
-    apply_move,
     board_from_fen,
     fen_from_board,
     oracle,
@@ -22,16 +21,12 @@ from fenstring import (
 )
 from fenstring.errors import (
     BadPieceLetterError,
-    EmptyOriginError,
     FenSyntaxError,
     NoPiecesError,
     ValidationError,
-    WrongColorError,
 )
 
 from conftest import EMPTY_FEN, FIG1_FEN, fens
-
-FROZEN = ApplyOptions(clock_mode="frozen")
 
 
 class TestBoardFromFen:
@@ -167,74 +162,10 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
 
 
 class TestOracleApply:
-    def test_table_examples(self):
-        assert (
-            oracle_apply(FIG1_FEN, "f7f6", FROZEN)
-            == "7N/1b4N1/5R1k/6b1/KBp4p/5q2/6Q1/7n b - - 0 1"
-        )
-        assert (
-            oracle_apply(FIG1_FEN, "f7c7", FROZEN)
-            == "7N/1bR3N1/7k/6b1/KBp4p/5q2/6Q1/7n b - - 0 1"
-        )
-
-    def test_knight_development(self):
-        assert (
-            oracle_apply(START_FEN, "g1f3")
-            == "rnbqkbnr/pppppppp/8/8/8/5N2/PPPPPPPP/RNBQKB1R b KQkq - 1 1"
-        )
-
-    def test_same_errors_as_string_path(self):
-        with pytest.raises(EmptyOriginError):
-            oracle_apply(FIG1_FEN, "a3b4")
-        with pytest.raises(WrongColorError):
-            oracle_apply(FIG1_FEN, "h6h5")
-
     def test_strict_kings_are_checked_before_edge_pawns(self):
         # two white kings and a pawn on rank 1: the king check names the error
         with pytest.raises(ValidationError, match=r"^2 'K' on the board, not exactly one$"):
             oracle_apply("KK6/8/8/8/8/8/8/P7 w - - 0 1", "a1a2", ApplyOptions(validation="strict"))
-
-
-# a rook leaving each corner, a rook capturing on each, and each king
-# stepping, from a position holding all four rights: (side, move, rights left)
-_RIGHTS_CASES = [
-    ("w", "a1a2", "Kkq"), ("w", "h1h2", "Qkq"), ("w", "a1a8", "Kk"), ("w", "h1h8", "Qq"),
-    ("b", "a8a7", "KQk"), ("b", "h8h7", "KQq"), ("b", "a8a1", "Kk"), ("b", "h8h1", "Qq"),
-    ("w", "e1e2", "kq"), ("b", "e8e7", "KQ"),
-]
-# double pushes under adjacent-only: (placement, side, move, en-passant field);
-# a pawn two files off, an own pawn or an enemy piece beside it sets none
-_DOUBLE_PUSHES = [
-    ("4k3/8/8/8/3p4/8/4P3/4K3", "w", "e2e4", "e3"),
-    ("4k3/8/8/8/5p2/8/4P3/4K3", "w", "e2e4", "e3"),
-    ("4k3/8/8/8/2p3p1/8/4P3/4K3", "w", "e2e4", "-"),
-    ("4k3/8/8/8/3P1n2/8/4P3/4K3", "w", "e2e4", "-"),
-    ("4k3/8/8/8/1p6/8/P7/4K3", "w", "a2a4", "a3"),
-    ("4k3/8/8/8/6p1/8/7P/4K3", "w", "h2h4", "h3"),
-    ("4k3/8/8/8/p7/8/7P/4K3", "w", "h2h4", "-"),
-    ("4k3/3p4/8/4P3/8/8/8/4K3", "b", "d7d5", "d6"),
-    ("4k3/3p4/8/1P3P2/8/8/8/4K3", "b", "d7d5", "-"),
-]
-
-
-class TestRulesByCell:
-    """The rules the oracle finds by cell arithmetic, pinned square by
-    square: the acceptance fuzz reaches these cells too rarely."""
-
-    @pytest.mark.parametrize("side,move,rights", _RIGHTS_CASES)
-    def test_rights_lost_at_each_corner(self, side, move, rights):
-        fen = f"r3k2r/8/8/8/8/8/8/R3K2R {side} KQkq - 0 1"
-        after = oracle_apply(fen, move)
-        assert after.split()[2] == rights
-        assert after == apply_move(fen, move).fen_after
-
-    @pytest.mark.parametrize("placement,side,move,ep", _DOUBLE_PUSHES)
-    def test_adjacent_only_en_passant_square(self, placement, side, move, ep):
-        fen = f"{placement} {side} - - 0 1"
-        options = ApplyOptions(ep_mode="adjacent-only")
-        after = oracle_apply(fen, move, options)
-        assert after.split()[3] == ep
-        assert after == apply_move(fen, move, options).fen_after
 
 
 class TestRandomPseudoMove:
