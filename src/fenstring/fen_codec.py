@@ -319,9 +319,10 @@ def segment_index(rank: int) -> int:
 
 
 def _rank_segment(ranks, rank: int) -> str:
-    """The segment of a rank in a placement's 8 segments, rank 8 first."""
+    """The segment of a checked Square's rank in a placement's 8 segments,
+    rank 8 first."""
     try:
-        return ranks[segment_index(rank)]
+        return ranks[8 - rank]
     except (LookupError, TypeError):
         raise FenSyntaxError(
             f"a placement must be a sequence of 8 rank segments, got {type(ranks).__name__}"

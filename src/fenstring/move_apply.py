@@ -11,17 +11,16 @@ enforced, so the result is a faithful transcription of the move.
 
 _apply is the one kernel behind every entry point. A ply is one pass: it
 unpacks the record once, makes the move's writes and takes the trailer
-and the FEN text from the unchecked cores of update_clocks,
-update_castling_rights, derive_en_passant and serialize_fen. Each rule is
-written once, in its core, and each special-move shape once, in _CASTLES or
-_PASSED; the public functions check their arguments and call the same
-cores. _read_move reads every move argument, text or a Move, into its
-squares and promotion kind; only parse_move builds a Move. Text is read
-with no regular expression: two slices looked up among the square names,
-and the rest among the nine promotion suffixes. A result is checked only
-for what a ply can break: its clocks in every mode and, under strict
-validation, whether it captured a king, whether a castle's rook or an
-en-passant capture wrote over an own piece, and its en-passant square.
+from the rule cores _clocks_after, _rights_after and _en_passant_after,
+and the FEN text from serialize_fen's core. Each rule is written once, in
+its core, and each special-move shape once, in _CASTLES or _PASSED.
+_read_move reads every move argument, text or a Move, into its squares
+and promotion kind; only parse_move builds a Move. Text is read with no
+regular expression: two slices looked up among the square names, and the
+rest among the nine promotion suffixes. A result is checked only for what
+a ply can break: its clocks, which only standard mode grows, and, under
+strict validation, whether it captured a king, whether a castle's rook or
+an en-passant capture wrote over an own piece, and its en-passant square.
 """
 
 from __future__ import annotations
@@ -31,13 +30,11 @@ from itertools import product
 
 from .errors import (
     BadCastleError,
-    BadCastlingFieldError,
     BadClockError,
     BadMoveSyntaxError,
     BadOptionError,
     BadPromotionPieceError,
     EmptyOriginError,
-    FenSyntaxError,
     FriendlyCaptureError,
     MissingPromotionError,
     ValidationError,
@@ -49,16 +46,13 @@ from .fen_codec import (
     SQUARES,
     WHITE,
     FenRecord,
-    Piece,
     Square,
-    _CASTLING_FIELDS,
     _OPTION_VALUES,
     _PIECES,
     _SQUARE_AT,
     _Value,
     _check_en_passant_side,
     _check_option,
-    _check_placement,
     _check_square,
     _fen_text,
     _rank_segment,
@@ -159,13 +153,6 @@ def _null_move_error(name: str) -> BadMoveSyntaxError:
     return BadMoveSyntaxError(f"origin equals destination: {name}")
 
 
-def _check_move_arguments(mover, *squares) -> None:
-    """Raise the typed error for a mover that is not a Piece or a square that is not a Square."""
-    if not isinstance(mover, Piece):
-        raise FenSyntaxError(f"a mover must be a Piece, got {type(mover).__name__}")
-    _check_square(*squares)
-
-
 def _read_move(move):
     """The one reader of a move argument, text or a Move: (origin,
     destination, promotion kind or None); anything else is bad move syntax."""
@@ -194,7 +181,9 @@ def parse_move(text: str) -> Move:
 
 
 def _rights_after(rights, mover, from_square, to_square, captured):
-    """update_castling_rights without the argument checks."""
+    """The canonical castling field after the move: a king move drops both
+    rights of its color, and a rook leaving a corner or a capture landing on
+    one drops the right hosted there; rights are never regained."""
     lost = _KING_RIGHTS[mover.color] if mover.kind == "K" else ""
     if mover.kind == "R":
         lost += _CORNER_RIGHTS.get(from_square, "")
@@ -207,39 +196,18 @@ def _rights_after(rights, mover, from_square, to_square, captured):
     return rights or "-"
 
 
-def update_castling_rights(
-    rights: str,
-    mover: Piece,
-    from_square: Square,
-    to_square: Square,
-    captured: Piece | None = None,
-) -> str:
-    """Drop rights invalidated by the move; rights are never regained.
-
-    ``rights`` is a canonical castling field ("KQkq" order, or "-"). A
-    king move clears both rights of its color; a rook leaving a corner
-    clears that corner's right; a capture landing on a corner clears the
-    right hosted there.
-    """
-    if not isinstance(rights, str) or _CASTLING_FIELDS.get(rights) != rights:
-        raise BadCastlingFieldError(f"castling rights must be a canonical castling field, "
-                                    f"got {rights!r}")
-    _check_move_arguments(mover, from_square, to_square)
-    if captured is not None and not isinstance(captured, Piece):
-        raise FenSyntaxError(f"a captured piece must be a Piece or None, "
-                             f"got {type(captured).__name__}")
-    return _rights_after(rights, mover, from_square, to_square, captured)
-
-
 def _en_passant_after(ranks, mover, from_square, to_square, ep_mode):
-    """derive_en_passant without the argument checks."""
+    """The en-passant field after the move: the passed square's name, or "-".
+    Mode "always" records it for each pawn step in _PASSED; "adjacent-only"
+    only when an enemy pawn stands beside the landing square in ``ranks``,
+    the placement after the move (the 'Pp'/'pP' pattern)."""
     # only a step in _PASSED puts its target on rank 3/6; other two-rank
     # pseudo-pushes would put it on a rank no FEN allows
     target = _PASSED.get((from_square, to_square), "-") if mover.kind == "P" else "-"
     if target == "-" or ep_mode == "always":
         return target
     enemy_pawn = "p" if mover.color == WHITE else "P"
-    # both callers have checked the placement: runs alone are left to expand
+    # the placement is parsed or written: runs alone are left to expand
     row = expand_runs(_rank_segment(ranks, to_square.rank))
     for f in (to_square.file - 1, to_square.file + 1):
         if 0 <= f <= 7 and row[f] == enemy_pawn:
@@ -247,62 +215,18 @@ def _en_passant_after(ranks, mover, from_square, to_square, ep_mode):
     return "-"
 
 
-def derive_en_passant(
-    placement_after,
-    mover: Piece,
-    from_square: Square,
-    to_square: Square,
-    ep_mode: str = "always",
-) -> str:
-    """The en-passant field after the move: the passed square's name, or "-".
-
-    Only a same-file pawn move between ranks 2 and 4 or 5 and 7, either
-    way, qualifies. Mode "always" records the square the pawn passes
-    unconditionally; "adjacent-only" records it only when an enemy pawn
-    sits on an adjacent file of the landing rank (the 'Pp'/'pP' pattern)
-    in the post-move placement.
-    """
-    _check_placement(placement_after)
-    _check_move_arguments(mover, from_square, to_square)
-    _check_option("ep_mode", ep_mode)
-    return _en_passant_after(placement_after, mover, from_square, to_square, ep_mode)
-
-
 def _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode):
-    """update_clocks without the argument checks."""
+    """The clocks after the move. Standard: halfmove resets on a pawn move
+    or a capture, else +1; fullmove +1 after a black move; a clock grown
+    past MAX_DIGITS digits raises, so the result parses. Frozen: both pass
+    through unchanged, and parsed clocks never have too many digits."""
     if clock_mode == "frozen":
         return halfmove, fullmove
-    return (0 if mover.kind == "P" or was_capture else halfmove + 1,
-            fullmove + 1 if mover.color == BLACK else fullmove)
-
-
-def _check_clocks(halfmove: int, fullmove: int) -> None:
+    halfmove = 0 if mover.kind == "P" or was_capture else halfmove + 1
+    if mover.color == BLACK:
+        fullmove += 1
     if halfmove >= _CLOCK_LIMIT or fullmove >= _CLOCK_LIMIT:
         raise BadClockError(f"clock longer than {MAX_DIGITS} digits: {halfmove} {fullmove}")
-
-
-def update_clocks(
-    halfmove: int,
-    fullmove: int,
-    mover: Piece,
-    was_capture: bool,
-    clock_mode: str = "standard",
-):
-    """Standard: halfmove resets on pawn move/capture else +1; fullmove +1
-    after a black move. Frozen: both pass through unchanged. Clocks given or
-    returned with more than MAX_DIGITS digits are refused, as by parse_fen."""
-    _check_move_arguments(mover)
-    # only a bool: the core takes any true value for a capture
-    if type(was_capture) is not bool:
-        raise FenSyntaxError(f"was_capture must be a bool, got {type(was_capture).__name__}")
-    # type(), not isinstance(): a bool is an int, and True is no fullmove number
-    if not (type(halfmove) is int and type(fullmove) is int and halfmove >= 0 and fullmove >= 1):
-        raise BadClockError(f"clocks must be integers, halfmove >= 0 and fullmove >= 1, "
-                            f"got {halfmove!r} and {fullmove!r}")
-    _check_clocks(halfmove, fullmove)
-    _check_option("clock_mode", clock_mode)
-    halfmove, fullmove = _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode)
-    _check_clocks(halfmove, fullmove)
     return halfmove, fullmove
 
 
@@ -373,8 +297,6 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         special = "en-passant-capture"
 
     halfmove, fullmove = _clocks_after(halfmove, fullmove, mover, was_capture, options.clock_mode)
-    # in every mode, so the result parses: the rest of its grammar holds by construction
-    _check_clocks(halfmove, fullmove)
     # tuple.__new__ skips _make's Python frame and length check: six fields by construction
     after = tuple.__new__(FenRecord, (
         tuple(ranks),

@@ -250,6 +250,12 @@ class TestStrict:
         with pytest.raises(ValidationError, match=r"^expected exactly one 'K', found 2$"):
             parse_fen("KK6/8/8/8/8/8/8/P7 w - - 0 1", "strict")
 
+    def test_edge_pawns_are_checked_before_the_en_passant_rank(self):
+        # e3 is no target with white to move: the pawn on rank 1 names the error
+        with pytest.raises(ValidationError,
+                           match=r"^pawn on first/last rank in segment 'P3K3'$"):
+            parse_fen("4k3/8/8/8/8/8/8/P3K3 w - e3 0 1", "strict")
+
 
 class TestPiece:
     def test_from_letter_shares_one_piece_per_letter(self):

@@ -13,7 +13,6 @@ from fenstring import (
     Square,
     apply_move,
     board_from_fen,
-    derive_en_passant,
     differential_fuzz,
     oracle_apply,
     parse_fen,
@@ -21,11 +20,10 @@ from fenstring import (
     piece_at,
     play_sequence,
     serialize_fen,
-    update_castling_rights,
-    update_clocks,
     START_FEN,
 )
 from fenstring.fen_codec import SQUARES
+from fenstring.move_apply import _clocks_after, _en_passant_after, _rights_after
 from fenstring.errors import (
     BadOptionError,
     BadClockError,
@@ -164,6 +162,7 @@ def test_string_move_matches_parsed_move(text):
 @example("e2e2")
 @example("e2-e2")
 @example("e2e2x")
+@example("e2xe4")
 def test_parse_move_reads_exactly_the_move_grammar(text):
     """parse_move against the reference grammar in conftest: it accepts
     exactly the text the grammar matches whole, except the null move; a
@@ -392,40 +391,26 @@ class TestKingRemovedUnderStrict:
 
 
 class TestCastlingRights:
+    """_rights_after, the castling rule _apply runs."""
+
     KQKQ = "KQkq"
 
     def test_king_move_clears_both(self):
-        rights = update_castling_rights(
-            self.KQKQ, Piece("K", "w"), Square.from_name("e1"), Square.from_name("e2")
-        )
+        rights = _rights_after(self.KQKQ, Piece("K", "w"), SQUARES["e1"], SQUARES["e2"], None)
         assert rights == "kq"
 
     def test_rook_from_h1(self):
-        rights = update_castling_rights(
-            self.KQKQ, Piece("R", "w"), Square.from_name("h1"), Square.from_name("h5")
-        )
+        rights = _rights_after(self.KQKQ, Piece("R", "w"), SQUARES["h1"], SQUARES["h5"], None)
         assert rights == "Qkq"
 
     def test_capture_on_corner(self):
-        rights = update_castling_rights(
-            "K",
-            Piece("N", "b"),
-            Square.from_name("g3"),
-            Square.from_name("h1"),
-            captured=Piece("R", "w"),
-        )
+        rights = _rights_after("K", Piece("N", "b"), SQUARES["g3"], SQUARES["h1"],
+                               Piece("R", "w"))
         assert rights == "-"
 
     def test_quiet_landing_on_corner_keeps_right(self):
-        rights = update_castling_rights(
-            "k",
-            Piece("N", "w"),
-            Square.from_name("g6"),
-            Square.from_name("h8"),
-            captured=None,
-        )
+        rights = _rights_after("k", Piece("N", "w"), SQUARES["g6"], SQUARES["h8"], None)
         assert rights == "k"
-
 
     @pytest.mark.parametrize(
         "rights, mover, src, dst, captured",
@@ -438,11 +423,76 @@ class TestCastlingRights:
     )
     def test_unaffected_rights_returned_as_is(self, rights, mover, src, dst, captured):
         captured = Piece.from_letter(captured) if captured else None
-        after = update_castling_rights(
-            rights, Piece.from_letter(mover), Square.from_name(src), Square.from_name(dst),
-            captured,
-        )
+        after = _rights_after(rights, Piece.from_letter(mover), SQUARES[src], SQUARES[dst],
+                              captured)
         assert after is rights
+
+
+class TestDeriveEnPassant:
+    """_en_passant_after, the en-passant rule _apply runs."""
+
+    RANK5_PP = ("8", "8", "8", "3Pp3", "8", "8", "8", "8")
+
+    def test_black_double_push_with_neighbor(self):
+        for mode in ("always", "adjacent-only"):
+            target = _en_passant_after(self.RANK5_PP, Piece("P", "b"), SQUARES["e7"],
+                                       SQUARES["e5"], mode)
+            assert target == "e6"
+
+    def test_non_pawn(self):
+        placement = ("8", "8", "8", "8", "R7", "8", "8", "8")
+        for mode in ("always", "adjacent-only"):
+            assert _en_passant_after(placement, Piece("R", "w"), SQUARES["a1"], SQUARES["a4"],
+                                     mode) == "-"
+
+    def test_lonely_double_push_mode_split(self):
+        placement = ("8", "8", "8", "8", "4P3", "8", "8", "8")
+        args = (placement, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"])
+        assert _en_passant_after(*args, "adjacent-only") == "-"
+        assert _en_passant_after(*args, "always") == "e3"
+
+    def test_target_is_the_shared_square(self):
+        # the field's text, which is the passed square's name
+        placement = ("8", "8", "8", "8", "4P3", "8", "8", "8")
+        args = (placement, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"])
+        assert _en_passant_after(*args, "always") is SQUARES["e3"].name
+
+    def test_friendly_neighbor_does_not_count(self):
+        placement = ("8", "8", "8", "8", "3PP3", "8", "8", "8")
+        for mode, target in (("always", "e3"), ("adjacent-only", "-")):
+            assert _en_passant_after(placement, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
+                                     mode) == target
+
+
+class TestClocks:
+    """_clocks_after, the clock rule _apply runs."""
+
+    def test_quiet_white_move(self):
+        assert _clocks_after(0, 1, Piece("R", "w"), False, "standard") == (1, 1)
+
+    def test_frozen(self):
+        assert _clocks_after(0, 1, Piece("R", "w"), False, "frozen") == (0, 1)
+
+    def test_black_pawn_capture(self):
+        assert _clocks_after(7, 12, Piece("P", "b"), True, "standard") == (0, 13)
+
+    def test_quiet_black_move(self):
+        assert _clocks_after(3, 9, Piece("N", "b"), False, "standard") == (4, 10)
+
+    def test_frozen_clocks_are_not_checked(self):
+        # frozen clocks are the parsed ones, which never grow
+        assert _clocks_after(999999999, 999999999, Piece("N", "b"), False,
+                             "frozen") == (999999999, 999999999)
+
+    # each clock a FEN may carry, grown by the move past what one may carry
+    @pytest.mark.parametrize("halfmove, fullmove, mover, grown", [
+        (999999999, 1, "N", "1000000000 1"),
+        (0, 999999999, "n", "1 1000000000"),
+    ])
+    def test_a_clock_grown_past_its_digits(self, halfmove, fullmove, mover, grown):
+        with pytest.raises(BadClockError) as info:
+            _clocks_after(halfmove, fullmove, Piece.from_letter(mover), False, "standard")
+        assert str(info.value) == f"clock longer than 9 digits: {grown}"
 
 
 class TestApplyOptions:
@@ -457,103 +507,14 @@ class TestApplyOptions:
         assert exc.value.code == "BadOption"
         assert isinstance(exc.value, ValueError)
 
-    @pytest.mark.parametrize(
-        "call, field, value",
-        [
-            (lambda: parse_fen(START_FEN, "Strict"), "validation", "Strict"),
-            (lambda: update_clocks(0, 1, Piece("R", "w"), False, "Frozen"), "clock_mode", "Frozen"),
-            (
-                lambda: derive_en_passant(
-                    ("8", "8", "8", "8", "4P3", "8", "8", "8"), Piece("P", "w"),
-                    Square.from_name("e2"), Square.from_name("e4"), "Always",
-                ),
-                "ep_mode",
-                "Always",
-            ),
-            # the mode is checked for every move, not only for a double push
-            (
-                lambda: derive_en_passant(
-                    ("8",) * 8, Piece("N", "w"), Square.from_name("g1"),
-                    Square.from_name("f3"), "bogus",
-                ),
-                "ep_mode",
-                "bogus",
-            ),
-        ],
-        ids=["parse_fen", "update_clocks", "derive_en_passant", "derive_en_passant-knight"],
-    )
-    def test_unknown_argument_rejected_where_read(self, call, field, value):
-        # each function checks the option it takes, with the
-        # message ApplyOptions gives
+    def test_unknown_argument_rejected_where_read(self):
+        # parse_fen checks the option it takes, with the message
+        # ApplyOptions gives
         with pytest.raises(BadOptionError) as exc:
-            call()
+            parse_fen(START_FEN, "Strict")
         with pytest.raises(BadOptionError) as built:
-            ApplyOptions(**{field: value})
+            ApplyOptions(validation="Strict")
         assert str(exc.value) == str(built.value)
-
-
-class TestDeriveEnPassant:
-    RANK5_PP = ("8", "8", "8", "3Pp3", "8", "8", "8", "8")
-
-    def test_black_double_push_with_neighbor(self):
-        for mode in ("always", "adjacent-only"):
-            target = derive_en_passant(
-                self.RANK5_PP,
-                Piece("P", "b"),
-                Square.from_name("e7"),
-                Square.from_name("e5"),
-                mode,
-            )
-            assert target == "e6"
-
-    def test_non_pawn(self):
-        placement = ("8", "8", "8", "8", "R7", "8", "8", "8")
-        for mode in ("always", "adjacent-only"):
-            assert (
-                derive_en_passant(
-                    placement, Piece("R", "w"), Square.from_name("a1"), Square.from_name("a4"), mode
-                )
-                == "-"
-            )
-
-    def test_lonely_double_push_mode_split(self):
-        placement = ("8", "8", "8", "8", "4P3", "8", "8", "8")
-        args = (placement, Piece("P", "w"), Square.from_name("e2"), Square.from_name("e4"))
-        assert derive_en_passant(*args, "adjacent-only") == "-"
-        assert derive_en_passant(*args, "always") == "e3"
-
-    def test_target_is_the_shared_square(self):
-        # the field's text, which is the passed square's name
-        placement = ("8", "8", "8", "8", "4P3", "8", "8", "8")
-        args = (placement, Piece("P", "w"), Square.from_name("e2"), Square.from_name("e4"))
-        assert derive_en_passant(*args, "always") == SQUARES["e3"].name == "e3"
-
-    def test_friendly_neighbor_does_not_count(self):
-        placement = ("8", "8", "8", "8", "3PP3", "8", "8", "8")
-        assert (
-            derive_en_passant(
-                placement,
-                Piece("P", "w"),
-                Square.from_name("e2"),
-                Square.from_name("e4"),
-                "adjacent-only",
-            )
-            == "-"
-        )
-
-
-class TestClocks:
-    def test_quiet_white_move(self):
-        assert update_clocks(0, 1, Piece("R", "w"), False) == (1, 1)
-
-    def test_frozen(self):
-        assert update_clocks(0, 1, Piece("R", "w"), False, "frozen") == (0, 1)
-
-    def test_black_pawn_capture(self):
-        assert update_clocks(7, 12, Piece("P", "b"), True) == (0, 13)
-
-    def test_quiet_black_move(self):
-        assert update_clocks(3, 9, Piece("N", "b"), False) == (4, 10)
 
 
 class TestPlaySequence:
@@ -692,9 +653,10 @@ class TestInvariants:
 
 class TestKernelAndPublicRules:
     """_apply states no rule of its own: each ply's trailer is what the
-    public rules give, and its text is serialize_fen of its record."""
+    rule cores give for the ply's own pieces and squares, and its text is
+    serialize_fen of its record."""
 
-    def test_every_ply_agrees_with_the_public_rules(self, fuzz_corpus):
+    def test_every_ply_agrees_with_the_rule_cores(self, fuzz_corpus):
         from fenstring.move_apply import _apply
 
         checked = dict.fromkeys(ALL_OPTIONS, 0)
@@ -716,13 +678,13 @@ class TestKernelAndPublicRules:
                 except FenstringError:
                     continue
                 checked[options] += 1
-                assert after.castling == update_castling_rights(
+                assert after.castling == _rights_after(
                     record.castling, mover, mv.from_square, mv.to_square, captured
                 )
-                assert after.en_passant is derive_en_passant(
+                assert after.en_passant is _en_passant_after(
                     after.ranks, mover, mv.from_square, mv.to_square, options.ep_mode
                 )
-                assert (after.halfmove, after.fullmove) == update_clocks(
+                assert (after.halfmove, after.fullmove) == _clocks_after(
                     record.halfmove, record.fullmove, mover, outcome.was_capture,
                     options.clock_mode,
                 )
@@ -731,16 +693,12 @@ class TestKernelAndPublicRules:
         assert min(checked.values()) > 1000, checked
 
     def test_the_kernel_calls_no_checked_wrapper(self, monkeypatch):
-        from fenstring import fen_codec, move_apply
+        from fenstring import fen_codec
 
         def wrapper_must_not_run(*args):
             raise AssertionError("a checked wrapper ran on the kernel's path")
 
-        for module, name in [(move_apply, "update_castling_rights"),
-                             (move_apply, "derive_en_passant"),
-                             (move_apply, "update_clocks"),
-                             (fen_codec, "serialize_fen")]:
-            monkeypatch.setattr(module, name, wrapper_must_not_run)
+        monkeypatch.setattr(fen_codec, "serialize_fen", wrapper_must_not_run)
         # double pushes under both ep modes, a castle, an en-passant capture
         # and a promotion
         moves = ["e2e4", "d7d5", "e4d5", "c7c5", "d5c6", "g8f6", "c6b7", "e7e5",
@@ -749,6 +707,24 @@ class TestKernelAndPublicRules:
             fens = play_sequence(START_FEN, moves, options)
             assert fens[-1].split()[:3] == ["Qnbq1rk1/p3bppp/5n2/4p3/8/5N2/PPPP1PPP/RNBQKB1R",
                                             "w", "KQ"]
+
+
+def test_trailer_stage_names_are_the_rule_cores():
+    # the benchmark's traced stages call the cores by these names; nothing
+    # in the package but __init__ names them, and they are no exports
+    from pathlib import Path
+
+    import fenstring
+
+    names = {"update_castling_rights": _rights_after, "derive_en_passant": _en_passant_after,
+             "update_clocks": _clocks_after}
+    for name, core in names.items():
+        assert getattr(fenstring, name) is core
+    assert not set(names) & set(fenstring.__all__)
+    for module in Path(fenstring.__file__).parent.glob("*.py"):
+        if module.name != "__init__.py":
+            source = module.read_text(encoding="utf-8")
+            assert not [name for name in names if name in source], module.name
 
 
 class TestRecordContract:

@@ -153,9 +153,9 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
     # the oracle reads its FEN with the string path's parser, not its own
     assert "parse_fen" in used
     # but it checks strict validation with its own rules: neither the
-    # string path's strict checks nor its clock check, and every call asks
+    # string path's strict checks nor its clock rule, and every call asks
     # parse_fen for the grammar only
-    assert not used & {"_check_en_passant_side", "_check_clocks"}
+    assert not used & {"_check_en_passant_side", "_clocks_after"}
     parses = [node for node in nodes if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Name) and node.func.id == "parse_fen"]
     assert parses and all(len(node.args) == 1 and not node.keywords for node in parses)

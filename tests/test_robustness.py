@@ -15,11 +15,9 @@ from fenstring import (
     BoardArray,
     FenRecord,
     Move,
-    Piece,
     Square,
     apply_move,
     contract_rank,
-    derive_en_passant,
     differential_fuzz,
     emit_legacy_forsyth,
     expand_rank,
@@ -34,17 +32,13 @@ from fenstring import (
     random_pseudo_move,
     segment_index,
     serialize_fen,
-    update_castling_rights,
-    update_clocks,
 )
 from fenstring.cli import main
 from fenstring.errors import (
     BadCastlingFieldError,
-    BadClockError,
     BadExpandedRankError,
     BadMoveSyntaxError,
     BadOptionError,
-    BadPieceLetterError,
     BadSegmentError,
     BadSquareError,
     FenstringError,
@@ -57,8 +51,8 @@ from fenstring.fen_codec import SQUARES
 
 from conftest import BAIRD_LEGACY, fens, legacy_ranks, segments
 
-# each entry point taking text, a square, a coordinate, a record, a piece,
-# options or an iterable, with the error it raises for a wrongly typed argument
+# each entry point taking text, a square, a coordinate, a record, options
+# or an iterable, with the error it raises for a wrongly typed argument
 _ENTRY_POINTS = {
     "parse_fen": (parse_fen, FenSyntaxError),
     "apply_move": (lambda value: apply_move(value, "e2e4"), FenSyntaxError),
@@ -75,29 +69,6 @@ _ENTRY_POINTS = {
     "play_sequence-moves": (lambda value: play_sequence(START_FEN, value), BadMoveSyntaxError),
     "piece_at": (lambda value: piece_at(value, SQUARES["e2"]), FenSyntaxError),
     "apply_move-options": (lambda value: apply_move(START_FEN, "e2e4", value), BadOptionError),
-    "update_clocks": (lambda value: update_clocks(0, 1, value, False), FenSyntaxError),
-    "update_castling_rights-mover": (
-        lambda value: update_castling_rights("KQkq", value, SQUARES["e1"], SQUARES["e2"]),
-        FenSyntaxError,
-    ),
-    "update_castling_rights-square": (
-        lambda value: update_castling_rights("KQkq", Piece("R", "w"), value, SQUARES["h2"]),
-        BadSquareError,
-    ),
-    # the rights drop a corner's right for a capture there: 42 is no capture
-    "update_castling_rights-captured": (
-        lambda value: update_castling_rights("KQkq", Piece("N", "b"), SQUARES["g3"],
-                                             SQUARES["h1"], value),
-        FenSyntaxError,
-    ),
-    "derive_en_passant-mover": (
-        lambda value: derive_en_passant(("8",) * 8, value, SQUARES["e2"], SQUARES["e4"]),
-        FenSyntaxError,
-    ),
-    "derive_en_passant-square": (
-        lambda value: derive_en_passant(("8",) * 8, Piece("P", "w"), SQUARES["e2"], value),
-        BadSquareError,
-    ),
     "serialize_fen": (serialize_fen, FenSyntaxError),
     "fen_from_board": (fen_from_board, FenSyntaxError),
 }
@@ -105,8 +76,6 @@ _VALUES = {"None": None, "bytes": START_FEN.encode(), "int": 42, "list": ["8"] *
 # these take any iterable, bytes and a list too; each item is checked where
 # it is read, as a segment or as a move
 _ITERABLE_ARGUMENTS = ("emit_legacy_forsyth", "play_sequence-moves")
-# these take None: no piece was captured
-_OPTIONAL_ARGUMENTS = ("update_castling_rights-captured",)
 
 
 @pytest.mark.parametrize("entry,value", [
@@ -114,7 +83,6 @@ _OPTIONAL_ARGUMENTS = ("update_castling_rights-captured",)
     for entry in _ENTRY_POINTS
     for name, value in _VALUES.items()
     if not (entry in _ITERABLE_ARGUMENTS and name in ("bytes", "list"))
-    and not (entry in _OPTIONAL_ARGUMENTS and name == "None")
 ])
 def test_wrongly_typed_argument_raises_typed_error(entry, value):
     call, error = _ENTRY_POINTS[entry]
@@ -136,27 +104,13 @@ def test_coordinate_of_the_wrong_type_is_out_of_range(value):
 
 _EMPTY = parse_fen("8/8/8/8/8/8/8/8 w - - 0 1")
 
-# wrongly typed arguments that a helper reads only deep in its work (rights,
-# a placement, clocks, fuzz iterations and seeds, a record's ranks), and
-# wrong values of the right type that the checked helpers refuse, each with
-# the error it raises
+# wrongly typed arguments that a helper reads only deep in its work (fuzz
+# iterations and seeds, a record's ranks), and wrong values of the right
+# type that the checked helpers refuse, each with the error it raises
 _WRONG_TYPE_CALLS = {
-    "update_castling_rights-rights": (
-        lambda: update_castling_rights(None, Piece("K", "w"), SQUARES["e1"], SQUARES["e2"]),
-        BadCastlingFieldError,
-    ),
-    "derive_en_passant-placement": (
-        lambda: derive_en_passant(None, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
-                                  "adjacent-only"),
-        FenSyntaxError,
-    ),
     # a bool is an int, but True is no coordinate: not b1
     "Square-file-bool": (lambda: Square(True, 1), BadSquareError),
     "Square-rank-bool": (lambda: Square(0, True), BadSquareError),
-    "update_clocks-halfmove": (lambda: update_clocks(None, 1, Piece("N", "w"), False),
-                               BadClockError),
-    "update_clocks-fullmove": (lambda: update_clocks(0, None, Piece("N", "b"), False),
-                               BadClockError),
     "differential_fuzz-iterations": (lambda: differential_fuzz(None, 0), BadOptionError),
     "fuzz_pairs-iterations": (lambda: list(fuzz_pairs(None, 0)), BadOptionError),
     # a negative count would check nothing and report a pass; True is no count
@@ -172,6 +126,11 @@ _WRONG_TYPE_CALLS = {
     "random_pseudo_move-seed": (lambda: random_pseudo_move(START_FEN, [1]), BadOptionError),
     "piece_at-ranks": (lambda: piece_at(FenRecord(None, "w", "-", None, 0, 1), SQUARES["e2"]),
                        FenSyntaxError),
+    # 8 valid segments, but in no order: a set cannot be indexed by rank
+    "piece_at-ranks-a-set": (
+        lambda: piece_at(_EMPTY._replace(ranks={"8", "p7", "1p6", "2p5", "3p4", "4p3", "5p2",
+                                                "6p1"}), SQUARES["e2"]),
+        FenSyntaxError),
     # a placement that is not 8 segments of the segment grammar, refused in every
     # mode, whatever the square or move, with the error parse_fen gives
     "piece_at-three-segments": (lambda: piece_at(_EMPTY._replace(ranks=("8",) * 3), SQUARES["a8"]),
@@ -180,46 +139,6 @@ _WRONG_TYPE_CALLS = {
                                               SQUARES["a8"]), RankWidthError),
     "piece_at-segment-not-text": (lambda: piece_at(_EMPTY._replace(ranks=("8",) * 7 + (8,)),
                                                    SQUARES["a8"]), BadSegmentError),
-    "derive_en_passant-placement-always": (
-        lambda: derive_en_passant(None, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"]),
-        FenSyntaxError),
-    "derive_en_passant-five-segments": (
-        lambda: derive_en_passant(("8",) * 5, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
-                                  "adjacent-only"), SegmentCountError),
-    "derive_en_passant-segment-with-a-slash": (
-        lambda: derive_en_passant(("8",) * 6 + ("4/4", "8"), Piece("N", "w"), SQUARES["g1"],
-                                  SQUARES["f3"]), BadPieceLetterError),
-    "update_castling_rights-unknown": (
-        lambda: update_castling_rights("xyz", Piece("K", "w"), SQUARES["e1"], SQUARES["e2"]),
-        BadCastlingFieldError,
-    ),
-    "update_castling_rights-order": (
-        lambda: update_castling_rights("kqKQ", Piece("N", "w"), SQUARES["g1"], SQUARES["f3"]),
-        BadCastlingFieldError,
-    ),
-    "update_clocks-float": (lambda: update_clocks(1.5, 1, Piece("N", "w"), False), BadClockError),
-    "update_clocks-bool": (lambda: update_clocks(0, True, Piece("N", "b"), False), BadClockError),
-    "update_clocks-negative": (lambda: update_clocks(-1, 1, Piece("N", "w"), False, "frozen"),
-                               BadClockError),
-    "update_clocks-fullmove-zero": (lambda: update_clocks(0, 0, Piece("N", "w"), False),
-                                    BadClockError),
-    "update_clocks-halfmove-long": (lambda: update_clocks(10**12, 1, Piece("N", "w"), False),
-                                    BadClockError),
-    "update_clocks-fullmove-long": (lambda: update_clocks(0, 10**9, Piece("N", "w"), False,
-                                                          "frozen"),
-                                    BadClockError),
-    # each clock a FEN may carry, grown by the move past what one may carry
-    "update_clocks-halfmove-grows-long": (
-        lambda: update_clocks(999999999, 1, Piece("N", "w"), False), BadClockError),
-    "update_clocks-fullmove-grows-long": (
-        lambda: update_clocks(0, 999999999, Piece("N", "b"), False), BadClockError),
-    # any true value would count as a capture, and a false one as none
-    "update_clocks-was_capture-text": (lambda: update_clocks(5, 1, Piece("N", "w"), "no"),
-                                       FenSyntaxError),
-    "update_clocks-was_capture-int": (lambda: update_clocks(5, 1, Piece("N", "w"), 42),
-                                      FenSyntaxError),
-    "update_clocks-was_capture-None": (lambda: update_clocks(5, 1, Piece("N", "w"), None),
-                                       FenSyntaxError),
     # random.Random(None) would seed from the OS: a run nobody can repeat
     "random_pseudo_move-seed-None": (lambda: random_pseudo_move(START_FEN, None), BadOptionError),
     "fuzz_pairs-seed-None": (lambda: list(fuzz_pairs(10, None)), BadOptionError),
@@ -255,9 +174,6 @@ _BASE_ARGUMENTS = {
     "apply_move": (START_FEN, "e2e4", ApplyOptions()),
     "board_from_fen": (START_FEN,),
     "contract_rank": ("11111R1k",),
-    # a double push under adjacent-only reads the placement
-    "derive_en_passant": (("8",) * 8, Piece("P", "w"), SQUARES["e2"], SQUARES["e4"],
-                          "adjacent-only"),
     "differential_fuzz": (3, 0, ApplyOptions()),
     "emit_legacy_forsyth": (("8",) * 8,),
     "expand_rank": ("1b3RN1",),
@@ -273,10 +189,6 @@ _BASE_ARGUMENTS = {
     "random_pseudo_move": (START_FEN, 0),
     "segment_index": (8,),
     "serialize_fen": (parse_fen(START_FEN),),
-    # a king move drops rights
-    "update_castling_rights": ("KQkq", Piece("K", "w"), SQUARES["e1"], SQUARES["e2"], None),
-    # a black non-pawn move counts both clocks
-    "update_clocks": (3, 1, Piece("N", "b"), False, "standard"),
 }
 
 

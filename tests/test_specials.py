@@ -1,10 +1,10 @@
 """The special-move corpus: every en-passant capture, double push, castle,
-castle-shaped king move, promotion and move across a row's end, on
-near-empty boards, listed instead of sampled. Each entry is (fen, move,
-expected, push): ``expected`` is the special the string path names, or the
-error code both paths raise, under lenient validation; ``push`` is a double
-push's passed square and whether an enemy pawn stands beside its landing
-square, or None. Every entry runs under all 8 option combinations, and the
+castle-shaped king move, promotion, move across a row's end and capture
+onto a corner, on near-empty boards, listed instead of sampled. Each entry
+is (fen, move, expected, push): ``expected`` is the special the string
+path names, or the error code both paths raise, under lenient validation;
+``push`` is a double push's passed square and whether an enemy pawn stands
+beside its landing square, or None. Every entry runs under all 8 option combinations, and the
 string path and the oracle must give the same FEN or the same error code."""
 
 from collections import Counter
@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from fenstring import contract_rank
+from fenstring import Square, contract_rank, parse_fen, piece_at
 
 from conftest import ALL_OPTIONS, both_paths
 
@@ -188,6 +188,23 @@ def _row_end_moves():
                        "promotion" if promotes else None, None)
 
 
+# each corner, the right it hosts, and the squares a rook and a knight
+# capture onto it from, neither of them a corner
+CORNERS = (("a1", "Q", "a4", "b3"), ("h1", "K", "h4", "g3"),
+           ("a8", "q", "a5", "b6"), ("h8", "k", "h5", "g6"))
+
+
+def _corner_captures():
+    """Every capture onto a corner, by a rook and by a knight of either
+    colour, of an enemy rook or knight, under each of the 16 castling
+    fields: the corner's right goes, whatever took what, and no other."""
+    for (corner, _, rook_from, knight_from), side, rights in product(CORNERS, "wb", RIGHTS):
+        for (mover, origin), taken in product((("R", rook_from), ("N", knight_from)), "rn"):
+            pair = mover + taken if side == "w" else (mover + taken).swapcase()
+            pieces = {"e1": "K", "e8": "k", origin: pair[0], corner: pair[1]}
+            yield _fen(pieces, side, rights), origin + corner, None, None
+
+
 CORPUS = {
     "en-passant": tuple(_en_passant()),
     "double-push": tuple(_double_pushes()),
@@ -196,6 +213,7 @@ CORPUS = {
     "king-two-file": tuple(_king_two_file_moves()),
     "promotion": tuple(_promotions()),
     "row-end": tuple(_row_end_moves()),
+    "corner": tuple(_corner_captures()),
 }
 
 # family -> its number of entries, and the errors it meets under strict
@@ -211,6 +229,7 @@ COUNTS = {
     "king-two-file": (2 * 2 * 12 * 2, {"FriendlyCapture": 8}, {"FriendlyCapture": 8}),
     "promotion": (2 * 22 * 5 + 16, {}, {}),
     "row-end": (14 * 2 * 12 * 3, *[{"Validation": 192, "FriendlyCapture": 272}] * 2),
+    "corner": (4 * 2 * 2 * 2 * 16, {}, {}),
 }
 
 
@@ -233,3 +252,18 @@ def test_both_paths_agree_on_every_entry(family, options):
             met[string] += 1
     index = ("always", "adjacent-only").index(options.ep_mode)
     assert met == (strict_errors[index] if options.validation == "strict" else {})
+
+
+# a failure names the corner and whether a rook or a knight stood on it
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+@pytest.mark.parametrize("taken", "rn")
+@pytest.mark.parametrize("corner, right", [corner[:2] for corner in CORNERS])
+def test_a_capture_on_a_corner_drops_its_right_alone(corner, right, taken, options):
+    square = Square.from_name(corner)
+    cases = [(fen, move) for fen, move, _, _ in CORPUS["corner"] if move[2:] == corner
+             and piece_at(parse_fen(fen), square).kind == taken.upper()]
+    assert len(cases) == 2 * 2 * 16
+    for fen, move in cases:
+        expected = fen.split()[2].replace(right, "") or "-"
+        string, _, array = both_paths(fen, move, options)
+        assert string.split()[2] == array.split()[2] == expected, (fen, move)
