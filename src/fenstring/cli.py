@@ -21,6 +21,9 @@ from .fen_codec import (
 )
 from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
 
+# `bench` times the workload in this many batches, each on both paths
+BENCH_BATCHES = 10
+
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
@@ -151,27 +154,38 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from statistics import median
+
     from .fuzzing import fuzz_pairs
     from .oracle import oracle_apply
 
     options = _options_from(args)
     workload = list(fuzz_pairs(args.iterations, args.seed, options))
-
-    start = time.perf_counter()
-    for fen, move in workload:
-        apply_move(fen, move, options)
-    string_secs = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for fen, move in workload:
-        oracle_apply(fen, move, options)
-    array_secs = time.perf_counter() - start
-
     n = len(workload)
+    size = -(-n // BENCH_BATCHES)
+
+    def timed(apply, batch):
+        start = time.perf_counter()
+        for fen, move in batch:
+            apply(fen, move, options)
+        return time.perf_counter() - start
+
+    # each batch runs on both paths, in turn string or array first, so that
+    # neither path always meets the caches the other one warmed
+    string_times, array_times = [], []
+    paths = [(string_times, apply_move), (array_times, oracle_apply)]
+    for i in range(0, n, size):
+        for times, apply in paths:
+            times.append(timed(apply, workload[i:i + size]))
+        paths.reverse()
+    string_secs, array_secs = sum(string_times), sum(array_times)
+    ratio = median(s / a for s, a in zip(string_times, array_times))
+
     print(f"iterations: {n}")
     print(f"string path: {n / string_secs:12.1f} ops/s  ({string_secs:.3f} s)")
     print(f"array path:  {n / array_secs:12.1f} ops/s  ({array_secs:.3f} s)")
-    print(f"ratio (array/string throughput): {string_secs / array_secs:.3f}")
+    print(f"ratio (array/string throughput): {ratio:.3f}, "
+          f"median of {len(string_times)} alternated batches")
     return EXIT_OK
 
 

@@ -32,6 +32,14 @@ rejects does the per-segment checker run, on the first segment the table
 refuses and only on it, to name the error; both accept the same segments,
 so the error class, message and precedence are the checker's.
 
+parse_fen reads each trailer field the same way, with one lookup: the
+castling field in the table of its 65 valid spellings, and each clock in
+a table built at import of the canonical texts "0" to "999". Only a field
+a table does not hold reaches its checker, parse_castling or
+_parse_clock: for a castling field that names the error, and for a clock
+it also reads what the table leaves out, a zero-padded or 4 to 9 digit
+clock; so values, error classes and messages are the checkers'.
+
 A FenRecord is an immutable named tuple, built with tuple.__new__ once per
 parse and once per applied move; serialize_fen checks that it is given one and
 writes the canonical text of what its fields parse to, and its unchecked
@@ -87,6 +95,10 @@ _RUN_CONTRACTIONS = tuple((run, digit) for digit, run in reversed(_RUN_EXPANSION
 _PIECE_MARK = "x"
 _SHAPE_BYTES = bytes.maketrans((PIECE_LETTERS + _PIECE_MARK).encode(),
                                (_PIECE_MARK * 12 + "?").encode())
+
+# every canonical clock text "0".."999" -> its value: parse_fen reads both
+# clocks of almost every FEN with one lookup each; _parse_clock reads the rest
+_CLOCKS = {str(n): n for n in range(1000)}
 
 # every value each option may take; code that branches on one checks it there
 _OPTION_VALUES = {
@@ -419,6 +431,11 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     the left, width last; side, castling, the en-passant name, its rank;
     halfmove, then fullmove; the validation value, and under strict
     validation the kings, edge-row pawns, then the en-passant rank.
+
+    The castling and en-passant fields and the clocks are each read with
+    one lookup, the clocks in a table of "0" to "999"; a field a table
+    does not hold goes to its checker, which names the error or, for a
+    zero-padded or longer clock, reads it.
     """
     if not isinstance(text, str):
         raise FenSyntaxError(f"a FEN must be text, got {type(text).__name__}")
@@ -430,7 +447,8 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     segments = placement.split("/")
     if len(segments) != 8:
         raise SegmentCountError(f"expected 8 rank segments, got {len(segments)}")
-    shapes = _shape(placement).split(b"/")
+    # _shape inline: one Python call less on every parse
+    shapes = placement.encode("ascii", "replace").translate(_SHAPE_BYTES).split(b"/")
     if not _SHAPES.issuperset(shapes):
         # the bulk check only tells that the placement is bad; its first refused segment says why
         for segment, shape in zip(segments, shapes):
@@ -440,20 +458,22 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     if side not in (WHITE, BLACK):
         raise BadSideCharError(f"side field must be 'w' or 'b', got {side!r}")
 
-    castling = parse_castling(castling_field)
+    # a field its table or set does not hold goes to its checker, which
+    # names the error, or reads a clock the table leaves out
+    castling = _CASTLING_FIELDS.get(castling_field) or parse_castling(castling_field)
 
     if ep_field not in _EN_PASSANT_FIELDS:
-        _en_passant_field(ep_field)  # the set only tells that the field is bad; this names why
+        _en_passant_field(ep_field)
+
+    halfmove = _CLOCKS.get(halfmove_field)
+    if halfmove is None:
+        halfmove = _parse_clock(halfmove_field, 0, "halfmove clock")
+    # a fullmove of 0 is in the table, below the fullmove minimum: the checker refuses it
+    fullmove = _CLOCKS.get(fullmove_field) or _parse_clock(fullmove_field, 1, "fullmove number")
 
     # tuple.__new__, not FenRecord(...): the generated __new__ is one more Python call
-    record = tuple.__new__(FenRecord, (
-        tuple(segments),
-        side,
-        castling,
-        ep_field,
-        _parse_clock(halfmove_field, 0, "halfmove clock"),
-        _parse_clock(fullmove_field, 1, "fullmove number"),
-    ))
+    record = tuple.__new__(FenRecord,
+                           (tuple(segments), side, castling, ep_field, halfmove, fullmove))
     if validation != "lenient":
         _check_option("validation", validation)
         for king in "Kk":

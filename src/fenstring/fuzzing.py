@@ -14,7 +14,7 @@ from .oracle import oracle_apply
 
 # slot i of the 64-slot placement (a8 first, h1 last) -> its square
 _SLOT_SQUARES = tuple(SQUARES[f + r] for r in "87654321" for f in "abcdefgh")
-# the side to move's piece letters each read as '*', which str.find then locates
+# the side to move's piece letters each read as '*', which str.count and str.split then locate
 _OWN_MARKS = {WHITE: str.maketrans("KQRBNP", "******"), BLACK: str.maketrans("kqrbnp", "******")}
 
 
@@ -61,16 +61,15 @@ def _pseudo_move(record: FenRecord, getrandbits) -> str:
     the ``getrandbits`` of a generator seeded for this draw."""
     slots = expand_runs("".join(record.ranks))
     marked = slots.translate(_OWN_MARKS[record.side])
-    origins = []
-    i = marked.find("*")
-    while i >= 0:
-        origins.append(i)
-        i = marked.find("*", i + 1)
+    # the origins are the marks, a8 first; the r-th is found when it is
+    # drawn, as 63 less the length of the text after it, so none is listed
+    origins = marked.count("*")
     if not origins:
         raise NoPiecesError(f"side {record.side!r} has no pieces")
 
     while True:
-        from_i = origins[_below(getrandbits, len(origins))]  # choice(origins)
+        # the origin choice() of the listed origins gives for the same draw
+        from_i = 63 - len(marked.split("*", _below(getrandbits, origins) + 1)[-1])
         to_i = _below(getrandbits, 64)  # randrange(64)
         if to_i == from_i:
             continue

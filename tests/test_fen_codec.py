@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +146,56 @@ class TestParse:
     def test_nine_digit_clocks(self):
         fen = "8/8/8/8/8/8/8/8 w - - 999999999 999999999"
         assert serialize_fen(parse_fen(fen)) == fen
+
+
+def _read(call, *args):
+    """What ``call`` gives: its value, or its error's class, code and message."""
+    try:
+        return call(*args)
+    except FenSyntaxError as exc:
+        return type(exc), exc.code, str(exc)
+
+
+# every clock text parse_fen's table holds, one past it, and text the
+# table must leave to the checker: zero-padded, long, and digits or signs
+# that str.isdigit() or int() read but the clock grammar refuses
+_CLOCK_TEXTS = [str(n) for n in range(1001)] + [
+    "00", "007", "0000000001", "999999999", "1000000000", "٣", "²", "+1", "1_0",
+]
+
+
+class TestTrailerTables:
+    """parse_fen reads the castling field and the clocks through tables built
+    at import, and calls the checkers only on a miss: every field must read as
+    the checker reads it, so the tables cannot drift from the grammar."""
+
+    @pytest.mark.parametrize("validation", ["lenient", "strict"])
+    @pytest.mark.parametrize("field", ["halfmove", "fullmove"])
+    def test_every_clock_text_reads_as_its_checker_reads_it(self, field, validation):
+        minimum, what = (0, "halfmove clock") if field == "halfmove" else (1, "fullmove number")
+        for text in _CLOCK_TEXTS:
+            clocks = f"{text} 1" if field == "halfmove" else f"0 {text}"
+            read = _read(parse_fen, f"4k3/8/8/8/8/8/8/4K3 w - - {clocks}", validation)
+            expected = _read(fen_codec._parse_clock, text, minimum, what)
+            if not isinstance(expected, tuple):
+                assert getattr(read, field) == expected, text
+            else:
+                assert read == expected, text
+
+    @pytest.mark.parametrize("validation", ["lenient", "strict"])
+    def test_every_castling_field_reads_as_its_checker_reads_it(self, validation):
+        valid = ["".join(order) for n in range(5) for rights in combinations("KQkq", n)
+                 for order in permutations(rights or "-")]
+        assert len(valid) == len(set(valid)) == 65
+        bad = ["KK", "KQkqK", "Kx", "--", "-K", "K-", "kqQKk", "KQkq-", "x", "KQQ", "ｋ", "Ｋ",
+               "Kéq", "KQkqKQkq"]
+        for field in valid + bad:
+            read = _read(parse_fen, f"4k3/8/8/8/8/8/8/4K3 w {field} - 0 1", validation)
+            expected = _read(parse_castling, field)
+            if not isinstance(expected, tuple):
+                assert read.castling == expected, field
+            else:
+                assert read == expected, field
 
 
 class TestSerialize:
