@@ -17,10 +17,11 @@ its core, and each special-move shape once, in _CASTLES or _PASSED.
 _read_move reads every move argument, text or a Move, into its squares
 and promotion kind; only parse_move builds a Move. Text is read with no
 regular expression: two slices looked up among the square names, and the
-rest among the nine promotion suffixes. A result is checked only for what
-a ply can break: its clocks, which only standard mode grows, and, under
-strict validation, whether it captured a king, whether a castle's rook or
-an en-passant capture wrote over an own piece, and its en-passant square.
+rest among the nine promotion suffixes; each exact str text is read once,
+into a table filled on first use. A result is checked only for what a ply
+can break: its clocks, which only standard mode grows, and, under strict
+validation, whether it captured a king, whether a castle's rook or an
+en-passant capture wrote over an own piece, and its en-passant square.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ _PROMOTION_KINDS = ("Q", "R", "B", "N")
 # the text after a move's two squares -> its promotion kind: none, or one letter in either case
 _PROMOTION_SUFFIXES = {"": None, **{letter: kind for kind in _PROMOTION_KINDS
                                      for letter in (kind, kind.lower())}}
+# exact move text -> its read, filled by _read_move
+_MOVE_READS = {}
 _CLOCK_LIMIT = 10**MAX_DIGITS
 
 # king color -> the two rights it holds
@@ -155,7 +158,14 @@ def _null_move_error(name: str) -> BadMoveSyntaxError:
 
 def _read_move(move):
     """The one reader of a move argument, text or a Move: (origin,
-    destination, promotion kind or None); anything else is bad move syntax."""
+    destination, promotion kind or None); anything else is bad move syntax.
+    Exact str text is read on first use, into _MOVE_READS, which keeps only
+    successful reads: at most the 72,576 valid texts (with or without '-'),
+    ~10 MB if every one is read. A str subclass is read every time."""
+    if type(move) is str:
+        read = _MOVE_READS.get(move)
+        if read is not None:
+            return read
     if isinstance(move, str):
         # square, optional '-', square, optional suffix: a '-' is never
         # part of a square name, so a dashed move misses the first reading
@@ -169,7 +179,10 @@ def _read_move(move):
             raise BadMoveSyntaxError(f"bad move syntax: {move!r}")
         if from_sq is to_sq:
             raise _null_move_error(from_sq.name)
-        return from_sq, to_sq, _PROMOTION_SUFFIXES[suffix]
+        read = from_sq, to_sq, _PROMOTION_SUFFIXES[suffix]
+        if type(move) is str:
+            _MOVE_READS[move] = read
+        return read
     if isinstance(move, Move):
         return move
     raise BadMoveSyntaxError(f"a move must be text or a Move, got {type(move).__name__}")

@@ -17,12 +17,13 @@ logic (castling, en passant, promotion, rights, clocks) is intentionally
 written out again here instead of calling the string-path helpers, so the
 two implementations share no placement code and can check each other. The
 oracle reads a FEN with parse_fen and a move with _read_move, as the
-string path does, but every call asks parse_fen for the grammar only: the
-strict rules are the oracle's own. board_from_fen takes a FEN only, and
-under strict validation oracle_apply's _check_strict checks the parsed
-input's segments before the mailbox is built and the result's text, edge
-rows aside, before it is contracted, so a strict call parses one FEN, not
-two; a result's clocks are checked in every mode.
+string path does, and so shares its table of move texts. Every call asks
+parse_fen for the grammar only: the strict rules are the oracle's own.
+board_from_fen takes a FEN only, and under strict validation
+oracle_apply's _check_strict checks the parsed input's segments before
+the mailbox is built and the result's text, edge rows aside, before it
+is contracted, so a strict call parses one FEN, not two; a result's
+clocks are checked in every mode.
 """
 
 from __future__ import annotations

@@ -23,9 +23,10 @@ HELD_OUT = [111, 112]
 JITTER = [0.0, 0.012, -0.008, 0.005, -0.011, 0.009, -0.004, 0.002, -0.006, 0.010, -0.002, 0.007]
 
 
-def record(workload, seed, scale=None, failed=0):
+def record(workload, seed, scale=None, failed=0, package=None):
     """A run record as perfbench/run.py --trace 0 writes it; ``scale`` maps a
-    metric to the factor its base value is multiplied by."""
+    metric to the factor its base value is multiplied by, and ``package`` is
+    the package hash, or None for a record without one."""
     jitter = 1 + JITTER[(seed - SEEDS[0]) % len(JITTER)]
     values = {name: value * jitter * (scale or {}).get(name, 1) for name, value in BASE.items()}
     return {
@@ -36,14 +37,15 @@ def record(workload, seed, scale=None, failed=0):
                     for name, value in values.items()},
         "environment": {"workload": workload, "seed": seed, "seconds": 15.0, "nproc": 2,
                         "cpu_model": "Test CPU", "python": "3.11.7",
-                        "python_implementation": "CPython", "package_commit": "abc1234"},
+                        "python_implementation": "CPython", "package_commit": "abc1234",
+                        **({} if package is None else {"package_sha256": package})},
     }
 
 
-def records(workload="point", scales=None, seeds=SEEDS):
+def records(workload="point", scales=None, seeds=SEEDS, package=None):
     """{(workload, seed): record}; ``scales`` gives each seed's scale, or one for all."""
     return {(workload, seed): record(workload, seed,
-                                     scales(seed) if callable(scales) else scales)
+                                     scales(seed) if callable(scales) else scales, package=package)
             for seed in seeds}
 
 
@@ -139,17 +141,53 @@ def test_bench_32_summaries_are_reproduced_from_their_own_runs():
         assert benchcmp.judge_claim(point, aa, metric, higher)["holds"], metric
 
 
-def test_main_writes_bench_json_in_bench_32_s_layout(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(benchcmp, "ROOT", tmp_path)  # where BENCH_<pr>.json goes
+def test_records_without_a_package_hash_are_compared_unchecked():
+    result = compare(records(scales=gain(1.05)), records())
+    assert result["packages"] == {"parent": None, "change": None, "parent2": None}
+    assert result["claim"]["holds"]
+
+
+@pytest.mark.parametrize("parent, change, aa, refusal", [
+    ("p", {**records(package="c"), ("point", 105): record("point", 105, package="c2")},
+     "p", "the change records ran 2 different packages"),
+    ("p", "c", {**records(package="p"), ("point", 107): record("point", 107)},
+     "the A/A records ran 2 different packages"),
+    ("p", "c", "c", "the A/A records ran another package than the parent's"),
+    ("p", "p", "p", "the change records ran the parent's package"),
+    ("p", None, "p", "the change records name no package, the others do"),
+    (None, "c", "p", "the parent records name no package, the others do"),
+    ("p", "c", None, "the A/A records name no package, the others do"),
+    (None, None, "p", "the parent and change records name no package, the others do"),
+    ("p", None, {}, "the change records name no package, the others do"),
+], ids=["change-mixed", "aa-mixed", "aa-not-the-parent", "change-is-the-parent",
+        "change-unnamed", "parent-unnamed", "aa-unnamed", "only-aa-named", "no-aa-change-unnamed"])
+def test_a_side_that_ran_other_code_than_its_label_is_refused(parent, change, aa, refusal):
+    """A side given as a hash or None stands for point records naming that package."""
+    sides = [side if isinstance(side, dict) else records(package=side)
+             for side in (parent, change, aa)]
+    with pytest.raises(benchcmp.RecordError, match=refusal):
+        benchcmp.compare(*sides, METRICS)
+
+
+def _record_dirs(tmp_path, sides):
+    """{side: directory} with each side's records written as perfbench/run.py names them."""
     dirs = {}
-    for side, sets in (("parent", [records(), records("fuzz")]),
-                       ("change", [records(scales=gain(1.05)), records("fuzz")]),
-                       ("aa", [records(), records("fuzz")])):
+    for side, sets in sides.items():
         dirs[side] = tmp_path / side
         dirs[side].mkdir()
         for one in sets:
             for (workload, seed), run in one.items():
                 (dirs[side] / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(run))
+    return dirs
+
+
+def test_main_writes_bench_json_in_bench_32_s_layout(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(benchcmp, "ROOT", tmp_path)  # where BENCH_<pr>.json goes
+    dirs = _record_dirs(tmp_path, {
+        "parent": [records(package="p"), records("fuzz", package="p")],
+        "change": [records(scales=gain(1.05), package="c"), records("fuzz", package="c")],
+        "aa": [records(package="p"), records("fuzz", package="p")],
+    })
     status = benchcmp.main([
         "--parent", str(dirs["parent"]), "--change", str(dirs["change"]), "--aa", str(dirs["aa"]),
         "--claim", "point:throughput_ops_s", "--held-out", "111", "112", "--pr", "99",
@@ -169,7 +207,17 @@ def test_main_writes_bench_json_in_bench_32_s_layout(tmp_path, capsys, monkeypat
     assert written["point"]["summary"].keys() == bench_32["point"]["summary"].keys()
     assert written["point"]["runs"][0].keys() == bench_32["point"]["runs"][0].keys()
     assert set(written["other_workloads"]) == {"fuzz"}
+    assert written["package_sha256"] == {"parent": "p", "change": "c", "parent2": "p"}
     assert written["verdict"]["passed"] is True
+
+
+def test_main_refuses_a_change_that_ran_the_parent_s_package(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(benchcmp, "ROOT", tmp_path)
+    dirs = _record_dirs(tmp_path, {side: [records(package="p")] for side in ("parent", "change")})
+    assert benchcmp.main(["--parent", str(dirs["parent"]), "--change", str(dirs["change"]),
+                          "--pr", "99"]) == 2
+    assert "the change records ran the parent's package" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_99.json").exists()
 
 
 def test_main_refuses_an_empty_directory(tmp_path, capsys):

@@ -460,11 +460,15 @@ import fenstring
 
 # the package alone uses no regular expression; the CLI's argparse loads re
 assert "re" not in sys.modules
+# the move table is filled on first use, not at import
+assert fenstring.move_apply._MOVE_READS == {}
 
 from fenstring import cli
 
 start, moves, not_for_play = sys.argv[1], sys.argv[2], sys.argv[3].split()
 assert cli.main(["play", start, moves]) == 0
+with open(moves) as game:
+    assert set(fenstring.move_apply._MOVE_READS) == set(game.read().split())
 print("loaded:", " ".join(sorted(set(not_for_play) & set(sys.modules))))
 
 from fenstring import oracle
@@ -479,10 +483,11 @@ assert not {"typing", "dataclasses", "inspect"} & set(sys.modules)
 
 def test_play_process_loads_only_the_string_path(tmp_path):
     moves = tmp_path / "game.moves"
-    moves.write_text("e2e4\ne7e5\ng1f3\n")
+    # 7 plies of 6 distinct texts: the knight's dashed move is played twice
+    moves.write_text("e2e4\ne7e5\ng1-f3\nb8c6\nf3g1\nc6b8\ng1-f3\n")
     code, stdout, stderr = _python("-c", _PLAY_IMPORTS, START_FEN, str(moves),
                                    " ".join(_NOT_FOR_PLAY))
     assert code == 0, stderr
     *fens, loaded = stdout.splitlines()
-    assert len(fens) == 3
+    assert len(fens) == 7
     assert loaded == "loaded: "

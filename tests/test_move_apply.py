@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,9 @@ from fenstring import (
     serialize_fen,
     START_FEN,
 )
+from fenstring import move_apply
 from fenstring.fen_codec import SQUARES
-from fenstring.move_apply import _clocks_after, _en_passant_after, _rights_after
+from fenstring.move_apply import _clocks_after, _en_passant_after, _read_move, _rights_after
 from fenstring.errors import (
     BadOptionError,
     BadClockError,
@@ -166,8 +169,13 @@ def test_string_move_matches_parsed_move(text):
 def test_parse_move_reads_exactly_the_move_grammar(text):
     """parse_move against the reference grammar in conftest: it accepts
     exactly the text the grammar matches whole, except the null move; a
-    rejection is bad move syntax, and both apply paths give its code."""
+    rejection is bad move syntax, and both apply paths give its code. The
+    text is read with the move table emptied and then warm: both reads give
+    the same Move, or the same error and message."""
     match = MOVE_GRAMMAR.fullmatch(text)
+    with mock.patch.object(move_apply, "_MOVE_READS", {}):
+        first = _result(parse_move, text)
+        assert _result(parse_move, text) == first
     try:
         move = parse_move(text)
     except FenstringError as exc:
@@ -186,6 +194,31 @@ def test_parse_move_reads_exactly_the_move_grammar(text):
     for fen in STRING_MOVE_FENS:
         string, _, array = both_paths(fen, text)
         assert string == array != "BadMoveSyntax"
+
+
+class _Text(str):
+    """Move text of a str subclass, which the reader reads every time."""
+
+
+def test_the_move_table_holds_only_successful_reads_of_exact_text():
+    with mock.patch.object(move_apply, "_MOVE_READS", {}) as table:
+        # refused text, a null move, a Move and a str subclass store nothing
+        castle = Move(SQUARES["e1"], SQUARES["g1"])
+        for move in ("e2e9", "e2xe4", "e2e4 ", "e2e2", "e2-e2", castle, _Text("e2e4"), b"e2e4"):
+            for entry in (parse_move, _read_move):
+                _result(entry, move)
+            for fen in STRING_MOVE_FENS:
+                both_paths(fen, move)
+            assert table == {}, move
+        play_sequence(START_FEN, RUY_LOPEZ)
+        # a read that succeeds is stored, though the ply then fails
+        both_paths(START_FEN, "e7e8q")
+        both_paths(START_FEN, "e2-e4")
+        reads = dict(table)
+    assert set(reads) == {*RUY_LOPEZ, "e7e8q", "e2-e4"}
+    for text, read in reads.items():
+        with mock.patch.object(move_apply, "_MOVE_READS", {}):
+            assert _read_move(text) == read == tuple(parse_move(text))
 
 
 def _ply(fen, move, options, after, special=None, **fields):

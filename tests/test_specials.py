@@ -12,7 +12,8 @@ from itertools import product
 
 import pytest
 
-from fenstring import Square, contract_rank, parse_fen, piece_at
+from fenstring import Square, apply_move, contract_rank, oracle_apply, parse_fen, piece_at
+from fenstring.errors import FenstringError
 
 from conftest import ALL_OPTIONS, both_paths
 
@@ -267,3 +268,40 @@ def test_a_capture_on_a_corner_drops_its_right_alone(corner, right, taken, optio
         expected = fen.split()[2].replace(right, "") or "-"
         string, _, array = both_paths(fen, move, options)
         assert string.split()[2] == array.split()[2] == expected, (fen, move)
+
+
+# the families that hold castles and en-passant captures; their specials by
+# kind under each validation, strict refusing the 42 castles and the 28
+# captures that write over an own piece; and the segments each kind touches
+LOCAL_FAMILIES = ("castle", "castle-rights", "king-two-file", "en-passant")
+LOCAL_COUNTS = {
+    "lenient": {"castle-kingside": 54, "castle-queenside": 90, "en-passant-capture": 148},
+    "strict": {"castle-kingside": 44, "castle-queenside": 60, "en-passant-capture": 120},
+}
+SEGMENTS_TOUCHED = {"castle-kingside": 1, "castle-queenside": 1, "en-passant-capture": 2}
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+def test_a_castle_or_en_passant_capture_rewrites_only_the_segments_it_touches(options):
+    """The paper's locality for the specials that test_07 skips: a castle
+    touches one segment and an en-passant capture two. Each of them is
+    rewritten, and every other segment is byte-identical to the input's, in
+    the string path's FEN and the oracle's alike."""
+    met = Counter()
+    for family in LOCAL_FAMILIES:
+        for fen, move, _, _ in CORPUS[family]:
+            try:
+                outcome = apply_move(fen, move, options)
+            except FenstringError:
+                continue
+            if outcome.special not in SEGMENTS_TOUCHED:
+                continue
+            met[outcome.special] += 1
+            touched = outcome.segments_touched
+            assert len(touched) == SEGMENTS_TOUCHED[outcome.special], (fen, move)
+            before = fen.split()[0].split("/")
+            for after in (outcome.fen_after, oracle_apply(fen, move, options)):
+                rows = after.split()[0].split("/")
+                for i in range(8):
+                    assert (rows[i] == before[i]) is (i not in touched), (fen, move, after, i)
+    assert met == LOCAL_COUNTS[options.validation]

@@ -31,6 +31,12 @@ metric's bound. It then judges:
   When the parent's IQR is wider than the bound, the metric is
   unresolved, unless every change run is better than every parent run.
 
+Each record names the package it ran by `environment.package_sha256`, a
+hash of the checkout's `src/fenstring/*.py`. The records of one side must
+name one package, the A/A side the parent's and the change another. Records
+are compared unchecked only when no record on any side has the hash. Each
+side's hash is written into BENCH_<pr>.json.
+
 Exit status: 0 when the claim holds (or none is made), every metric is
 within its bound and every output was correct; 1 otherwise; 2 on bad
 arguments or records.
@@ -68,6 +74,34 @@ def load_records(directory) -> dict:
     if not records:
         raise RecordError(f"no run records (*-trace0.json) in {directory}")
     return records
+
+
+def package_of(records: dict, side: str):
+    """The package_sha256 that every one of ``side``'s records names, or None
+    when none names one."""
+    hashes = {record["environment"].get("package_sha256") for record in records.values()}
+    if len(hashes) > 1:
+        raise RecordError(f"the {side} records ran {len(hashes)} different packages")
+    return hashes.pop()
+
+
+def check_packages(parent: dict, change: dict, aa: dict) -> dict:
+    """{side: package_sha256 or None}, once each side has run the code it is
+    labelled with: the A/A side the parent's package, the change another."""
+    packages = {"parent": package_of(parent, "parent"), "change": package_of(change, "change")}
+    if aa:
+        packages["parent2"] = package_of(aa, "A/A")
+    unnamed = [side for side, package in packages.items() if package is None]
+    if len(unnamed) == len(packages):
+        return packages
+    if unnamed:
+        names = " and ".join("A/A" if side == "parent2" else side for side in unnamed)
+        raise RecordError(f"the {names} records name no package, the others do")
+    if packages.get("parent2", packages["parent"]) != packages["parent"]:
+        raise RecordError("the A/A records ran another package than the parent's")
+    if packages["change"] == packages["parent"]:
+        raise RecordError("the change records ran the parent's package")
+    return packages
 
 
 def quartiles(values) -> tuple:
@@ -203,9 +237,11 @@ def compare(parent: dict, change: dict, aa: dict, metrics: dict, claim=None,
             held_out=()) -> dict:
     """Pair the record sets, summarize each workload and judge the change.
 
-    ``claim`` is (workload, metric) or None. Returns {"blocks": {workload:
-    block}, "aa_blocks": {workload: block}, "claim": verdict or None,
-    "bounds": {workload: statuses}, "passed": bool}."""
+    ``claim`` is (workload, metric) or None. Returns {"packages": {side:
+    package_sha256}, "blocks": {workload: block}, "aa_blocks": {workload:
+    block}, "claim": verdict or None, "bounds": {workload: statuses},
+    "passed": bool}."""
+    packages = check_packages(parent, change, aa)
     workloads = sorted({wl for wl, _ in parent})
     blocks, aa_blocks = {}, {}
     for wl in workloads:
@@ -228,8 +264,8 @@ def compare(parent: dict, change: dict, aa: dict, metrics: dict, claim=None,
         and all(block["correct"] and not any(block["failed"].values())
                 for block in blocks.values())
     )
-    return {"blocks": blocks, "aa_blocks": aa_blocks, "claim": verdict, "bounds": bounds,
-            "passed": passed}
+    return {"packages": packages, "blocks": blocks, "aa_blocks": aa_blocks, "claim": verdict,
+            "bounds": bounds, "passed": passed}
 
 
 def _table(block: dict, a: str, b: str, statuses=None) -> list:
@@ -283,6 +319,7 @@ def bench_file(result: dict, command, env: dict, change: str) -> dict:
                                        "--seconds <seconds> --trace 0",
         "parent": env.get("package_commit"),
         "change": change,
+        "package_sha256": result["packages"],
         "claimed_metric": f"{claim['metric']} on {claim['workload']}" if claim else None,
         "order": ORDER,
         "machine": f"{env['nproc']} vCPU {env['cpu_model']}, {env['python_implementation']} "
