@@ -322,12 +322,14 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
     ))
     if options.validation == "strict":
         # no edge rows: a strict input has no pawn there, and one that arrives must promote
-        for king in "Kk":
-            if king == target_letter or king == erased:
-                raise ValidationError(f"expected exactly one {king!r}, found 0")
+        if target_letter in "Kk" or erased in "Kk":
+            for king in "Kk":
+                if king == target_letter or king == erased:
+                    raise ValidationError(f"expected exactly one {king!r}, found 0")
         if erased != "1" and _PIECES[erased].color == side:
             raise FriendlyCaptureError(f"own piece on {erased_at.name}")
-        _check_en_passant_side(after.side, after.en_passant)
+        if after.en_passant != "-":
+            _check_en_passant_side(after.side, after.en_passant)
 
     return after, tuple.__new__(
         ApplyOutcome, (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)

@@ -154,8 +154,8 @@ FEN_GRAMMAR = re.compile(
 def reference_fen(text, validation="lenient"):
     """The canonical text of a FEN by the reference grammar (single spaces,
     castling in "KQkq" order, clocks as integers), or None when the grammar
-    refuses it; "strict" also requires one king a side, no pawn on ranks 1
-    and 8, and an en-passant square on the side to move's sixth rank."""
+    refuses it; "strict" also requires that reference_strict_message names
+    no broken rule."""
     match = FEN_GRAMMAR.fullmatch(text)
     if match is None:
         return None
@@ -165,14 +165,53 @@ def reference_fen(text, validation="lenient"):
         return None
     if len(set(castling)) != len(castling) or int(fullmove) < 1:
         return None
-    if validation == "strict" and not (
-        placement.count("K") == placement.count("k") == 1
-        and not set("Pp") & set(segments[0] + segments[7])
-        and ep in ("-", f"{ep[0]}{'6' if side == 'w' else '3'}")
-    ):
+    if validation == "strict" and reference_strict_message(placement, side, ep) is not None:
         return None
     castling = "".join(right for right in "KQkq" if right in castling) or "-"
     return f"{placement} {side} {castling} {ep} {int(halfmove)} {int(fullmove)}"
+
+
+def reference_strict_message(placement, side, ep):
+    """The message of the first strict rule that a grammatical FEN's
+    placement, side and en-passant fields break, worded as parse_fen words
+    it, or None when they break none. The rules, in the order parse_fen's
+    docstring states: exactly one 'K'; exactly one 'k'; no pawn in the
+    rank-8 segment, then none in the rank-1 segment; an en-passant square,
+    if any, on the side to move's sixth rank (rank 6 for white, 3 for black)."""
+    for king in "Kk":
+        if placement.count(king) != 1:
+            return f"expected exactly one {king!r}, found {placement.count(king)}"
+    segments = placement.split("/")
+    for edge in (segments[0], segments[-1]):
+        if set("Pp") & set(edge):
+            return f"pawn on first/last rank in segment {edge!r}"
+    if ep != "-" and ep[1] != {"w": "6", "b": "3"}[side]:
+        return f"en-passant square {ep} inconsistent with side {side!r} to move"
+    return None
+
+
+@st.composite
+def strict_breakers(draw):
+    """Canonical FEN text that may break several strict rules at once: 0, 1
+    or 2 kings of each colour, a pawn on neither, either or both edge rows,
+    and an en-passant square on rank 3, on rank 6 or none."""
+    slots = [list(draw(st.text(alphabet="QRBNqrbn1" + ("Pp" if 0 < row < 7 else ""),
+                               min_size=8, max_size=8)))
+             for row in range(8)]
+    # one king of a colour half the time, so that later rules get to fail too
+    counts = st.sampled_from((1, 1, 0, 2))
+    kings = "K" * draw(counts) + "k" * draw(counts)
+    cells = draw(st.lists(st.integers(0, 63), min_size=len(kings), max_size=len(kings),
+                          unique=True))
+    for king, cell in zip(kings, cells):
+        slots[cell // 8][cell % 8] = king
+    # rows 0 and 7 are ranks 8 and 1; such a pawn may take a king's place
+    for row in draw(st.sampled_from(((), (0,), (7,), (0, 7)))):
+        slots[row][draw(st.integers(0, 7))] = draw(st.sampled_from("Pp"))
+    placement = "/".join(contract_rank("".join(row)) for row in slots)
+    side = draw(st.sampled_from("wb"))
+    ep = draw(st.sampled_from(("-", "c3", "e6")))
+    return f"{placement} {side} - {ep} 0 1"
 
 
 # what turns a FEN into nearly a FEN: whitespace of every kind, characters

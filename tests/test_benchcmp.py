@@ -93,6 +93,40 @@ def test_a_gain_inside_the_aa_spread_fails_only_the_aa_check():
     assert result["bounds"]["point"] == dict.fromkeys(METRICS, "ok")
 
 
+# a lower-is-better claim: p99 latency on point, the parent copy within -1%..+1%
+_P99 = ("point", "latency_p99_us")
+
+
+def _p99(factor):
+    return {"latency_p99_us": factor}
+
+
+def _p99_aa(package=None):
+    return records(scales=lambda seed: _p99(1 + 0.01 * (seed % 3 - 1)), package=package)
+
+
+def test_a_latency_that_falls_passes_a_lower_is_better_claim():
+    result = compare(records(scales=_p99(0.95)), _p99_aa(), _P99)
+    claim = result["claim"]
+    assert claim["holds"] and result["passed"]
+    assert (claim["pairs"], claim["change_better_pairs"]) == (12, 12)
+    assert claim["held_out"] == {"111": True, "112": True}
+    # the gain is counted positive when the latency falls
+    assert claim["median_gain"] == pytest.approx(0.05, abs=1e-4)
+    assert claim["aa_spread"] == pytest.approx(0.01, abs=1e-3)
+
+
+def test_a_latency_that_rises_fails_a_lower_is_better_claim():
+    result = compare(records(scales=_p99(1.05)), _p99_aa(), _P99)
+    claim = result["claim"]
+    assert not claim["holds"] and not result["passed"]
+    assert claim["change_better_pairs"] == 0
+    assert claim["median_gain"] == pytest.approx(-0.05, abs=1e-4)
+    assert not any(claim["checks"].values())
+    # 5% is inside latency_p99_us's bound: only the claim fails the comparison
+    assert result["bounds"]["point"] == dict.fromkeys(METRICS, "ok")
+
+
 def test_a_claim_without_an_aa_control_is_refused():
     result = compare(records(scales=gain(1.05)), {})
     assert result["claim"]["checks"]["gain beyond the A/A spread"] is False
@@ -209,6 +243,25 @@ def test_main_writes_bench_json_in_bench_32_s_layout(tmp_path, capsys, monkeypat
     assert set(written["other_workloads"]) == {"fuzz"}
     assert written["package_sha256"] == {"parent": "p", "change": "c", "parent2": "p"}
     assert written["verdict"]["passed"] is True
+
+
+@pytest.mark.parametrize("factor, status", [(0.95, 0), (1.05, 1)], ids=["falls", "rises"])
+def test_main_judges_a_latency_claim(tmp_path, capsys, monkeypatch, factor, status):
+    monkeypatch.setattr(benchcmp, "ROOT", tmp_path)
+    dirs = _record_dirs(tmp_path, {
+        "parent": [records(package="p")],
+        "change": [records(scales=_p99(factor), package="c")],
+        "aa": [_p99_aa(package="p")],
+    })
+    assert benchcmp.main([
+        "--parent", str(dirs["parent"]), "--change", str(dirs["change"]), "--aa", str(dirs["aa"]),
+        "--claim", "point:latency_p99_us", "--held-out", "111", "112", "--pr", "99",
+    ]) == status
+    out = capsys.readouterr().out
+    assert f"claim: latency_p99_us on point, median gain {1 - factor:+.2%}" in out
+    written = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert written["claimed_metric"] == "latency_p99_us on point"
+    assert written["verdict"]["claim"]["holds"] is (status == 0)
 
 
 def test_main_refuses_a_change_that_ran_the_parent_s_package(tmp_path, capsys, monkeypatch):

@@ -95,6 +95,11 @@ _CASES = {
                                 2, err=Prefix("RankWidth:")),
     "validate-strict": Case(("validate", "8/8/8/8/8/8/8/8 w - - 0 1", "--validation", "strict"),
                             2, err=Prefix("Validation:")),
+    # pawns on both edge rows: rank 8's segment names the error, as parse_fen's order states
+    "validate-strict-rank-8-first": Case(
+        ("validate", "Pk6/8/8/8/8/8/8/pK6 w - - 0 1", "--validation", "strict"),
+        2, err="Validation: pawn on first/last rank in segment 'Pk6'\n",
+    ),
     # the shape table refuses the placement; the first refused segment names the error
     "validate-two-bad-segments": Case(("validate", "8/8/44/8/8/9/8/8 w - - 0 1"),
                                       2, err=Prefix("AdjacentDigits:")),

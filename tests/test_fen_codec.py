@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fenstring import (
+    ApplyOptions,
     FenRecord,
     Piece,
     Square,
@@ -37,10 +38,13 @@ from conftest import (
     FEN_WHITESPACE,
     FIG1_FEN,
     START_FEN,
+    both_paths,
     fens,
     nearly_fens,
     reference_fen,
+    reference_strict_message,
     segments,
+    strict_breakers,
 )
 
 
@@ -305,6 +309,35 @@ class TestStrict:
         with pytest.raises(ValidationError,
                            match=r"^pawn on first/last rank in segment 'P3K3'$"):
             parse_fen("4k3/8/8/8/8/8/8/P3K3 w - e3 0 1", "strict")
+
+    @pytest.mark.parametrize("fen, message", [
+        # pawns on both edge rows: rank 8's segment is named, not rank 1's
+        ("Pk6/8/8/8/8/8/8/pK6 w - - 0 1", "pawn on first/last rank in segment 'Pk6'"),
+        # no king of either colour: the white count is named first
+        ("8/8/8/8/8/8/8/8 w - - 0 1", "expected exactly one 'K', found 0"),
+    ])
+    def test_the_first_rule_in_order_names_the_error(self, fen, message):
+        with pytest.raises(ValidationError) as info:
+            parse_fen(fen, "strict")
+        assert str(info.value) == message
+
+    @settings(max_examples=300)
+    @given(strict_breakers())
+    @example("Pk6/8/8/8/8/8/8/pK6 w - e3 0 1")
+    @example("KK6/8/8/8/8/8/8/P7 w - e3 0 1")
+    def test_strict_names_the_first_broken_rule_of_the_reference(self, fen):
+        """Several strict rules broken at once: parse_fen names the first
+        one that the reference in conftest names, word for word, and both
+        paths raise its code."""
+        placement, side, _, ep, _, _ = fen.split()
+        message = reference_strict_message(placement, side, ep)
+        if message is None:
+            parse_fen(fen, "strict")
+            return
+        with pytest.raises(ValidationError) as info:
+            parse_fen(fen, "strict")
+        assert str(info.value) == message
+        assert both_paths(fen, "a1a2", ApplyOptions(validation="strict")) == ("Validation", None, "Validation")
 
 
 class TestPiece:
