@@ -26,11 +26,11 @@ square of the compact text through that plan, so a move never expands or
 contracts a segment; an unknown shape raises.
 
 The same table is the segment grammar, and it alone accepts a segment:
-parse_fen checks the whole placement in one pass, every shape in the
-table, and expand_rank checks its segment's shape. Only when the table
-rejects does the per-segment checker run, on the first segment the table
-refuses and only on it, to name the error; both accept the same segments,
-so the error class, message and precedence are the checker's.
+parse_fen checks the whole placement's shapes in one pass, and
+_check_placement and expand_rank check theirs too. A refused segment is
+named in one place, _check_segments: it runs the per-segment checker on
+the first segment the table refuses and only on it; both accept the same
+segments, so the error class, message and precedence are the checker's.
 
 parse_fen reads each trailer field the same way, with one lookup: the
 castling field in the table of its 65 valid spellings, and each clock in
@@ -246,8 +246,7 @@ def expand_runs(text: str) -> str:
 
 def expand_rank(segment: str) -> str:
     """Expand a compact rank segment to its 8-slot form ("1b3RN1" -> "1b111RN1")."""
-    if not (isinstance(segment, str) and _shape(segment) in _SHAPES):
-        _check_segment(segment)  # the table only tells that the segment is bad; this names why
+    _check_segments((segment,), (_shape(segment),))
     return expand_runs(segment)
 
 
@@ -263,11 +262,13 @@ def contract_rank(expanded: str) -> str:
     return expanded
 
 
-def _shape(text: str) -> bytes:
-    """The ASCII shape of a segment or a placement ("2p1p3" -> b"2x1x3").
-    Each non-ASCII character becomes '?', one that no shape holds:
+def _shape(text: str) -> bytes | None:
+    """The ASCII shape of a segment ("2p1p3" -> b"2x1x3"), or None if it is
+    not text. Each non-ASCII character becomes '?', one that no shape holds:
     replaced, never dropped, so that "ppppépppp" cannot pass for "pppppppp"."""
-    return text.encode("ascii", "replace").translate(_SHAPE_BYTES)
+    if isinstance(text, str):
+        return text.encode("ascii", "replace").translate(_SHAPE_BYTES)
+    return None
 
 
 def _segment_plans() -> dict:
@@ -330,36 +331,23 @@ def segment_index(rank: int) -> int:
     return 8 - rank
 
 
-def _rank_segment(ranks, rank: int) -> str:
-    """The segment of a checked Square's rank in a placement's 8 segments,
-    rank 8 first."""
-    try:
-        return ranks[8 - rank]
-    except (LookupError, TypeError):
-        raise FenSyntaxError(
-            f"a placement must be a sequence of 8 rank segments, got {type(ranks).__name__}"
-        ) from None
-
-
 def _check_placement(ranks) -> None:
-    """Raise the typed error unless ``ranks`` is 8 segments of the segment
-    grammar, rank 8 first: their shapes are checked in one pass, as
-    parse_fen checks a placement's, and only when one is refused are the
-    segments read again, to name the first refused one."""
-    try:
-        count = len(ranks)
-    except TypeError:
+    """Raise the typed error unless ``ranks`` is a tuple or list of 8 segments
+    of the segment grammar, rank 8 first: text or a set is not read by rank."""
+    if not isinstance(ranks, (tuple, list)):
         raise FenSyntaxError(
             f"a placement must be a sequence of 8 rank segments, got {type(ranks).__name__}"
-        ) from None
-    if count != 8:
-        raise SegmentCountError(f"expected 8 rank segments, got {count}")
-    try:
-        shapes = _shape("/".join(ranks)).split(b"/")
-    except TypeError:  # a segment that is not text: the checker names it
-        shapes = []
-    if len(shapes) != 8 or not _SHAPES.issuperset(shapes):
-        for segment in ranks:
+        )
+    if len(ranks) != 8:
+        raise SegmentCountError(f"expected 8 rank segments, got {len(ranks)}")
+    _check_segments(ranks, map(_shape, ranks))
+
+
+def _check_segments(segments, shapes) -> None:
+    """The one place a refused segment is named: the checker runs on the
+    first segment whose shape the table does not hold, and raises there."""
+    for segment, shape in zip(segments, shapes):
+        if shape not in _SHAPES:
             _check_segment(segment)
 
 
@@ -452,10 +440,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     # _shape inline: one Python call less on every parse
     shapes = placement.encode("ascii", "replace").translate(_SHAPE_BYTES).split(b"/")
     if not _SHAPES.issuperset(shapes):
-        # the bulk check only tells that the placement is bad; its first refused segment says why
-        for segment, shape in zip(segments, shapes):
-            if shape not in _SHAPES:
-                _check_segment(segment)
+        _check_segments(segments, shapes)
 
     if side not in (WHITE, BLACK):
         raise BadSideCharError(f"side field must be 'w' or 'b', got {side!r}")
@@ -513,10 +498,11 @@ def serialize_fen(record: FenRecord) -> str:
 
 
 def piece_at(record: FenRecord, square: Square) -> Piece | None:
-    """Return the piece on a square, or None if it is empty."""
+    """Return the piece on a square, or None if it is empty; the placement
+    must be a tuple or list of 8 segments, so text or a set is refused."""
     if not isinstance(record, FenRecord):
         raise FenSyntaxError(f"a record must be a FenRecord, got {type(record).__name__}")
     _check_square(square)
     _check_placement(record.ranks)
-    letter = expand_runs(_rank_segment(record.ranks, square.rank))[square.file]
+    letter = expand_runs(record.ranks[8 - square.rank])[square.file]
     return _PIECES.get(letter)

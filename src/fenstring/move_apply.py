@@ -56,7 +56,6 @@ from .fen_codec import (
     _check_option,
     _check_square,
     _fen_text,
-    _rank_segment,
     _write_slot,
     expand_runs,
     parse_fen,
@@ -221,7 +220,7 @@ def _en_passant_after(ranks, mover, from_square, to_square, ep_mode):
         return target
     enemy_pawn = "p" if mover.color == WHITE else "P"
     # the placement is parsed or written: runs alone are left to expand
-    row = expand_runs(_rank_segment(ranks, to_square.rank))
+    row = expand_runs(ranks[8 - to_square.rank])
     for f in (to_square.file - 1, to_square.file + 1):
         if 0 <= f <= 7 and row[f] == enemy_pawn:
             return target

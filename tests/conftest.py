@@ -171,6 +171,46 @@ def reference_fen(text, validation="lenient"):
     return f"{placement} {side} {castling} {ep} {int(halfmove)} {int(fullmove)}"
 
 
+def reference_fen_code(text, validation="lenient"):
+    """The error code of the first check that FEN text fails, or None when
+    it passes them all. The checks and their order are those parse_fen's
+    docstring states, each field read by its pattern in FEN_FIELDS: the
+    field count; the segment count; each segment from the left, by the
+    first bad character or second of two adjacent digits, whichever comes
+    first, then its width; side; castling, each right at most once; the
+    en-passant field; the halfmove clock; the fullmove number, 1 or more;
+    then, under strict validation, the rules of reference_strict_message."""
+    fields = [field for field in re.split(f"{_SPACE}+", text) if field]
+    if len(fields) != 6:
+        return "SegmentCount"
+    placement, side, castling, ep, halfmove, fullmove = fields
+    segments = placement.split("/")
+    if len(segments) != 8:
+        return "SegmentCount"
+    for segment in segments:
+        bad = re.search(r"[^1-9KQRBNPkqrbnp]", segment)
+        adjacent = re.search(r"[1-9](?=[1-9])", segment)
+        if bad and not (adjacent and adjacent.start() + 1 < bad.start()):
+            return "BadPieceLetter"
+        if adjacent:
+            return "AdjacentDigits"
+        if sum(int(ch) if ch.isdigit() else 1 for ch in segment) != 8:
+            return "RankWidth"
+    if not re.fullmatch(FEN_FIELDS["side"], side):
+        return "BadSideChar"
+    if not re.fullmatch(FEN_FIELDS["castling"], castling) or len(set(castling)) != len(castling):
+        return "BadCastlingField"
+    if not re.fullmatch(FEN_FIELDS["en_passant"], ep):
+        return "BadEnPassantField"
+    if not re.fullmatch(FEN_FIELDS["halfmove"], halfmove):
+        return "BadClock"
+    if not re.fullmatch(FEN_FIELDS["fullmove"], fullmove) or int(fullmove) < 1:
+        return "BadClock"
+    if validation == "strict" and reference_strict_message(placement, side, ep) is not None:
+        return "Validation"
+    return None
+
+
 def reference_strict_message(placement, side, ep):
     """The message of the first strict rule that a grammatical FEN's
     placement, side and en-passant fields break, worded as parse_fen words
@@ -248,12 +288,11 @@ def _fens_strict_may_pass(draw):
 
 @st.composite
 def nearly_fens(draw):
-    """FEN text by the grammar with one field swapped for a near variant,
-    its fields apart by runs of other whitespace, and up to three characters
-    inserted, deleted or replaced: any, all or none of these."""
+    """FEN text by the grammar with up to two fields swapped for a near
+    variant, its fields apart by runs of other whitespace, and up to three
+    characters inserted, deleted or replaced: any, all or none of these."""
     fields = draw(st.one_of(fens(), _fens_strict_may_pass())).split(" ")
-    if draw(st.booleans()):
-        at = draw(st.sampled_from(sorted(_FIELD_VARIANTS)))
+    for at in draw(st.permutations(sorted(_FIELD_VARIANTS)))[:draw(st.integers(0, 2))]:
         fields[at] = draw(st.sampled_from(_FIELD_VARIANTS[at]))
     text = " ".join(fields)
     if draw(st.booleans()):

@@ -42,6 +42,7 @@ from conftest import (
     fens,
     nearly_fens,
     reference_fen,
+    reference_fen_code,
     reference_strict_message,
     segments,
     strict_breakers,
@@ -277,6 +278,14 @@ class TestPieceAt:
         assert piece_at(record, Square.from_name("a4")) == Piece("K", "w")
         assert piece_at(record, Square.from_name("h6")) == Piece("K", "b")
 
+    @pytest.mark.parametrize("ranks", ["88888888", "RRRRRRRR"])
+    def test_placement_given_as_text_is_refused(self, ranks):
+        record = FenRecord(ranks, "w", "-", "-", 0, 1)
+        with pytest.raises(FenSyntaxError) as info:
+            piece_at(record, SQUARES["e2"])
+        assert type(info.value) is FenSyntaxError
+        assert str(info.value) == "a placement must be a sequence of 8 rank segments, got str"
+
 
 class TestStrict:
     def test_fig1_passes_strict(self):
@@ -488,6 +497,39 @@ def test_parse_fen_reads_exactly_the_fen_grammar(text):
             assert serialize_fen(record) == expected, (text, validation)
 
 
+_PLACEMENT = "8/8/8/8/8/8/8/k6K"
+
+
+@settings(max_examples=300)
+@given(st.one_of(nearly_fens(), strict_breakers(), st.text()))
+# each breaks two neighbouring checks at once, so that swapping them changes the code
+@example("9/8/8 w - - 0 1")
+@example("8/8/8/8/8/8/8/44x1 w - - 0 1")
+@example("8/8/8/8/8/8/8/x143 w - - 0 1")
+@example("8/8/8/8/8/8/8/45 w - - 0 1")
+@example("8/8/8/8/8/8/8/x w - - 0 1")
+@example("9/x7/8/8/8/8/8/8 w - - 0 1")
+@example("9/8/8/8/8/8/8/k6K W - - 0 1")
+@example(f"{_PLACEMENT} W KK - 0 1")
+@example(f"{_PLACEMENT} w KK e4 0 1")
+@example(f"{_PLACEMENT} w - e4 -1 1")
+@example("8/8/8/8/8/8/8/8 w - - 0 0")
+def test_parse_fen_raises_the_code_of_the_first_check_the_reference_fails(text):
+    """parse_fen against reference_fen_code in conftest, under both
+    validations: it accepts exactly when the reference names no code, and
+    otherwise raises the code of the first check the reference fails. The
+    reference accepts exactly what the reference grammar accepts."""
+    for validation in ("lenient", "strict"):
+        expected = reference_fen_code(text, validation)
+        assert (expected is None) == (reference_fen(text, validation) is not None), text
+        try:
+            parse_fen(text, validation)
+        except FenSyntaxError as exc:
+            assert exc.code == expected, (text, validation)
+        else:
+            assert expected is None, (text, validation)
+
+
 @given(st.text())
 @example("0123456789/x²")
 def test_expand_runs_matches_digit_reference(text):
@@ -536,6 +578,8 @@ def test_only_a_segment_the_table_rejects_reaches_the_segment_checker(monkeypatc
 
 
 def test_the_segment_checker_runs_once_on_the_first_segment_the_table_refuses(monkeypatch):
+    """Every reader of segments names a refused one through the same gate:
+    the checker runs once, on the first segment the table refuses."""
     calls = []
 
     def recording_checker(segment):
@@ -543,24 +587,37 @@ def test_the_segment_checker_runs_once_on_the_first_segment_the_table_refuses(mo
         _check_segment(segment)
 
     monkeypatch.setattr(fen_codec, "_check_segment", recording_checker)
+    readers = {
+        "parse_fen": lambda ranks: parse_fen("/".join(ranks) + " w - - 0 1"),
+        "piece_at": lambda ranks: piece_at(FenRecord(tuple(ranks), "w", "-", "-", 0, 1),
+                                           SQUARES["e2"]),
+        "emit_legacy_forsyth": emit_legacy_forsyth,
+    }
     good = START_FEN.split()[0].split("/")
     bad_segments = [
         ("9", RankWidthError, "segment '9' spans 9 squares, expected 8"),
         ("44", AdjacentDigitsError, "adjacent digits in segment '44'"),
         ("x7", BadPieceLetterError, "bad character 'x' in segment 'x7'"),
     ]
-    for index in range(8):
-        for bad, error, message in bad_segments:
-            calls.clear()
-            with pytest.raises(error) as info:
-                parse_fen("/".join(good[:index] + [bad] + good[index + 1:]) + " w - - 0 1")
-            assert calls == [bad], index
-            assert type(info.value) is error and str(info.value) == message
+    for bad, error, message in bad_segments:
+        calls.clear()
+        with pytest.raises(error) as info:
+            expand_rank(bad)
+        assert calls == [bad]
+        assert type(info.value) is error and str(info.value) == message
+        for index in range(8):
+            for name, read in readers.items():
+                calls.clear()
+                with pytest.raises(error) as info:
+                    read(good[:index] + [bad] + good[index + 1:])
+                assert calls == [bad], (name, index)
+                assert type(info.value) is error and str(info.value) == message
 
     # two refused segments of different kinds: only the first is checked
     for placement, first, error in [("8/8/44/8/8/x7/8/8", "44", AdjacentDigitsError),
                                     ("8/8/x7/8/8/44/8/8", "x7", BadPieceLetterError)]:
-        calls.clear()
-        with pytest.raises(error):
-            parse_fen(placement + " w - - 0 1")
-        assert calls == [first]
+        for name, read in readers.items():
+            calls.clear()
+            with pytest.raises(error):
+                read(placement.split("/"))
+            assert calls == [first], name

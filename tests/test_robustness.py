@@ -131,6 +131,9 @@ _WRONG_TYPE_CALLS = {
         lambda: piece_at(_EMPTY._replace(ranks={"8", "p7", "1p6", "2p5", "3p4", "4p3", "5p2",
                                                 "6p1"}), SQUARES["e2"]),
         FenSyntaxError),
+    # text of 8 characters is no placement, though each character may be a segment
+    "piece_at-ranks-text": (lambda: piece_at(_EMPTY._replace(ranks="88888888"), SQUARES["e2"]),
+                            FenSyntaxError),
     # a placement that is not 8 segments of the segment grammar, refused in every
     # mode, whatever the square or move, with the error parse_fen gives
     "piece_at-three-segments": (lambda: piece_at(_EMPTY._replace(ranks=("8",) * 3), SQUARES["a8"]),
