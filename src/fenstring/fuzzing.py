@@ -14,8 +14,9 @@ from .oracle import oracle_apply
 
 # slot i of the 64-slot placement (a8 first, h1 last) -> its square
 _SLOT_SQUARES = tuple(SQUARES[f + r] for r in "87654321" for f in "abcdefgh")
-# the side to move's piece letters each read as '*', which str.count and str.split then locate
-_OWN_MARKS = {WHITE: str.maketrans("KQRBNP", "******"), BLACK: str.maketrans("kqrbnp", "******")}
+# the side to move's piece letters each read as '*', which bytes.count and bytes.split then locate
+_OWN_MARKS = {WHITE: bytes.maketrans(b"KQRBNP", b"******"),
+              BLACK: bytes.maketrans(b"kqrbnp", b"******")}
 
 
 class FuzzReport(namedtuple(
@@ -60,16 +61,16 @@ def _pseudo_move(record: FenRecord, getrandbits) -> str:
     """Draw a pseudo-move for the side to move, from the parsed ranks, with
     the ``getrandbits`` of a generator seeded for this draw."""
     slots = expand_runs("".join(record.ranks))
-    marked = slots.translate(_OWN_MARKS[record.side])
+    marked = slots.encode().translate(_OWN_MARKS[record.side])
     # the origins are the marks, a8 first; the r-th is found when it is
     # drawn, as 63 less the length of the text after it, so none is listed
-    origins = marked.count("*")
+    origins = marked.count(b"*")
     if not origins:
         raise NoPiecesError(f"side {record.side!r} has no pieces")
 
     while True:
         # the origin choice() of the listed origins gives for the same draw
-        from_i = 63 - len(marked.split("*", _below(getrandbits, origins) + 1)[-1])
+        from_i = 63 - len(marked.split(b"*", _below(getrandbits, origins) + 1)[-1])
         to_i = _below(getrandbits, 64)  # randrange(64)
         if to_i == from_i:
             continue

@@ -58,9 +58,10 @@ def parse_legacy_forsyth(text: str):
 
 
 def emit_legacy_forsyth(placement) -> str:
-    """Render 8 modern rank segments in the legacy comma-separated form."""
+    """Render 8 modern rank segments (any iterable but text) in the legacy form."""
     try:
-        segments = iter(placement)
+        # text iterates by character, not by segment: it is refused as None is
+        segments = iter(None if isinstance(placement, str) else placement)
     except TypeError:
         raise FenSyntaxError(
             f"a placement must be an iterable of rank segments, got {type(placement).__name__}"

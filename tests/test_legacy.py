@@ -6,6 +6,7 @@ from fenstring import emit_legacy_forsyth, parse_fen, parse_legacy_forsyth
 from fenstring.errors import (
     AdjacentDigitsError,
     BadTokenError,
+    FenSyntaxError,
     GroupCountError,
     RankWidthError,
     SegmentCountError,
@@ -80,6 +81,22 @@ class TestEmit:
 
     def test_iterator_of_segments(self):
         assert emit_legacy_forsyth(iter(("8",) * 8)) == "8, 8, 8, 8, 8, 8, 8, 8"
+
+    @pytest.mark.parametrize("make", [list, lambda s: (x for x in s), dict.fromkeys],
+                             ids=["list", "generator", "dict-keys"])
+    def test_any_other_iterable_of_8_segments(self, make):
+        segments = ("8", "p7", "1p6", "2p5", "3p4", "4p3", "5p2", "6p1")
+        assert emit_legacy_forsyth(make(segments)) == (
+            "8, p 7, 1 p 6, 2 p 5, 3 p 4, 4 p 3, 5 p 2, 6 p 1"
+        )
+
+    @pytest.mark.parametrize("text", ["88888888", "8/8/8/8/8/8/8/8", "RRRRRRRR"])
+    def test_placement_given_as_text_is_refused(self, text):
+        # text iterates by character: "88888888" would read as 8 one-letter segments
+        with pytest.raises(FenSyntaxError) as info:
+            emit_legacy_forsyth(text)
+        assert type(info.value) is FenSyntaxError
+        assert str(info.value) == "a placement must be an iterable of rank segments, got str"
 
     def test_baird_round(self):
         # emits Appendix-style text equal to the source modulo trailing period

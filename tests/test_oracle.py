@@ -127,11 +127,59 @@ def test_round_trip_agrees_with_the_string_codec(fen):
     assert fen_from_board(board_from_fen(fen)) == serialize_fen(parse_fen(fen))
 
 
+# one placement row per occupancy mask (bit f set: file f holds a piece), written
+# from the FEN grammar: each piece its letter, drawn in turn from the 12, and
+# each run of empty squares its digit
+_PIECE_LETTERS = "KQRBNPkqrbnp"
+
+
+def _row(mask):
+    segment, run = "", 0
+    for file in range(8):
+        if mask >> file & 1:
+            segment += (str(run) if run else "") + _PIECE_LETTERS[(mask + file) % 12]
+            run = 0
+        else:
+            run += 1
+    return segment + (str(run) if run else "")
+
+
+@pytest.mark.parametrize("first", range(0, 256, 8))
+def test_conversion_round_trips_every_occupancy_row(first):
+    # the 256 masks, 8 to a placement, rank 8 first
+    masks = range(first, first + 8)
+    ranks = tuple(map(_row, masks))
+    text = oracle._expanded(ranks)
+    assert len(text) == 71
+    rows = text.split("/")
+    assert len(rows) == 8
+    for row, mask in zip(rows, masks):
+        assert len(row) == 8
+        for file, cell in enumerate(row):
+            if mask >> file & 1:
+                assert cell == _PIECE_LETTERS[(mask + file) % 12]
+            else:
+                assert cell not in _PIECE_LETTERS
+    assert oracle._contracted(text) == "/".join(ranks)
+
+
+def test_board_round_trip_over_the_fuzz_corpus(fuzz_corpus):
+    # every FEN of the chain is canonical: the string path wrote it
+    for fen, _, outcome in fuzz_corpus:
+        assert fen_from_board(board_from_fen(fen)) == fen
+    assert fen_from_board(board_from_fen(outcome.fen_after)) == outcome.fen_after
+
+
 # the string path's placement-rewrite helpers, which the oracle must not use
 _REWRITE_HELPERS = {"_write_slot", "_SEGMENT_PLANS", "_SHAPES", "expand_runs", "expand_rank",
                     "contract_rank"}
-# all the oracle takes from move_apply: the option and move-argument checks
-_FROM_MOVE_APPLY = {"ApplyOptions", "_check_options", "_read_move"}
+# every name the oracle imports from the string path's modules, all it takes
+# from move_apply being the option and move-argument checks; a new one, such
+# as a placement helper borrowed for speed, must be argued for here
+_PINNED_IMPORTS = {
+    "fen_codec": {"BLACK", "MAX_DIGITS", "WHITE", "Piece", "_PIECES", "parse_fen"},
+    "move_apply": {"ApplyOptions", "_check_options", "_read_move"},
+}
 
 
 def test_oracle_shares_no_placement_code_with_the_string_path():
@@ -146,10 +194,12 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
     used |= {node.id for node in nodes if isinstance(node, ast.Name)}
     used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert not used & _REWRITE_HELPERS
-    from_move_apply = {alias.name for node in imports if isinstance(node, ast.ImportFrom)
-                       and node.module in ("move_apply", "fenstring.move_apply")
-                       for alias in node.names}
-    assert from_move_apply and from_move_apply <= _FROM_MOVE_APPLY
+    imported = {module: set() for module in _PINNED_IMPORTS}
+    for node in imports:
+        # relative or absolute: .fen_codec or fenstring.fen_codec
+        module = (getattr(node, "module", None) or "").removeprefix("fenstring.")
+        imported.get(module, set()).update(alias.name for alias in node.names)
+    assert imported == _PINNED_IMPORTS
     # the oracle reads its FEN with the string path's parser, not its own
     assert "parse_fen" in used
     # but it checks strict validation with its own rules: neither the
