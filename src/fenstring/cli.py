@@ -35,9 +35,13 @@ PLAY_BLOCK = 256
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    # argparse would name this function in its message for a ValueError
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -179,13 +183,14 @@ def cmd_bench(args) -> int:
             times.append(timed(apply, workload[i:i + size]))
         paths.reverse()
     string_secs, array_secs = sum(string_times), sum(array_times)
-    ratio = median(s / a for s, a in zip(string_times, array_times))
+    ratios = sorted(s / a for s, a in zip(string_times, array_times))
 
     print(f"iterations: {n}")
     print(f"string path: {n / string_secs:12.1f} ops/s  ({string_secs:.3f} s)")
     print(f"array path:  {n / array_secs:12.1f} ops/s  ({array_secs:.3f} s)")
-    print(f"ratio (array/string throughput): {ratio:.3f}, "
-          f"median of {len(string_times)} alternated batches")
+    print(f"ratio (array/string throughput): {median(ratios):.3f}, "
+          f"median of {len(ratios)} alternated batches (low {ratios[0]:.3f}, "
+          f"high {ratios[-1]:.3f})")
     return EXIT_OK
 
 

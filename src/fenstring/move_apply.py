@@ -353,7 +353,8 @@ def _iter_sequence(record: FenRecord, moves, options: ApplyOptions):
     The failing ply's error is re-raised with a ``ply`` attribute (1-based).
     """
     try:
-        moves = iter(moves)
+        # text iterates by character and bytes by int, not by move: each is refused as None is
+        moves = iter(None if isinstance(moves, (str, bytes)) else moves)
     except TypeError:
         raise BadMoveSyntaxError(
             f"moves must be an iterable of moves, got {type(moves).__name__}"
@@ -368,7 +369,8 @@ def _iter_sequence(record: FenRecord, moves, options: ApplyOptions):
 
 
 def play_sequence(fen: str, moves, options: ApplyOptions = ApplyOptions()):
-    """Apply moves in order; returns one FEN per ply.
+    """Apply moves, an iterable of moves but not text, in order; returns
+    one FEN per ply.
 
     ``fen`` is read before the first ply, with or without moves, and its
     error carries no ``ply``. On a failing ply its error is re-raised with

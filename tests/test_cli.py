@@ -2,6 +2,7 @@ import functools
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -87,29 +88,9 @@ class Case(namedtuple("Case", "argv status out err moves", defaults=("", "", Non
 
 
 _CASES = {
-    "validate-fig1": Case(("validate", FIG1_FEN), 0, FIG1_FEN + "\n"),
     "validate-castling-order": Case(("validate", START_FEN.replace("KQkq", "qkQK")),
                                     0, START_FEN + "\n"),
     "validate-garbage": Case(("validate", "garbage"), 2, err=Prefix("SegmentCount:")),
-    "validate-rank-width": Case(("validate", "8/8/8/8/8/8/8/9 w - - 0 1"),
-                                2, err=Prefix("RankWidth:")),
-    "validate-strict": Case(("validate", "8/8/8/8/8/8/8/8 w - - 0 1", "--validation", "strict"),
-                            2, err=Prefix("Validation:")),
-    # pawns on both edge rows: rank 8's segment names the error, as parse_fen's order states
-    "validate-strict-rank-8-first": Case(
-        ("validate", "Pk6/8/8/8/8/8/8/pK6 w - - 0 1", "--validation", "strict"),
-        2, err="Validation: pawn on first/last rank in segment 'Pk6'\n",
-    ),
-    # the shape table refuses the placement; the first refused segment names the error
-    "validate-two-bad-segments": Case(("validate", "8/8/44/8/8/9/8/8 w - - 0 1"),
-                                      2, err=Prefix("AdjacentDigits:")),
-    "validate-last-segment-bad": Case(("validate", "8/8/8/8/8/8/8/x7 w - - 0 1"),
-                                      2, err=Prefix("BadPieceLetter:")),
-    "validate-ep-name": Case(("validate", "8/8/8/8/8/8/8/8 w - zz 0 1"),
-                             2, err="BadEnPassantField: bad en-passant field: 'zz'\n"),
-    **{f"validate-clock-{name}": Case(("validate", f"8/8/8/8/8/8/8/8 w - - {clock} 1"),
-                                      2, err=Prefix("BadClock:"))
-       for name, clock in (("superscript", "²"), ("5000-digits", "9" * 5000))},
 
     "apply-table-i": Case(("apply", FIG1_FEN, "f7f6", "--clock-mode", "frozen"),
                           0, "7N/1b4N1/5R1k/6b1/KBp4p/5q2/6Q1/7n b - - 0 1\n"),
@@ -403,10 +384,15 @@ class TestFuzz:
         _, second, _ = run(capsys, "fuzz", "--seed", "9", "--iterations", "300")
         assert first == second
 
-    def test_zero_iterations_usage_error(self, capsys):
+    @pytest.mark.parametrize("iterations", ["0", "abc"])
+    @pytest.mark.parametrize("command", ["fuzz", "bench"])
+    def test_zero_iterations_usage_error(self, capsys, command, iterations):
+        # one message for a count below 1 and for text that is no integer
         with pytest.raises(SystemExit) as info:
-            main(["fuzz", "--iterations", "0"])
+            main([command, "--iterations", iterations])
         assert info.value.code == 2
+        message = f"argument --iterations: must be an integer >= 1, got {iterations!r}\n"
+        assert capsys.readouterr().err.endswith(message)
 
 
 class TestBench:
@@ -417,7 +403,11 @@ class TestBench:
         assert code == 0
         assert "iterations: 200" in out
         assert out.count("ops/s") == 2
-        assert "ratio" in out
+        # the median batch ratio, between the lowest and the highest
+        low, median, high = map(float, re.fullmatch(
+            r"ratio \(array/string throughput\): (\S+), median of 10 alternated batches "
+            r"\(low (\S+), high (\S+)\)", out.splitlines()[-1]).group(2, 1, 3))
+        assert low <= median <= high
 
 
 class TestConvertForsyth:

@@ -26,27 +26,6 @@ class TestExpand:
     def test_examples(self, segment, expanded):
         assert expand_rank(segment) == expanded
 
-    @pytest.mark.parametrize("segment", ["", "7", "4R4", "1b3RNx", "9"])
-    def test_rejections(self, segment):
-        with pytest.raises(BadSegmentError):
-            expand_rank(segment)
-
-    @pytest.mark.parametrize(
-        "segment,message",
-        [
-            ("1b3RNx", "bad character 'x' in segment '1b3RNx'"),
-            ("9", "segment '9' spans 9 squares, expected 8"),
-            ("8x", "bad character 'x' in segment '8x'"),
-            ("4R4", "segment '4R4' spans 9 squares, expected 8"),
-            ("", "segment '' spans 0 squares, expected 8"),
-        ],
-    )
-    def test_rejection_messages(self, segment, message):
-        # a bad character is named before a wrong width
-        with pytest.raises(BadSegmentError) as info:
-            expand_rank(segment)
-        assert str(info.value) == message
-
 
 # characters that are no slot: other digits, a piece mark, the rank
 # separator, whitespace and a non-ASCII digit

@@ -73,17 +73,18 @@ _ENTRY_POINTS = {
     "fen_from_board": (fen_from_board, FenSyntaxError),
 }
 _VALUES = {"None": None, "bytes": START_FEN.encode(), "int": 42, "list": ["8"] * 8}
-# these take any iterable, bytes and a list too; each item is checked where
-# it is read, as a segment or as a move
-_ITERABLE_ARGUMENTS = ("emit_legacy_forsyth", "play_sequence-moves")
+# these take any iterable but text, a list too; each item is checked where
+# it is read, as a segment or as a move. Moves refuse text and bytes alike,
+# while a placement refuses bytes by the count of their 56 ints
+_ITERABLE_ARGUMENTS = {"emit_legacy_forsyth": ("bytes", "list"), "play_sequence-moves": ("list",)}
 
 
 @pytest.mark.parametrize("entry,value", [
     pytest.param(entry, value, id=f"{entry}-{name}")
     for entry in _ENTRY_POINTS
     for name, value in _VALUES.items()
-    if not (entry in _ITERABLE_ARGUMENTS and name in ("bytes", "list"))
-])
+    if name not in _ITERABLE_ARGUMENTS.get(entry, ())
+] + [pytest.param("play_sequence-moves", "e2e4", id="play_sequence-moves-str")])
 def test_wrongly_typed_argument_raises_typed_error(entry, value):
     call, error = _ENTRY_POINTS[entry]
     with pytest.raises(error) as info:
