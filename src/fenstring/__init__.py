@@ -3,9 +3,9 @@ rewriting, with an array-based oracle for differential verification.
 
 The oracle, the fuzzer and the legacy codec load on first use of any of
 their exports (PEP 562), so a process that only rewrites strings, such as
-`fenstring play`, never imports them. Every record type is a named tuple,
-and no module imports dataclasses or typing: dataclasses alone would cost
-a process more import time than the string path spends on a long game.
+`fenstring play`, never imports them. Every public record type is a named
+tuple, and no module imports dataclasses or typing: dataclasses alone would
+cost a process more import time than the string path spends on a long game.
 """
 
 from .errors import (

@@ -41,11 +41,12 @@ it also reads what the table leaves out, a zero-padded or 4 to 9 digit
 clock; so values, error classes and messages are the checkers'.
 
 A FenRecord is an immutable named tuple, built with tuple.__new__ once per
-parse and once per applied move; serialize_fen checks that it is given one and
-writes the canonical text of what its fields parse to, and its unchecked
-core _fen_text writes the text of a record whose fields are canonical
-already: one that parse_fen or a ply built, or that the CLI built from
-checked fields. Squares and pieces are interned slot classes: the 64
+parse; a ply carries the next record as a plain tuple of the same six
+fields. serialize_fen checks that it is given a FenRecord and writes the
+canonical text of what its fields parse to, and its unchecked core
+_fen_text writes the text of a record whose fields are canonical already,
+either form: one that parse_fen or a ply built, or that the CLI built
+from checked fields. Squares and pieces are interned slot classes: the 64
 squares and 12 pieces are built at import, and building one again returns
 the shared instance, so they compare by identity.
 """

@@ -57,16 +57,19 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _pseudo_move(record: FenRecord, getrandbits) -> str:
+def _pseudo_move(record: FenRecord | tuple, getrandbits) -> str:
     """Draw a pseudo-move for the side to move, from the parsed ranks, with
-    the ``getrandbits`` of a generator seeded for this draw."""
-    slots = expand_runs("".join(record.ranks))
-    marked = slots.encode().translate(_OWN_MARKS[record.side])
+    the ``getrandbits`` of a generator seeded for this draw. ``record`` is
+    a FenRecord or the plain tuple of its fields that a ply carries: its
+    ranks and side are read by position."""
+    ranks, side = record[0], record[1]
+    slots = expand_runs("".join(ranks))
+    marked = slots.encode().translate(_OWN_MARKS[side])
     # the origins are the marks, a8 first; the r-th is found when it is
     # drawn, as 63 less the length of the text after it, so none is listed
     origins = marked.count(b"*")
     if not origins:
-        raise NoPiecesError(f"side {record.side!r} has no pieces")
+        raise NoPiecesError(f"side {side!r} has no pieces")
 
     while True:
         # the origin choice() of the listed origins gives for the same draw
@@ -118,12 +121,14 @@ def random_pseudo_move(fen: str, seed: int) -> str:
 
 
 def _chain(iterations: int, seed: int, options: ApplyOptions):
-    """Yield (fen, move, outcome) along a deterministic pseudo-move chain.
+    """Yield (fen, move, outcome) along a deterministic pseudo-move chain,
+    each outcome the plain tuple _apply returns.
 
     Each move is drawn from and applied to the record carried from the
-    previous pair. Under strict validation a drawn move that captures an
-    own piece or leaves a position that fails it (a king captured) is drawn
-    again from the same record; a king move to an empty square applies, so
+    previous pair: the start position's FenRecord, then _apply's plain
+    tuples. Under strict validation a drawn move that captures an own piece
+    or leaves a position that fails it (a king captured) is drawn again
+    from the same record; a king move to an empty square applies, so
     the draws end. The chain restarts from the start position, and draws
     again for the same pair, only when the side to move has no pieces left.
 
@@ -160,7 +165,7 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
             except NoPiecesError:
                 fen, record = START_FEN, start
         yield fen, move, outcome
-        fen = outcome.fen_after
+        fen = outcome[0]
 
 
 def fuzz_pairs(iterations: int, seed: int, options: ApplyOptions = ApplyOptions()):
@@ -187,7 +192,7 @@ def differential_fuzz(iterations: int, seed: int,
     positions = 0
     first = None
     for fen, move, outcome in _chain(iterations, seed, options):
-        string_fen = outcome.fen_after
+        string_fen = outcome[0]
         try:
             array_fen = oracle_apply(fen, move, options)
         except FenstringError as exc:

@@ -58,10 +58,14 @@ def parse_legacy_forsyth(text: str):
 
 
 def emit_legacy_forsyth(placement) -> str:
-    """Render 8 modern rank segments (any iterable but text) in the legacy form."""
+    """Render 8 modern rank segments (any iterable but text or bytes-like data)
+    in the legacy form."""
     try:
-        # text iterates by character, not by segment: it is refused as None is
-        segments = iter(None if isinstance(placement, str) else placement)
+        # text iterates by character and bytes-like data by int, not by
+        # segment: each is refused as None is
+        segments = iter(
+            None if isinstance(placement, (str, bytes, bytearray, memoryview)) else placement
+        )
     except TypeError:
         raise FenSyntaxError(
             f"a placement must be an iterable of rank segments, got {type(placement).__name__}"

@@ -12,13 +12,15 @@ enforced, so the result is a faithful transcription of the move.
 _apply is the one kernel behind every entry point. A ply is one pass: it
 unpacks the record once, makes the move's writes and takes the trailer
 from the rule cores _clocks_after, _rights_after and _en_passant_after,
-and the FEN text from serialize_fen's core. Each rule is written once, in
-its core, and each special-move shape once, in _CASTLES or _PASSED.
-_read_move reads every move argument, text or a Move, into its squares
-and promotion kind; only parse_move builds a Move. Text is read with no
-regular expression: two slices looked up among the square names, and the
-rest among the nine promotion suffixes; each exact str text is read once,
-into a table filled on first use. A result is checked only for what a ply
+and the FEN text from serialize_fen's core. It returns the next record
+and the outcome as plain tuples; apply_move alone wraps an ApplyOutcome,
+so a game or a fuzz chain builds no named tuple per ply. Each rule is
+written once, in its core, and each special-move shape once, in _CASTLES
+or _PASSED. _read_move reads every move argument, text or a Move, into
+its squares and promotion kind; only parse_move builds a Move. Text is
+read with no regular expression: two slices looked up among the square
+names, and the rest among the nine promotion suffixes; each exact str
+text is read once, into a table filled on first use. A result is checked only for what a ply
 can break: its clocks, which only standard mode grows, and, under strict
 validation, whether it captured a king, whether a castle's rook or an
 en-passant capture wrote over an own piece, and its en-passant square.
@@ -242,16 +244,19 @@ def _clocks_after(halfmove, fullmove, mover, was_capture, clock_mode):
     return halfmove, fullmove
 
 
-def _apply(record: FenRecord, move, options: ApplyOptions):
-    """The rewrite shared by every entry point: (next record, outcome).
+def _apply(record: FenRecord | tuple, move, options: ApplyOptions):
+    """The rewrite shared by every entry point: (next record, outcome), each
+    a plain tuple in the field order of FenRecord and of ApplyOutcome.
 
-    ``record`` comes from parse_fen or an earlier ply under the same
-    validation, so a game or fuzz chain is parsed once. Each square the
-    move changes is written into its compact segment by _write_slot, which
-    reads the letter that was there and checks the segment's shape: two
-    writes for a ply, two more for a castle's rook and one for an
-    en-passant victim. A strict record holds one king per side and no ply
-    makes one, so a ply breaks the king rule only by writing over a king.
+    ``record`` is a FenRecord from parse_fen or the plain tuple an earlier
+    ply returned, under the same validation, so a game or fuzz chain is
+    parsed once and builds no named tuple per ply: only apply_move wraps
+    its outcome as an ApplyOutcome. Each square the move changes is
+    written into its compact segment by _write_slot, which reads the
+    letter that was there and checks the segment's shape: two writes for
+    a ply, two more for a castle's rook and one for an en-passant victim.
+    A strict record holds one king per side and no ply makes one, so a ply
+    breaks the king rule only by writing over a king.
     """
     ranks, side, castling, en_passant, halfmove, fullmove = record
     from_sq, to_sq, promotion = _read_move(move)
@@ -309,16 +314,13 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
         special = "en-passant-capture"
 
     halfmove, fullmove = _clocks_after(halfmove, fullmove, mover, was_capture, options.clock_mode)
-    # tuple.__new__ skips _make's Python frame and length check: six fields by construction
-    after = tuple.__new__(FenRecord, (
-        tuple(ranks),
-        BLACK if side == WHITE else WHITE,
-        _rights_after(castling, mover, from_sq, to_sq, captured),
-        # the rule can hold only for a pawn move: the others skip the call
-        _en_passant_after(ranks, mover, from_sq, to_sq, options.ep_mode) if is_pawn else "-",
-        halfmove,
-        fullmove,
-    ))
+    next_side = BLACK if side == WHITE else WHITE
+    # the rule can hold only for a pawn move: the others skip the call
+    next_en_passant = (
+        _en_passant_after(ranks, mover, from_sq, to_sq, options.ep_mode) if is_pawn else "-"
+    )
+    after = (tuple(ranks), next_side, _rights_after(castling, mover, from_sq, to_sq, captured),
+             next_en_passant, halfmove, fullmove)
     if options.validation == "strict":
         # no edge rows: a strict input has no pawn there, and one that arrives must promote
         if target_letter in "Kk" or erased in "Kk":
@@ -327,12 +329,10 @@ def _apply(record: FenRecord, move, options: ApplyOptions):
                     raise ValidationError(f"expected exactly one {king!r}, found 0")
         if erased != "1" and _PIECES[erased].color == side:
             raise FriendlyCaptureError(f"own piece on {erased_at.name}")
-        if after.en_passant != "-":
-            _check_en_passant_side(after.side, after.en_passant)
+        if next_en_passant != "-":
+            _check_en_passant_side(next_side, next_en_passant)
 
-    return after, tuple.__new__(
-        ApplyOutcome, (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)
-    )
+    return after, (_fen_text(after), _TOUCHED[from_i][to_i], was_capture, is_pawn, special)
 
 
 def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyOutcome:
@@ -343,18 +343,22 @@ def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyO
     color, missing promotion, bad castle).
     """
     _check_options(options)
-    return _apply(parse_fen(fen, options.validation), move, options)[1]
+    outcome = _apply(parse_fen(fen, options.validation), move, options)[1]
+    # wrapped after the call, so that an error path builds nothing more
+    return tuple.__new__(ApplyOutcome, outcome)
 
 
-def _iter_sequence(record: FenRecord, moves, options: ApplyOptions):
-    """Yield the FEN after each move, played from ``record``, a FEN that
-    parse_fen has read under ``options.validation``.
+def _iter_sequence(record: FenRecord | tuple, moves, options: ApplyOptions):
+    """Yield the FEN after each move, played from ``record``: a FenRecord
+    that parse_fen has read under ``options.validation``, or a plain tuple
+    of its fields, as _apply carries from ply to ply.
 
     The failing ply's error is re-raised with a ``ply`` attribute (1-based).
     """
     try:
-        # text iterates by character and bytes by int, not by move: each is refused as None is
-        moves = iter(None if isinstance(moves, (str, bytes)) else moves)
+        # text iterates by character and bytes-like data by int, not by move:
+        # each is refused as None is
+        moves = iter(None if isinstance(moves, (str, bytes, bytearray, memoryview)) else moves)
     except TypeError:
         raise BadMoveSyntaxError(
             f"moves must be an iterable of moves, got {type(moves).__name__}"
@@ -365,7 +369,7 @@ def _iter_sequence(record: FenRecord, moves, options: ApplyOptions):
         except Exception as exc:
             exc.ply = ply
             raise
-        yield outcome.fen_after
+        yield outcome[0]
 
 
 def play_sequence(fen: str, moves, options: ApplyOptions = ApplyOptions()):

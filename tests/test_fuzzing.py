@@ -293,7 +293,8 @@ def test_strict_chains_refuse_king_captures_of_both_colours(monkeypatch, ep_mode
             refused.append(str(exc))
             raise
         except FriendlyCaptureError:
-            refused.append(f"FriendlyCapture by {record.side!r}")
+            # the chain carries the kernel's plain tuple: the side is field 1
+            refused.append(f"FriendlyCapture by {record[1]!r}")
             raise
 
     monkeypatch.setattr(fuzzing, "_apply", counting_apply)

@@ -710,6 +710,7 @@ class TestKernelAndPublicRules:
                     after, outcome = _apply(record, move, options)
                 except FenstringError:
                     continue
+                after, outcome = FenRecord(*after), ApplyOutcome(*outcome)
                 checked[options] += 1
                 assert after.castling == _rights_after(
                     record.castling, mover, mv.from_square, mv.to_square, captured
@@ -723,6 +724,35 @@ class TestKernelAndPublicRules:
                 )
                 assert outcome.fen_after == serialize_fen(after)
         # every combination, strict ones included, checks thousands of plies
+        assert min(checked.values()) > 1000, checked
+
+    def test_the_kernel_carries_plain_tuples(self, fuzz_corpus):
+        # a ply builds no named tuple: the next record and the outcome are
+        # plain tuples in FenRecord's and ApplyOutcome's field order, and
+        # the next ply reads the plain record as it reads a parsed one
+        from fenstring.move_apply import _apply
+
+        def result(record, move, options):
+            try:
+                return _apply(record, move, options)
+            except FenstringError as exc:
+                return type(exc), str(exc)
+
+        checked = dict.fromkeys(ALL_OPTIONS, 0)
+        for (fen, move, _), (_, next_move, _) in zip(fuzz_corpus, fuzz_corpus[1:]):
+            for options in ALL_OPTIONS:
+                try:
+                    record = parse_fen(fen, options.validation)
+                    after, outcome = _apply(record, move, options)
+                except FenstringError:
+                    continue
+                checked[options] += 1
+                assert type(after) is tuple and type(outcome) is tuple
+                assert FenRecord(*after) == parse_fen(outcome[0], options.validation)
+                assert ApplyOutcome(*outcome) == apply_move(fen, move, options)
+                assert result(after, next_move, options) == result(
+                    FenRecord(*after), next_move, options
+                )
         assert min(checked.values()) > 1000, checked
 
     def test_the_kernel_calls_no_checked_wrapper(self, monkeypatch):

@@ -72,11 +72,11 @@ _ENTRY_POINTS = {
     "serialize_fen": (serialize_fen, FenSyntaxError),
     "fen_from_board": (fen_from_board, FenSyntaxError),
 }
-_VALUES = {"None": None, "bytes": START_FEN.encode(), "int": 42, "list": ["8"] * 8}
-# these take any iterable but text, a list too; each item is checked where
-# it is read, as a segment or as a move. Moves refuse text and bytes alike,
-# while a placement refuses bytes by the count of their 56 ints
-_ITERABLE_ARGUMENTS = {"emit_legacy_forsyth": ("bytes", "list"), "play_sequence-moves": ("list",)}
+_VALUES = {"None": None, "bytes": START_FEN.encode(), "bytearray": bytearray(b"e2e4"),
+           "memoryview": memoryview(b"88888888"), "int": 42, "list": ["8"] * 8}
+# these take any iterable but text or bytes-like data, a list too; each
+# item is checked where it is read, as a segment or as a move
+_ITERABLE_ARGUMENTS = {"emit_legacy_forsyth": ("list",), "play_sequence-moves": ("list",)}
 
 
 @pytest.mark.parametrize("entry,value", [
@@ -90,6 +90,8 @@ def test_wrongly_typed_argument_raises_typed_error(entry, value):
     with pytest.raises(error) as info:
         call(value)
     assert type(info.value) is error
+    # refused as a whole, before any ply
+    assert not hasattr(info.value, "ply")
     if entry.startswith("Square-") and isinstance(value, int):
         # an integer is a coordinate's type; 42 is out of its range
         assert "out of range" in str(info.value)
