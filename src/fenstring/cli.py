@@ -11,6 +11,7 @@ legacy codec), so that `play` loads the string path and nothing else.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -55,46 +56,53 @@ def _options_from(args) -> ApplyOptions:
     return ApplyOptions(**{name: getattr(args, name) for name in _OPTION_VALUES})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _validate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("fen")
+    parser.add_argument("--validation", choices=_OPTION_VALUES["validation"], default="lenient")
+
+
+def _apply_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("fen")
+    parser.add_argument("move")
+    _add_apply_options(parser)
+    parser.add_argument("--output", choices=("plain", "record"), default="plain")
+
+
+def _play_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("fen")
+    parser.add_argument("moves_file")
+    _add_apply_options(parser)
+
+
+def _run_arguments(parser: argparse.ArgumentParser, iterations: int) -> None:
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--iterations", type=_positive_int, default=iterations)
+    _add_apply_options(parser)
+
+
+def _convert_forsyth_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("text")
+    parser.add_argument("--side", choices=("w", "b"), default="w")
+    parser.add_argument("--castling", default="-")
+    parser.add_argument("--ep", default="-")
+    parser.add_argument("--halfmove", default="0")
+    parser.add_argument("--fullmove", default="1")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone, which parses
+    that command's argv as the parser of every command does."""
     parser = argparse.ArgumentParser(
         prog="fenstring",
         description="Apply chess moves directly to FEN strings by segment rewriting.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a FEN and echo its canonical form")
-    p.add_argument("fen")
-    p.add_argument("--validation", choices=_OPTION_VALUES["validation"], default="lenient")
-
-    p = sub.add_parser("apply", help="apply one move to a FEN")
-    p.add_argument("fen")
-    p.add_argument("move")
-    _add_apply_options(p)
-    p.add_argument("--output", choices=("plain", "record"), default="plain")
-
-    p = sub.add_parser("play", help="apply a newline-separated moves file, printing each FEN")
-    p.add_argument("fen")
-    p.add_argument("moves_file")
-    _add_apply_options(p)
-
-    p = sub.add_parser("fuzz", help="differential fuzz: string path vs array oracle")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=_positive_int, default=1000)
-    _add_apply_options(p)
-
-    p = sub.add_parser("bench", help="throughput of the string path vs the array path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=_positive_int, default=10000)
-    _add_apply_options(p)
-
-    p = sub.add_parser("convert-forsyth", help="convert 1883 Forsyth notation to FEN")
-    p.add_argument("text")
-    p.add_argument("--side", choices=("w", "b"), default="w")
-    p.add_argument("--castling", default="-")
-    p.add_argument("--ep", default="-")
-    p.add_argument("--halfmove", default="0")
-    p.add_argument("--fullmove", default="1")
-
+    # the top-level usage line, printed with an "unrecognized arguments"
+    # error, names every command even when one subparser is built
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help, add_arguments, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help))
     return parser
 
 
@@ -208,27 +216,39 @@ def cmd_convert_forsyth(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "apply": cmd_apply,
-    "play": cmd_play,
-    "fuzz": cmd_fuzz,
-    "bench": cmd_bench,
-    "convert-forsyth": cmd_convert_forsyth,
+# each command: its help, what adds its arguments to its subparser, its handler
+_COMMANDS = {
+    "validate": ("parse a FEN and echo its canonical form", _validate_arguments, cmd_validate),
+    "apply": ("apply one move to a FEN", _apply_arguments, cmd_apply),
+    "play": ("apply a newline-separated moves file, printing each FEN", _play_arguments, cmd_play),
+    "fuzz": ("differential fuzz: string path vs array oracle",
+             lambda parser: _run_arguments(parser, 1000), cmd_fuzz),
+    "bench": ("throughput of the string path vs the array path",
+              lambda parser: _run_arguments(parser, 10000), cmd_bench),
+    "convert-forsyth": ("convert 1883 Forsyth notation to FEN", _convert_forsyth_arguments,
+                        cmd_convert_forsyth),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named exactly builds its own subparser alone; any other argv all six
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        try:
+            return _COMMANDS[args.command][2](args)
+        finally:
+            # a closed stdout raises here, where it is reported, not at exit
+            sys.stdout.flush()
     except FenstringError as exc:
         # a sequence's error names its failing ply
         where = f"ply {exc.ply}: " if hasattr(exc, "ply") else ""
         print(f"{where}{exc.code}: {exc}", file=sys.stderr)
         return EXIT_MOVE if isinstance(exc, MoveError) else EXIT_INPUT
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the signal docs' recipe: what stdout buffers goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover

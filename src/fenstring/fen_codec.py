@@ -19,7 +19,9 @@ the text is encoded as ASCII with each other character replaced by '?',
 so a foreign character is never dropped, and the mark itself becomes '?'
 too. The shape stays bytes; nothing decodes it. There are exactly 256
 valid shapes, one per set of occupied squares. A table built at import
-from those 256 rows maps each shape to one write plan per file: which
+by walking the segment grammar, a run or a piece at a time, maps each
+shape to one write plan per file, each distinct plan built once and
+shared (205 for the 2048 files of the 256 shapes): which
 character covers the file, how a piece placed there splits its run, and
 how clearing it merges the runs on either side. _write_slot writes a
 square of the compact text through that plan, so a move never expands or
@@ -54,7 +56,7 @@ the shared instance, so they compare by identity.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .errors import (
     AdjacentDigitsError,
@@ -275,36 +277,56 @@ def _shape(text: str) -> bytes | None:
 def _segment_plans() -> dict:
     """Every valid segment shape -> its 8 write plans, one per file.
 
-    Each of the 256 sets of occupied squares gives one row and its shape,
-    the row's runs written as digits. A file's plan is (at, occupied,
-    before, after, clear_head, merged, clear_tail), where ``at`` is the
-    character that covers the file: a piece is placed as
+    The segment grammar is walked, not the 256 rows: a shape is an optional
+    run of empty squares, then pieces, each followed by an optional run, up
+    to 8 squares. Each step extends its prefix's plans by those of the new
+    piece and run, and each distinct plan is built once and shared by every
+    shape that holds it. A file's plan is (at, occupied, before, after,
+    clear_head, merged, clear_tail), where ``at`` is the character that
+    covers the file: a piece is placed as
     text[:at] + before + letter + after + text[at+1:], which splits a run
     it lands in, and the slot is cleared as
     text[:clear_head] + merged + text[clear_tail:], which merges an
     occupied slot with the runs on either side.
     """
     table = {}
-    for row in map("".join, product("1P", repeat=8)):
-        segment = contract_rank(row)
-        # the squares each character of the segment covers: 0 for a piece
-        runs = [0 if ch == "P" else int(ch) for ch in segment] + [0]
-        plans = []
-        for at, run in enumerate(runs[:-1]):
-            if not run:
-                left, right = runs[at - 1] if at else 0, runs[at + 1]
-                plans.append((at, True, "", "", at - (left > 0), str(left + 1 + right),
-                              at + 1 + (right > 0)))
-            # a piece k squares into a run splits it; a clear leaves the text as it is
-            for k in range(run):
-                before, after = str(k) if k else "", str(run - 1 - k) if k < run - 1 else ""
-                plans.append((at, False, before, after, 0, "", 0))
-        table[_shape(segment)] = tuple(plans)
+    # each distinct plan, built once: a run's plans keyed by (at, run), a
+    # piece's by (at, left > 0, right > 0, left + right), all that sets it
+    shared = {}
+
+    def run_plans(at, run):
+        # a piece k squares into a run splits it; a clear leaves the text as it is
+        plans = shared.get((at, run))
+        if plans is None:
+            plans = shared[at, run] = tuple(
+                (at, False, str(k) if k else "", str(run - 1 - k) if k < run - 1 else "", 0, "", 0)
+                for k in range(run)
+            )
+        return plans
+
+    def extend(shape, plans, width, left):
+        # the prefix ends in a run of `left` empty squares, 0 after a piece
+        if width == 8:
+            table[shape] = plans
+            return
+        at = len(shape)
+        # a piece, then a run of `right` empty squares, none when 0
+        for right in range(8 - width):
+            key = at, left > 0, right > 0, left + right
+            piece = shared.get(key)
+            if piece is None:
+                piece = shared[key] = ((at, True, "", "", at - (left > 0), str(left + 1 + right),
+                                        at + 1 + (right > 0)),)
+            extend(shape + (b"x%d" % right if right else b"x"),
+                   plans + piece + run_plans(at + 1, right), width + 1 + right, right)
+
+    for lead in range(9):
+        extend(b"%d" % lead if lead else b"", run_plans(0, lead), lead, lead)
     return table
 
 
-# the grammar of a segment, complete: built once from the 256 rows and
-# never filled from the segments it is asked about
+# the grammar of a segment, complete: built once by walking it and never
+# filled from the segments it is asked about
 _SEGMENT_PLANS = _segment_plans()
 # its shapes as a set: parse_fen checks a placement's 8 in one call, expand_rank one
 _SHAPES = frozenset(_SEGMENT_PLANS)

@@ -282,11 +282,11 @@ def test_cases_hold_every_exit_status_of_each_subcommand():
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _python(*args, **env):
+def _python(*args, stdout=subprocess.PIPE, **env):
     """Run a fresh interpreter on the source tree, without site: (status, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-S", *args], env=dict(os.environ, PYTHONPATH=_SRC, **env),
-        capture_output=True, encoding="utf-8", timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, encoding="utf-8", timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -303,10 +303,89 @@ def test_case_in_a_fresh_process(tmp_path, case):
                                   PYTHONUNBUFFERED="1"))
 
 
+# a successful run of each subcommand, each of which writes to stdout
+_WRITERS = {
+    "validate": _CASES["validate-castling-order"],
+    "apply": _CASES["apply-record"],
+    "play": _CASES["play-300-plies"],
+    "fuzz": Case(("fuzz", "--iterations", "20"), 0),
+    "bench": Case(("bench", "--iterations", "20"), 0),
+    "convert-forsyth": _CASES["convert-forsyth-baird"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", _WRITERS)
+def test_closed_stdout_exits_2(tmp_path, command, unbuffered):
+    # a pipe whose reader has gone, as after `| head -1`: one stderr line and
+    # status 2, and no "Exception ignored" from the interpreter's last flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        status, _, err = _python("-m", "fenstring.cli", *_argv(_WRITERS[command], tmp_path),
+                                 stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (status, err) == (2, "[Errno 32] Broken pipe\n")
+
+
+# each command's positionals, as a valid argv gives them
+_POSITIONALS = {"validate": (START_FEN,), "apply": (START_FEN, "e2e4"),
+                "play": (START_FEN, "game.moves"), "fuzz": (), "bench": (),
+                "convert-forsyth": (_EMPTY_BOARD,)}
+# what follows the command name in each argv parsed, given its positionals
+_PARSES = {
+    "help": lambda positionals: ("-h",),
+    "missing-positionals": lambda positionals: (),
+    "bad-ep-mode": lambda positionals: ("--ep-mode", "x"),
+    "unknown-flag": lambda positionals: (*positionals, "--bogus"),
+    "extra-positional": lambda positionals: (*positionals, "extra"),
+}
+
+
+class TestParser:
+    @staticmethod
+    def _parse(capsys, parser, argv):
+        """The namespace or the exit status parsing gives, then stdout and stderr."""
+        try:
+            parsed = parser.parse_args(argv)
+        except SystemExit as exc:
+            parsed = exc.code
+        return (parsed, *capsys.readouterr())
+
+    @pytest.mark.parametrize("parse", _PARSES)
+    @pytest.mark.parametrize("command", _POSITIONALS)
+    def test_one_subparser_parses_as_all_six_do(self, capsys, command, parse):
+        argv = [command, *_PARSES[parse](_POSITIONALS[command])]
+        alone = self._parse(capsys, cli.build_parser(command), argv)
+        assert alone == self._parse(capsys, cli.build_parser(), argv)
+        if parse == "unknown-flag":
+            # the top-level parser reports it, and its usage names every command
+            assert "{validate,apply,play,fuzz,bench,convert-forsyth}" in alone[2]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--", "play"], ["pla", "-h"]],
+                             ids=repr)
+    def test_any_other_argv_builds_every_command(self, capsys, monkeypatch, argv):
+        built, build_parser = [], cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == [None]
+        main(["validate", START_FEN])
+        assert built == [None, "validate"]
+
+
 class TestValidate:
     def test_typed_error_that_is_no_syntax_or_move_error(self, capsys, monkeypatch):
         # BadOptionError is neither: it still exits 2 with its code, not 1
-        monkeypatch.setitem(cli._HANDLERS, "validate", lambda args: ApplyOptions(ep_mode="bogus"))
+        help, add_arguments, _ = cli._COMMANDS["validate"]
+        monkeypatch.setitem(cli._COMMANDS, "validate",
+                            (help, add_arguments, lambda args: ApplyOptions(ep_mode="bogus")))
         code, _, err = run(capsys, "validate", FIG1_FEN)
         assert code == 2
         assert err.startswith("BadOption:")

@@ -142,6 +142,14 @@ def test_writer_matches_row_write_on_every_shape():
     assert {shape.encode() for shape in shapes} == set(_SEGMENT_PLANS)
 
 
+def test_equal_plans_are_one_object():
+    # 256 shapes x 8 files, and each distinct plan is built once and shared
+    plans = [plan for shape_plans in _SEGMENT_PLANS.values() for plan in shape_plans]
+    assert (len(_SEGMENT_PLANS), len(plans)) == (256, 2048)
+    assert {len(shape_plans) for shape_plans in _SEGMENT_PLANS.values()} == {8}
+    assert len({id(plan) for plan in plans}) == len(set(plans)) == 205
+
+
 @given(st.one_of(segments, st.text(alphabet=PIECE_LETTERS + "0123456789x²/", max_size=9)))
 @example("44")
 @example("x7")
