@@ -17,8 +17,8 @@ import time
 
 from .errors import FenstringError, MoveError
 from .fen_codec import (
-    _OPTION_VALUES, FenRecord, _en_passant_field, _fen_text, _parse_clock, parse_castling,
-    parse_fen,
+    _OPTION_VALUES, FenRecord, _en_passant_field, _fen_text, _parse_clock, _read_fen,
+    parse_castling,
 )
 from .move_apply import ApplyOptions, ApplyOutcome, _iter_sequence, apply_move
 
@@ -33,6 +33,17 @@ EXIT_MOVE = 3
 # FENs per write to stdout in `play`. On an unbuffered stream (PYTHONUNBUFFERED)
 # print would make two write(2) calls per ply; a block makes one
 PLAY_BLOCK = 256
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but help that cannot be written raises, where
+    argparse's own would drop the OSError: a closed stdout then ends -h as
+    it ends every command. Subparsers are built of the same class. Usage
+    errors still go through argparse's writer, which exits 2 on a closed
+    stderr too."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
 
 def _positive_int(text: str) -> int:
@@ -92,7 +103,7 @@ def _convert_forsyth_arguments(parser: argparse.ArgumentParser) -> None:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone, which parses
     that command's argv as the parser of every command does."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fenstring",
         description="Apply chess moves directly to FEN strings by segment rewriting.",
     )
@@ -107,7 +118,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    print(_fen_text(parse_fen(args.fen, args.validation)))
+    print(_fen_text(_read_fen(args.fen, args.validation)))
     return EXIT_OK
 
 
@@ -132,7 +143,7 @@ def cmd_apply(args) -> int:
 
 def cmd_play(args) -> int:
     options = _options_from(args)
-    record = parse_fen(args.fen, options.validation)
+    record = _read_fen(args.fen, options.validation)
     try:
         with open(args.moves_file, encoding="utf-8-sig") as handle:
             moves = []
@@ -232,10 +243,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command named exactly builds its own subparser alone; any other argv all six
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         try:
+            # a command named exactly builds its own subparser alone; any other argv all six
+            args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
             return _COMMANDS[args.command][2](args)
         finally:
             # a closed stdout raises here, where it is reported, not at exit

@@ -42,15 +42,18 @@ _parse_clock: for a castling field that names the error, and for a clock
 it also reads what the table leaves out, a zero-padded or 4 to 9 digit
 clock; so values, error classes and messages are the checkers'.
 
-A FenRecord is an immutable named tuple, built with tuple.__new__ once per
-parse; a ply carries the next record as a plain tuple of the same six
-fields. serialize_fen checks that it is given a FenRecord and writes the
+_read_fen is the parser: it returns the six fields as a plain tuple in
+FenRecord's order, and every reader in the package that only unpacks the
+fields calls it. A FenRecord is an immutable named tuple, built with
+tuple.__new__ only by parse_fen, for a caller who receives it; a ply
+carries the next record as a plain tuple of the same six fields.
+serialize_fen checks that it is given a FenRecord and writes the
 canonical text of what its fields parse to, and its unchecked core
 _fen_text writes the text of a record whose fields are canonical already,
-either form: one that parse_fen or a ply built, or that the CLI built
-from checked fields. Squares and pieces are interned slot classes: the 64
-squares and 12 pieces are built at import, and building one again returns
-the shared instance, so they compare by identity.
+either form: one that _read_fen, parse_fen or a ply built, or that the
+CLI built from checked fields. Squares and pieces are interned slot
+classes: the 64 squares and 12 pieces are built at import, and building
+one again returns the shared instance, so they compare by identity.
 """
 
 from __future__ import annotations
@@ -450,6 +453,14 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     does not hold goes to its checker, which names the error or, for a
     zero-padded or longer clock, reads it.
     """
+    # tuple.__new__, not FenRecord(...): the generated __new__ is one more Python call
+    return tuple.__new__(FenRecord, _read_fen(text, validation))
+
+
+def _read_fen(text: str, validation: str = "lenient") -> tuple:
+    """parse_fen's checks, in the same order with the same errors, giving
+    the six fields as a plain tuple in FenRecord's order: for a reader that
+    only unpacks them, which then builds no FenRecord."""
     if not isinstance(text, str):
         raise FenSyntaxError(f"a FEN must be text, got {type(text).__name__}")
     fields = text.split()
@@ -481,9 +492,6 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
     # a fullmove of 0 is in the table, below the fullmove minimum: the checker refuses it
     fullmove = _CLOCKS.get(fullmove_field) or _parse_clock(fullmove_field, 1, "fullmove number")
 
-    # tuple.__new__, not FenRecord(...): the generated __new__ is one more Python call
-    record = tuple.__new__(FenRecord,
-                           (tuple(segments), side, castling, ep_field, halfmove, fullmove))
     if validation != "lenient":
         if validation != "strict":
             _check_option("validation", validation)
@@ -498,7 +506,7 @@ def parse_fen(text: str, validation: str = "lenient") -> FenRecord:
                     raise ValidationError(f"pawn on first/last rank in segment {edge!r}")
         if ep_field != "-":
             _check_en_passant_side(side, ep_field)
-    return record
+    return tuple(segments), side, castling, ep_field, halfmove, fullmove
 
 
 def _fen_text(record: FenRecord) -> str:
@@ -517,7 +525,7 @@ def serialize_fen(record: FenRecord) -> str:
         fen = _fen_text(record)
     except TypeError as exc:
         raise FenSyntaxError(f"cannot serialize the record as FEN: {exc}") from None
-    return _fen_text(parse_fen(fen))
+    return _fen_text(_read_fen(fen))
 
 
 def piece_at(record: FenRecord, square: Square) -> Piece | None:

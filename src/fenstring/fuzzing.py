@@ -8,7 +8,7 @@ from collections import namedtuple
 from .errors import (
     BadOptionError, FenstringError, FriendlyCaptureError, NoPiecesError, ValidationError
 )
-from .fen_codec import BLACK, SQUARES, START_FEN, WHITE, FenRecord, expand_runs, parse_fen
+from .fen_codec import BLACK, SQUARES, START_FEN, WHITE, _read_fen, expand_runs
 from .move_apply import ApplyOptions, _CASTLES, _apply, _check_options
 from .oracle import oracle_apply
 
@@ -57,11 +57,11 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _pseudo_move(record: FenRecord | tuple, getrandbits) -> str:
+def _pseudo_move(record: tuple, getrandbits) -> str:
     """Draw a pseudo-move for the side to move, from the parsed ranks, with
     the ``getrandbits`` of a generator seeded for this draw. ``record`` is
-    a FenRecord or the plain tuple of its fields that a ply carries: its
-    ranks and side are read by position."""
+    the plain tuple of a FEN's fields that _read_fen gives or a ply
+    carries: its ranks and side are read by position."""
     ranks, side = record[0], record[1]
     slots = expand_runs("".join(ranks))
     marked = slots.encode().translate(_OWN_MARKS[side])
@@ -117,7 +117,7 @@ def random_pseudo_move(fen: str, seed: int) -> str:
     choice of the origin, randrange(64) for the destination and choice of
     the promotion letter.
     """
-    return _pseudo_move(parse_fen(fen), _seeded(seed).getrandbits)
+    return _pseudo_move(_read_fen(fen), _seeded(seed).getrandbits)
 
 
 def _chain(iterations: int, seed: int, options: ApplyOptions):
@@ -125,7 +125,7 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     each outcome the plain tuple _apply returns.
 
     Each move is drawn from and applied to the record carried from the
-    previous pair: the start position's FenRecord, then _apply's plain
+    previous pair: the start position's _read_fen tuple, then _apply's plain
     tuples. Under strict validation a drawn move that captures an own piece
     or leaves a position that fails it (a king captured) is drawn again
     from the same record; a king move to an empty square applies, so
@@ -151,7 +151,7 @@ def _chain(iterations: int, seed: int, options: ApplyOptions):
     # base class's seed: for an int it sets the state Random.seed sets
     draw = random.Random()
     reseed, getrandbits = super(random.Random, draw).seed, draw.getrandbits
-    start = parse_fen(START_FEN, options.validation)
+    start = _read_fen(START_FEN, options.validation)
     fen, record = START_FEN, start
     for _ in pairs:
         while True:

@@ -58,9 +58,9 @@ from .fen_codec import (
     _check_option,
     _check_square,
     _fen_text,
+    _read_fen,
     _write_slot,
     expand_runs,
-    parse_fen,
 )
 
 _PROMOTION_KINDS = ("Q", "R", "B", "N")
@@ -248,15 +248,15 @@ def _apply(record: FenRecord | tuple, move, options: ApplyOptions):
     """The rewrite shared by every entry point: (next record, outcome), each
     a plain tuple in the field order of FenRecord and of ApplyOutcome.
 
-    ``record`` is a FenRecord from parse_fen or the plain tuple an earlier
-    ply returned, under the same validation, so a game or fuzz chain is
-    parsed once and builds no named tuple per ply: only apply_move wraps
-    its outcome as an ApplyOutcome. Each square the move changes is
-    written into its compact segment by _write_slot, which reads the
-    letter that was there and checks the segment's shape: two writes for
-    a ply, two more for a castle's rook and one for an en-passant victim.
-    A strict record holds one king per side and no ply makes one, so a ply
-    breaks the king rule only by writing over a king.
+    ``record`` is the plain tuple _read_fen or an earlier ply returned, or
+    a FenRecord of the same fields, under the same validation, so a game
+    or fuzz chain is parsed once and builds no named tuple per ply: only
+    apply_move wraps its outcome as an ApplyOutcome. Each square the move
+    changes is written into its compact segment by _write_slot, which
+    reads the letter that was there and checks the segment's shape: two
+    writes for a ply, two more for a castle's rook and one for an
+    en-passant victim. A strict record holds one king per side and no ply
+    makes one, so a ply breaks the king rule only by writing over a king.
     """
     ranks, side, castling, en_passant, halfmove, fullmove = record
     from_sq, to_sq, promotion = _read_move(move)
@@ -343,15 +343,15 @@ def apply_move(fen: str, move, options: ApplyOptions = ApplyOptions()) -> ApplyO
     color, missing promotion, bad castle).
     """
     _check_options(options)
-    outcome = _apply(parse_fen(fen, options.validation), move, options)[1]
+    outcome = _apply(_read_fen(fen, options.validation), move, options)[1]
     # wrapped after the call, so that an error path builds nothing more
     return tuple.__new__(ApplyOutcome, outcome)
 
 
 def _iter_sequence(record: FenRecord | tuple, moves, options: ApplyOptions):
-    """Yield the FEN after each move, played from ``record``: a FenRecord
-    that parse_fen has read under ``options.validation``, or a plain tuple
-    of its fields, as _apply carries from ply to ply.
+    """Yield the FEN after each move, played from ``record``: the plain
+    tuple of fields that _read_fen has read under ``options.validation``,
+    as _apply carries from ply to ply, or a FenRecord of the same fields.
 
     The failing ply's error is re-raised with a ``ply`` attribute (1-based).
     """
@@ -381,4 +381,4 @@ def play_sequence(fen: str, moves, options: ApplyOptions = ApplyOptions()):
     a ``ply`` attribute (1-based) attached.
     """
     _check_options(options)
-    return list(_iter_sequence(parse_fen(fen, options.validation), moves, options))
+    return list(_iter_sequence(_read_fen(fen, options.validation), moves, options))

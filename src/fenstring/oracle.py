@@ -7,24 +7,24 @@ the FEN's '1' for an empty cell, and a '/' cell closing each of the first
 seven rows, so square (file, rank) is cell (8 - rank) * 9 + file. A cell
 is read through chr(), a piece's colour from its letter's case and its
 kind by upper-casing, and written through ord(). Each conversion is in
-bulk, through two helpers with the oracle's own replace tables:
+bulk, through two helpers, each one chain of the oracle's own replaces:
 _expanded writes each run digit of the parsed segments out as its '1'
-cells, and _contracted folds each run of two or more back into its digit;
-a lone '1' is its own cell either way. board_from_fen and fen_from_board
-map the same text to and from the 64 Piece/None cells of a BoardArray, a
-named tuple whose trailer fields change by _replace; both carry the
-trailer as parse_fen reads it, en passant as its text ("e3" or "-"). The
-specials logic (castling, en passant, promotion, rights, clocks) is
-intentionally written out again here instead of calling the string-path
-helpers, so the two implementations share no placement code and can check
-each other. The oracle reads a FEN with parse_fen, for the grammar only,
-and a move with _read_move, as the string path does; the strict rules are
-its own. Under strict validation oracle_apply's _check_strict checks the
+cells, and _contracted folds each run of two or more back into its digit,
+longest first; a lone '1' is its own cell either way. board_from_fen and
+fen_from_board map the same text to and from the 64 Piece/None cells of
+a BoardArray, a named tuple whose trailer fields change by _replace; both
+carry the trailer as parse_fen reads it, en passant as its text ("e3" or
+"-"). The specials logic (castling, en passant, promotion, rights,
+clocks) is intentionally written out again here instead of calling the
+string-path helpers, so the two implementations share no placement code
+and can check each other. The oracle reads a FEN with _read_fen,
+parse_fen's checks giving a plain tuple, for the grammar only, and a
+move with _read_move, as the string path does; the strict rules are its
+own. Under strict validation oracle_apply's _check_strict checks the
 parsed input's segments before the mailbox is built and the result's
 text, edge rows aside, before it is contracted, so a strict call parses
 one FEN, not two; a result's clocks are checked in every mode.
 """
-
 from __future__ import annotations
 
 from collections import namedtuple
@@ -46,7 +46,7 @@ from .fen_codec import (
     WHITE,
     Piece,
     _PIECES,
-    parse_fen,
+    _read_fen,
 )
 from .move_apply import ApplyOptions, _check_options, _read_move
 
@@ -57,10 +57,6 @@ class BoardArray(namedtuple("BoardArray", "cells side castling en_passant halfmo
     __slots__ = ()
 
 
-# each run digit and its empty cells, '1' per cell; a lone '1' is its own cell
-_RUN_CELLS = tuple((str(n), "1" * n) for n in range(2, 9))
-# each run's cells and its digit, longest run first, so each is contracted whole
-_EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(8, 1, -1))
 _EMPTY = ord("1")  # an empty cell, as the mailbox's byte
 # what a cell may hold, checked over all 64 by one issuperset(map(type, ...))
 _CELL_TYPES = frozenset((Piece, type(None)))
@@ -75,18 +71,17 @@ _CLOCK_LIMIT = 10**MAX_DIGITS
 def _expanded(ranks) -> str:
     """The 71-cell text of a parsed placement's segments, a8 first: each
     piece its FEN letter, each empty cell '1', each row but the last
-    closed by '/'."""
-    text = "/".join(ranks)
-    for digit, run in _RUN_CELLS:
-        text = text.replace(digit, run)
-    return text
+    closed by '/'. A lone '1' is its own cell."""
+    return ("/".join(ranks).replace("8", "11111111").replace("7", "1111111")
+            .replace("6", "111111").replace("5", "11111").replace("4", "1111")
+            .replace("3", "111").replace("2", "11"))
 
 
 def _contracted(text: str) -> str:
     """The FEN placement field of a 71-cell text."""
-    for run, digit in _EMPTY_RUNS:
-        text = text.replace(run, digit)
-    return text
+    # longest run first, so that each run is contracted whole
+    return (text.replace("11111111", "8").replace("1111111", "7").replace("111111", "6")
+            .replace("11111", "5").replace("1111", "4").replace("111", "3").replace("11", "2"))
 
 
 def _check_strict(placement: str, edge_rows: str, side: str, ep: str) -> None:
@@ -106,7 +101,7 @@ def _check_strict(placement: str, edge_rows: str, side: str, ep: str) -> None:
 
 def board_from_fen(fen: str) -> BoardArray:
     """Build the mailbox array from a FEN string, read by the FEN grammar."""
-    ranks, *trailer = parse_fen(fen)
+    ranks, *trailer = _read_fen(fen)
     return BoardArray(list(map(_PIECES.get, _expanded(ranks).replace("/", ""))), *trailer)
 
 
@@ -126,7 +121,7 @@ def fen_from_board(board: BoardArray) -> str:
     placement = _contracted("/".join(letters[i:i + 8] for i in range(0, 64, 8)))
     # the trailer fields, as text, must pass the FEN grammar; what it reads
     # from them is written back
-    _, *trailer = parse_fen(" ".join(map(str, (placement, *board[1:]))))
+    _, *trailer = _read_fen(" ".join(map(str, (placement, *board[1:]))))
     return " ".join(map(str, (placement, *trailer)))
 
 
@@ -142,7 +137,7 @@ def oracle_apply(fen: str, move, options: ApplyOptions = ApplyOptions()) -> str:
     that writes over an own piece, after the king count.
     """
     _check_options(options)
-    ranks, side, castling, en_passant, halfmove, fullmove = parse_fen(fen)
+    ranks, side, castling, en_passant, halfmove, fullmove = _read_fen(fen)
     strict = options.validation == "strict"
     if strict:
         # before the move is read, as parse_fen's strict checks come before it

@@ -282,11 +282,11 @@ def test_cases_hold_every_exit_status_of_each_subcommand():
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _python(*args, stdout=subprocess.PIPE, **env):
+def _python(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
     """Run a fresh interpreter on the source tree, without site: (status, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-S", *args], env=dict(os.environ, PYTHONPATH=_SRC, **env),
-        stdout=stdout, stderr=subprocess.PIPE, encoding="utf-8", timeout=60,
+        stdout=stdout, stderr=stderr, encoding="utf-8", timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -303,7 +303,8 @@ def test_case_in_a_fresh_process(tmp_path, case):
                                   PYTHONUNBUFFERED="1"))
 
 
-# a successful run of each subcommand, each of which writes to stdout
+# a successful run of each subcommand, and the top-level and a command's
+# help, each of which writes to stdout
 _WRITERS = {
     "validate": _CASES["validate-castling-order"],
     "apply": _CASES["apply-record"],
@@ -311,6 +312,8 @@ _WRITERS = {
     "fuzz": Case(("fuzz", "--iterations", "20"), 0),
     "bench": Case(("bench", "--iterations", "20"), 0),
     "convert-forsyth": _CASES["convert-forsyth-baird"],
+    "help": Case(("-h",), 0),
+    "play-help": Case(("play", "-h"), 0),
 }
 
 
@@ -327,6 +330,19 @@ def test_closed_stdout_exits_2(tmp_path, command, unbuffered):
     finally:
         os.close(write)
     assert (status, err) == (2, "[Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["play", "--bogus"]], ids=" ".join)
+def test_usage_error_on_a_closed_stderr_exits_2(argv):
+    # help raises on a closed stdout, but a usage error that cannot be
+    # written still ends as argparse ends it
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        status, _, _ = _python("-m", "fenstring.cli", *argv, stderr=write)
+    finally:
+        os.close(write)
+    assert status == 2
 
 
 # each command's positionals, as a valid argv gives them

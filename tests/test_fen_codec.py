@@ -32,7 +32,7 @@ from fenstring.errors import (
 )
 from fenstring import fen_codec
 from fenstring.cli import main
-from fenstring.fen_codec import SQUARES, _check_segment, expand_runs
+from fenstring.fen_codec import SQUARES, _check_segment, _read_fen, expand_runs
 
 from conftest import (
     EMPTY_FEN,
@@ -175,13 +175,30 @@ _FEN_TEXTS = {
 }
 
 
+def _check_read_fen(text, validation):
+    """_read_fen reads ``text`` as parse_fen does: a plain tuple of the
+    record's fields, or the same error class with the same message."""
+    try:
+        expected = tuple(parse_fen(text, validation))
+    except FenstringError as exc:
+        expected = type(exc), str(exc)
+    try:
+        read = _read_fen(text, validation)
+    except FenstringError as exc:
+        read = type(exc), str(exc)
+    else:
+        assert type(read) is tuple, (text, validation)
+    assert read == expected, (text, validation)
+
+
 @pytest.mark.parametrize("text, after, validations, message", _FEN_TEXTS.values(), ids=_FEN_TEXTS)
 def test_fen_text(capsys, text, after, validations, message):
-    """A row through every reader of FEN text: parse_fen under each of the
-    row's validations; under "lenient" and "strict" also the reference
-    grammar, the CLI's validate and, for an error, both paths, which read
-    the FEN before the move; for a segment error, expand_rank too."""
+    """A row through every reader of FEN text: parse_fen and _read_fen under
+    each of the row's validations; under "lenient" and "strict" also the
+    reference grammar, the CLI's validate and, for an error, both paths,
+    which read the FEN before the move; for a segment error, expand_rank too."""
     for validation in validations:
+        _check_read_fen(text, validation)
         try:
             read = serialize_fen(parse_fen(text, validation))
         except FenstringError as exc:
@@ -492,8 +509,10 @@ def test_parse_fen_reads_as_the_reference_grammar_and_its_first_failed_check(tex
     validations: it accepts exactly the text reference_fen accepts and
     serialize_fen writes the reference's canonical text; otherwise it raises
     the typed syntax error of the first check reference_fen_code names. The
-    two references agree on what they accept."""
+    two references agree on what they accept, and _read_fen reads as
+    parse_fen does."""
     for validation in _BOTH:
+        _check_read_fen(text, validation)
         expected, code = reference_fen(text, validation), reference_fen_code(text, validation)
         assert (expected is None) == (code is not None), (text, validation)
         try:

@@ -175,9 +175,11 @@ _REWRITE_HELPERS = {"_write_slot", "_SEGMENT_PLANS", "_SHAPES", "expand_runs", "
                     "contract_rank"}
 # every name the oracle imports from the string path's modules, all it takes
 # from move_apply being the option and move-argument checks; a new one, such
-# as a placement helper borrowed for speed, must be argued for here
+# as a placement helper borrowed for speed, must be argued for here. The FEN
+# grammar is read through _read_fen, parse_fen's checks giving a plain tuple,
+# so that the array path builds no FenRecord it does not hand out
 _PINNED_IMPORTS = {
-    "fen_codec": {"BLACK", "MAX_DIGITS", "WHITE", "Piece", "_PIECES", "parse_fen"},
+    "fen_codec": {"BLACK", "MAX_DIGITS", "WHITE", "Piece", "_PIECES", "_read_fen"},
     "move_apply": {"ApplyOptions", "_check_options", "_read_move"},
 }
 
@@ -201,13 +203,13 @@ def test_oracle_shares_no_placement_code_with_the_string_path():
         imported.get(module, set()).update(alias.name for alias in node.names)
     assert imported == _PINNED_IMPORTS
     # the oracle reads its FEN with the string path's parser, not its own
-    assert "parse_fen" in used
+    assert "_read_fen" in used
     # but it checks strict validation with its own rules: neither the
     # string path's strict checks nor its clock rule, and every call asks
-    # parse_fen for the grammar only
+    # _read_fen for the grammar only
     assert not used & {"_check_en_passant_side", "_clocks_after"}
     parses = [node for node in nodes if isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Name) and node.func.id == "parse_fen"]
+              and isinstance(node.func, ast.Name) and node.func.id == "_read_fen"]
     assert parses and all(len(node.args) == 1 and not node.keywords for node in parses)
 
 
